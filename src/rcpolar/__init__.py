@@ -15,7 +15,7 @@ from .construction import (
     union_bound,
 )
 from .decoder import DecodeResult, genie_sc_decode, sc_decode
-from .harq import HarqSession, SimResult, SweepConfig, run_block, sweep, throughput
+from .harq import SimResult, SweepConfig, sweep, throughput
 from .polar import PolarCodeSpec, bit_reversal, encode, encode_two_stage
 from .puncturing import (
     ErasureDesign,

@@ -91,10 +91,19 @@ def _resolve_seed(cfg: dict) -> int:
     return int(seed)
 
 
-def _load_sequence(name: str) -> PuncturingSequence:
+def _load_sequence(name: str, p: int) -> PuncturingSequence:
+    """The named puncturing order; its base length must be 2^p."""
     if name == "reference32":
-        return reference_base32_sequence()
-    return PuncturingSequence.load(name)
+        seq = reference_base32_sequence()
+    else:
+        try:
+            seq = PuncturingSequence.load(name)
+        except (OSError, ValueError) as e:
+            raise ConfigError("sequence", f"cannot read {name}: {e}") from None
+    if seq.base_len != 1 << p:
+        raise ConfigError("sequence", f"{name} has base length {seq.base_len}, "
+                          f"which does not match 2^p = {1 << p}")
+    return seq
 
 
 def _split(cfg: dict, n: int) -> tuple[int, int]:
@@ -139,7 +148,7 @@ def cmd_construct(cfg: dict) -> int:
         if select_len is not None:
             if seq_name is None:
                 raise ConfigError("sequence", "select_length needs a puncturing sequence")
-            rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name),
+            rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p),
                              modulation=ModulationSpec(mod_order))
             means = build_bicm_ga_means(spec, rm, select_len, snr)
         else:
@@ -152,7 +161,7 @@ def cmd_construct(cfg: dict) -> int:
         if select_len is not None:
             if seq_name is None:
                 raise ConfigError("sequence", "select_length needs a puncturing sequence")
-            rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name),
+            rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p),
                              modulation=ModulationSpec(2))
             tm = build_tx_map(rm, TxPlan(L=select_len, t=1, r=1, mode="cc"))
             z = np.ones(N)
@@ -170,7 +179,7 @@ def cmd_construct(cfg: dict) -> int:
                                          lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
         rmatch = None
         if seq_name is not None:
-            rmatch = RateMatcher(spec=spec, sequence=_load_sequence(seq_name),
+            rmatch = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p),
                                  modulation=ModulationSpec(mod_order))
         # genie runs need a full-rate spec so every position is measured
         full_spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
@@ -219,7 +228,7 @@ def cmd_simulate(cfg: dict) -> int:
                  "must lie in [1, 2^n]")
     out = _require(cfg, "out", str)
     p, q = _split(cfg, n)
-    seq = _load_sequence(_optional(cfg, "sequence", str, default="reference32"))
+    seq = _load_sequence(_optional(cfg, "sequence", str, default="reference32"), p)
     mod = ModulationSpec(_optional(cfg, "modulation", int, default=2,
                                    cond=lambda v: v in (2, 16, 64),
                                    what="must be 2, 16, or 64"))
@@ -240,7 +249,10 @@ def cmd_simulate(cfg: dict) -> int:
         snrs = [start + i * step for i in range(count)]
     if not isinstance(snrs, (list, tuple)) or not snrs:
         raise ConfigError("snrs", "must be a non-empty list of SNR values")
-    snrs = tuple(float(s) for s in snrs)
+    try:
+        snrs = tuple(float(s) for s in snrs)
+    except (TypeError, ValueError):
+        raise ConfigError("snrs", f"must be a list of numbers, got {snrs!r}") from None
 
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _optional(cfg, "profile", str)
@@ -249,7 +261,10 @@ def cmd_simulate(cfg: dict) -> int:
     rm_probe = RateMatcher(spec=probe_spec, sequence=seq, modulation=mod,
                            shift_cc_bicm=shift_cc)
     if profile_path is not None:
-        profile = cons.ReliabilityProfile.from_csv(profile_path)
+        try:
+            profile = cons.ReliabilityProfile.from_csv(profile_path)
+        except (OSError, ValueError) as e:
+            raise ConfigError("profile", f"cannot read {profile_path}: {e}") from None
         if len(profile) != (1 << n):
             raise ConfigError("profile", f"profile has {len(profile)} rows, need {1 << n}")
     else:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +25,9 @@ from .polar import PolarCodeSpec, encode
 from .rate_matching import RateMatcher, TxPlan, transmit_codeword_llrs
 
 __all__ = [
-    "HarqSession",
     "SimResult",
     "SweepConfig",
     "throughput",
-    "run_block",
     "run_blocks_batch",
     "sweep",
     "write_results_csv",
@@ -47,58 +45,6 @@ def throughput(rate: float, order: int, bler: float, t_bar: float) -> float:
     if t_bar < 1.0:
         raise ValueError(f"t_bar must be >= 1, got {t_bar}")
     return rate * math.log2(order) * (1.0 - bler) / t_bar
-
-
-@dataclass
-class HarqSession:
-    """State of one HARQ exchange: accumulator, attempts used, outcome."""
-
-    spec: PolarCodeSpec
-    rate_matcher: RateMatcher
-    channel: ChannelSpec
-    L: int
-    t: int
-    mode: str
-    accumulator: np.ndarray = field(init=False)
-    transmissions_used: int = field(init=False, default=0)
-    success: bool = field(init=False, default=False)
-
-    def __post_init__(self):
-        if self.mode not in ("cc", "ir"):
-            raise ValueError(f"unknown HARQ mode {self.mode!r}")
-        self.reset()
-
-    def reset(self):
-        self.accumulator = np.zeros(self.spec.N)
-        self.transmissions_used = 0
-        self.success = False
-
-
-def run_block(session: HarqSession, message, rng) -> tuple[bool, int]:
-    """Run one information block through the HARQ loop.
-
-    Returns (success, transmissions used); the session keeps the final LLR
-    accumulator for inspection.
-    """
-    spec = session.spec
-    message = np.asarray(message, dtype=np.uint8)
-    if message.shape != (spec.k,):
-        raise ValueError(f"message length {message.shape} does not match k = {spec.k}")
-    session.reset()
-    u = np.zeros(spec.N, dtype=np.uint8)
-    u[spec.info_zero_based] = message
-    x = encode(u, spec)
-    for r in range(1, session.t + 1):
-        plan = TxPlan(L=session.L, t=session.t, r=r, mode=session.mode)
-        transmit_codeword_llrs(x, session.rate_matcher, plan, session.channel,
-                               rng, accumulator=session.accumulator)
-        session.transmissions_used = r
-        res = sc_decode(session.accumulator, spec)
-        if np.array_equal(res.info_bits, message):
-            session.success = True
-            return True, r
-    session.success = False
-    return False, session.t
 
 
 def run_blocks_batch(
@@ -119,6 +65,8 @@ def run_blocks_batch(
     still-active blocks.
     """
     messages = np.asarray(messages, dtype=np.uint8)
+    if messages.ndim != 2 or messages.shape[1] != spec.k:
+        raise ValueError(f"messages have shape {messages.shape}, need (B, k) with k = {spec.k}")
     B = messages.shape[0]
     u = np.zeros((B, spec.N), dtype=np.uint8)
     u[:, spec.info_zero_based] = messages

@@ -117,17 +117,21 @@ def polar_transform(bits: np.ndarray) -> np.ndarray:
     """In-place XOR butterfly over the trailing axis (length must be 2^m).
 
     Computes the Kronecker-power transform without any bit-reversal; stage
-    order is irrelevant because the stage matrices commute.
+    order is irrelevant because the stage matrices commute.  Each stage is one
+    XOR over a (blocks, 2, half, ...) view with the transform axis moved
+    first, so every XOR runs over contiguous runs of half x batch entries.
     """
-    x = bits
-    N = x.shape[-1]
-    T = N
-    while T > 1:
-        h = T // 2
-        for s in range(0, N, T):
-            x[..., s : s + h] ^= x[..., s + h : s + T]
-        T = h
-    return x
+    y = np.moveaxis(bits, -1, 0)
+    work = np.ascontiguousarray(y)   # no copy for a (B, N) array in Fortran order
+    N, rest = work.shape[0], work.shape[1:]
+    h = N // 2
+    while h >= 1:
+        pairs = work.reshape((N // (2 * h), 2, h) + rest)
+        pairs[:, 0] ^= pairs[:, 1]
+        h //= 2
+    if work is not y:
+        y[...] = work
+    return bits
 
 
 def encode(u, spec: PolarCodeSpec) -> np.ndarray:

@@ -181,3 +181,30 @@ class TestSimulate:
                          "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_malformed_profile_names_file(self, tmp_path, capsys):
+        prof_path = tmp_path / "bad.csv"
+        prof_path.write_text("index,mean_llr,error_prob\n1,0.5\n")
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--profile", str(prof_path),
+                   "--snr-start", "3.0", "--snr-stop", "3.0", "--snr-step", "1.0",
+                   "--seed", "2", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'profile'" in err and str(prof_path) in err
+
+    def test_non_numeric_snrs_names_field(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 5, "k": 11, "L": 32, "snrs": [1.0, "high"],
+                                   "design_snr_db": 3.5, "seed": 1,
+                                   "out": str(tmp_path / "res.csv")}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "'snrs'" in capsys.readouterr().err
+
+    def test_short_code_with_reference32_names_sequence(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "4", "--k", "8", "--L", "16",
+                   "--snr-start", "1.0", "--snr-stop", "1.0", "--snr-step", "1.0",
+                   "--design-snr-db", "3.5", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'sequence'" in err and "2^p = 16" in err

@@ -1,14 +1,20 @@
 """SC decoder: node functions, exact recovery, maximum-likelihood comparison."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpolar.construction import bhattacharyya_bec, select_information_set
-from rcpolar.decoder import check_llr, genie_sc_decode, sc_decode, var_llr
+from rcpolar.construction import (
+    bhattacharyya_bec,
+    design_mean_llr,
+    ga_evolve,
+    select_information_set,
+)
+from rcpolar.decoder import _decode_batch, check_llr, genie_sc_decode, sc_decode, var_llr
 from rcpolar.polar import PolarCodeSpec, encode
 
 INF = 300.0
@@ -180,3 +186,81 @@ class TestGenie:
         f2 = genie_sc_decode(llr, spec, u)
         assert np.array_equal(f1, f2)
         assert f1.shape == (5, 16)
+
+
+@lru_cache(maxsize=None)
+def _ga_order(n):
+    """Input indices (1-based) from most to least reliable, GA at 2 dB."""
+    N = 1 << n
+    probe = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(n, 0))
+    return select_information_set(ga_evolve(probe, np.full(N, design_mean_llr(2.0))), N)
+
+
+# LLRs that replace some entries: punctured zeros, saturated values, and tiny
+# values that the check node can round to 0
+_SPECIAL = np.array([0.0, -0.0, 300.0, -300.0, 1e-12, -1e-12, 5e-324, -5e-324])
+
+
+@st.composite
+def _code_and_llrs(draw):
+    n = draw(st.integers(1, 8))
+    N = 1 << n
+    k = draw(st.integers(0, N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        info = tuple(sorted(_ga_order(n)[:k]))
+    else:
+        info = tuple(sorted((rng.permutation(N)[:k] + 1).tolist()))
+    spec = PolarCodeSpec(n=n, k=k, info_set=info, split=(n, 0))
+    u = np.zeros((8, N), dtype=np.uint8)
+    u[:, spec.info_zero_based] = rng.integers(0, 2, size=(8, k))
+    llr = draw(st.sampled_from([0.5, 2.0, 8.0])) * (1.0 - 2.0 * encode(u, spec))
+    llr += rng.normal(scale=draw(st.sampled_from([0.3, 1.0, 3.0])), size=llr.shape)
+    special = rng.random(llr.shape) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.8]))
+    llr[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    return spec, llr
+
+
+class TestPrunedPlan:
+    """The pruned node plan decides exactly as the unpruned (full SC) plan."""
+
+    @staticmethod
+    def assert_same(llr, spec, min_sum):
+        llr = np.atleast_2d(llr)
+        pruned = _decode_batch(llr, spec, min_sum)
+        full = _decode_batch(llr, spec, min_sum, pruned=False)
+        assert np.array_equal(pruned, full)
+        return pruned
+
+    @given(_code_and_llrs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_schedule(self, case, min_sum):
+        spec, llr = case
+        dec = self.assert_same(llr, spec, min_sum)
+        # genie decoding along SC's own path never disagrees with it
+        assert not genie_sc_decode(llr, spec, dec, min_sum).any()
+
+    @pytest.mark.parametrize("min_sum", [False, True])
+    def test_rate1_tie_trap(self, min_sum):
+        # a < 0, b = 0: SC decides u = (0, 1), i.e. x = (1, 1); hard decisions
+        # on the LLRs would give x = (1, 0)
+        spec = PolarCodeSpec(n=1, k=2, info_set=(1, 2), split=(1, 0))
+        dec = self.assert_same(np.array([-1.0, 0.0]), spec, min_sum)
+        assert dec.tolist() == [[0, 1]]
+
+    @pytest.mark.parametrize("tiny", [1e-15, 5e-324])
+    def test_rate1_check_node_rounds_to_zero(self, tiny):
+        # the exact check node returns 0 for the pair (40, -tiny): SC then
+        # decides 0 where the sign of the true value says 1
+        spec = PolarCodeSpec(n=3, k=8, info_set=tuple(range(1, 9)), split=(3, 0))
+        llr = np.array([5.0, 2.0, 3.0, 4.0, 40.0, -tiny, 7.0, 1.5])
+        self.assert_same(llr, spec, False)
+
+    @pytest.mark.parametrize("min_sum", [False, True])
+    def test_rep_zero_sum_decides_zero(self, min_sum):
+        # in the decoder's bit-reversed order the LLRs are (1, 1e-16, -1,
+        # -1e-16): SC's halving order sums (-1 + 1) + (-1e-16 + 1e-16) = 0,
+        # which decides 0, while a left-to-right sum ends at -1e-16
+        spec = PolarCodeSpec(n=2, k=1, info_set=(4,), split=(2, 0))
+        dec = self.assert_same(np.array([1.0, -1.0, 1e-16, -1e-16]), spec, min_sum)
+        assert not dec.any()

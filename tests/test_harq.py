@@ -1,4 +1,4 @@
-"""HARQ sessions, throughput, sweep determinism and stopping."""
+"""HARQ block runs, throughput, sweep determinism and stopping."""
 
 import io
 
@@ -8,9 +8,7 @@ import pytest
 from rcpolar.channel import BPSK, QAM16, ChannelSpec
 from rcpolar.construction import bhattacharyya_bec, select_information_set
 from rcpolar.harq import (
-    HarqSession,
     SweepConfig,
-    run_block,
     run_blocks_batch,
     sweep,
     throughput,
@@ -52,28 +50,25 @@ class TestThroughput:
 
 
 class TestRunBlock:
+    """Single blocks, run as batches of one."""
+
     def test_noiseless_first_attempt(self):
         spec, rm = make_code()
-        sess = HarqSession(spec=spec, rate_matcher=rm,
-                           channel=ChannelSpec(kind="awgn", snr_db=40.0),
-                           L=32, t=4, mode="cc")
-        msg = np.random.default_rng(1).integers(0, 2, size=spec.k, dtype=np.uint8)
-        ok, used = run_block(sess, msg, np.random.default_rng(2))
-        assert ok and used == 1
-        assert sess.success and sess.transmissions_used == 1
+        msg = np.random.default_rng(1).integers(0, 2, size=(1, spec.k), dtype=np.uint8)
+        ok, used, errs = run_blocks_batch(spec, rm, ChannelSpec(kind="awgn", snr_db=40.0),
+                                          32, 4, "cc", msg, np.random.default_rng(2))
+        assert ok[0] and used[0] == 1 and errs[0] == 0
 
     def test_zero_capacity_channel_fails(self):
         spec, rm = make_code()
-        sess = HarqSession(spec=spec, rate_matcher=rm,
-                           channel=ChannelSpec(kind="awgn", snr_db=-60.0),
-                           L=32, t=3, mode="cc")
+        chan = ChannelSpec(kind="awgn", snr_db=-60.0)
         rng = np.random.default_rng(3)
         fails = 0
         for _ in range(20):
-            msg = rng.integers(0, 2, size=spec.k, dtype=np.uint8)
-            ok, used = run_block(sess, msg, rng)
-            fails += not ok
-            assert used == (3 if not ok else used)
+            msg = rng.integers(0, 2, size=(1, spec.k), dtype=np.uint8)
+            ok, used, _ = run_blocks_batch(spec, rm, chan, 32, 3, "cc", msg, rng)
+            fails += not ok[0]
+            assert ok[0] or used[0] == 3
         assert fails >= 18  # guessing floor 2^-k per attempt
 
     def test_cc_accumulator_scales_with_repeats(self):
@@ -93,11 +88,11 @@ class TestRunBlock:
 
     def test_wrong_message_length(self):
         spec, rm = make_code()
-        sess = HarqSession(spec=spec, rate_matcher=rm,
-                           channel=ChannelSpec(kind="awgn", snr_db=3.0),
-                           L=32, t=1, mode="cc")
-        with pytest.raises(ValueError):
-            run_block(sess, np.zeros(spec.k + 1, dtype=np.uint8), np.random.default_rng(0))
+        chan = ChannelSpec(kind="awgn", snr_db=3.0)
+        for shape in [(1, spec.k + 1), (1, spec.k - 1), (spec.k,), (1, 1, spec.k)]:
+            with pytest.raises(ValueError, match=r"need \(B, k\) with k = 8"):
+                run_blocks_batch(spec, rm, chan, 32, 1, "cc",
+                                 np.zeros(shape, dtype=np.uint8), np.random.default_rng(0))
 
 
 class TestBatchEngine:
