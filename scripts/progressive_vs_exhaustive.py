@@ -16,7 +16,7 @@ from rcpolar.construction import ga_evolve, select_information_set
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (
     GaussianDesign,
-    evaluate_pattern,
+    evaluate_patterns,
     exhaustive_search,
     ppa,
 )
@@ -48,8 +48,8 @@ def main():
         for m in args.m:
             best = exhaustive_search(spec, design, m, budget=args.budget,
                                      n_samples=args.samples, seed=args.seed)
-            mp = evaluate_pattern(spec, design, seq.pattern(m))
-            mb = evaluate_pattern(spec, design, best)
+            mp = float(evaluate_patterns(spec, design, seq.pattern(m))[0])
+            mb = float(evaluate_patterns(spec, design, best)[0])
             w.writerow([m, repr(mp), repr(mb), repr(mp / mb)])
             print(f"m={m}: progressive {mp:.6e}  best {mb:.6e}  ratio {mp/mb:.4f}")
     print(f"-> {args.out}")

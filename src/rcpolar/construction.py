@@ -27,7 +27,10 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
-from .polar import PolarCodeSpec, bit_reversal_permutation
+from .channel import _gray_index_table, _pam_bit_llrs, demodulate, modulate, pam_levels, transmit
+from .decoder import genie_sc_decode
+from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly, encode
+from .rate_matching import RateMatcher, TxPlan, build_tx_map, transmit_codeword_llrs
 
 __all__ = [
     "ReliabilityProfile",
@@ -250,17 +253,13 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
         raise ValueError(f"length {N} is not a power of two")
     if np.any(means < 0):
         raise ValueError("channel means must be nonnegative")
-    a = means[..., bit_reversal_permutation(n)].copy()
-    T = N
-    while T > 1:
-        h = T // 2
-        for s in range(0, N, T):
-            x = a[..., s : s + h].copy()
-            y = a[..., s + h : s + T]
-            a[..., s : s + h] = ga_check_mean(x, y)
-            a[..., s + h : s + T] = x + y
-        T = h
-    return a
+    return butterfly(means[..., bit_reversal_permutation(n)], _ga_stage)
+
+
+def _ga_stage(x, y):
+    # ga_check_mean is looked up at call time, so a wrapper installed on the
+    # module attribute sees every stage
+    x[...], y[...] = ga_check_mean(x, y), x + y
 
 
 def bit_error_prob(mean_llr) -> np.ndarray:
@@ -352,9 +351,6 @@ class ReliabilityProfile:
         return cls(method=method, design_param=design,
                    error_prob=np.array(eps), mean_llr=np.array(mls))
 
-    def cache_key(self, pattern_hash: str = "none") -> str:
-        return f"N{len(self)}_{self.method}_{self.design_param!r}_{pattern_hash}"
-
 
 def ga_evolve(spec: PolarCodeSpec, channel_means) -> ReliabilityProfile:
     """GA density evolution for one code; punctured positions carry mean 0."""
@@ -388,17 +384,11 @@ def bec_leaf_erasures(erasure_probs: np.ndarray) -> np.ndarray:
         raise ValueError(f"length {N} is not a power of two")
     if np.any(z < 0) or np.any(z > 1):
         raise ValueError("erasure probabilities must lie in [0, 1]")
-    a = z[..., bit_reversal_permutation(n)].copy()
-    T = N
-    while T > 1:
-        h = T // 2
-        for s in range(0, N, T):
-            x = a[..., s : s + h].copy()
-            y = a[..., s + h : s + T]
-            a[..., s : s + h] = x + y - x * y
-            a[..., s + h : s + T] = x * y
-        T = h
-    return a
+    return butterfly(z[..., bit_reversal_permutation(n)], _bec_stage)
+
+
+def _bec_stage(x, y):
+    x[...], y[...] = x + y - x * y, x * y
 
 
 def bhattacharyya_bec(spec: PolarCodeSpec, erasure_probs) -> ReliabilityProfile:
@@ -438,11 +428,6 @@ def genie_monte_carlo(
     their own seeded random streams, so the result does not depend on how the
     batches are scheduled.
     """
-    from . import channel as _ch
-    from . import decoder as _dec
-    from . import rate_matching as _rm
-    from .polar import encode as _encode
-
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = np.zeros(spec.N, dtype=np.int64)
@@ -452,16 +437,16 @@ def genie_monte_carlo(
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 7, bi)))
         u = np.zeros((b, spec.N), dtype=np.uint8)
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(b, spec.k), dtype=np.uint8)
-        x = _encode(u, spec)
+        x = encode(u, spec)
         if rate_matcher is not None:
             L = tx_length if tx_length is not None else spec.N
-            plan = _rm.TxPlan(L=L, t=1, r=1, mode="cc")
-            llrs = _rm.transmit_codeword_llrs(x, rate_matcher, plan, chan, rng)
+            plan = TxPlan(L=L, t=1, r=1, mode="cc")
+            llrs = transmit_codeword_llrs(x, rate_matcher, plan, chan, rng)
         else:
-            syms = _ch.modulate(x, mod)
-            y, amp = _ch.transmit(syms, chan, mod, rng)
-            llrs = _ch.demodulate(y, amp, chan, mod)
-        flags = _dec.genie_sc_decode(llrs, spec, u)
+            syms = modulate(x, mod)
+            y, amp = transmit(syms, chan, mod, rng)
+            llrs = demodulate(y, amp, chan, mod)
+        flags = genie_sc_decode(llrs, spec, u)
         counts += flags.sum(axis=0)
     return ReliabilityProfile(
         method="monte_carlo",
@@ -480,9 +465,6 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
     Gauss-Hermite integration over the noise; BPSK positions carry the usual
     2/sigma^2 with sigma^2 = 1/(2 * 10^(snr/10)).
     """
-    from .channel import _gray_index_table, _pam_bit_llrs, pam_levels
-    from .rate_matching import TxPlan, build_tx_map
-
     mod = rm.modulation
     plan = TxPlan(L=L, t=1, r=1, mode="cc")
     tm = build_tx_map(rm, plan)

@@ -22,6 +22,7 @@ __all__ = [
     "PolarCodeSpec",
     "bit_reversal",
     "bit_reversal_permutation",
+    "butterfly",
     "polar_transform",
     "encode",
     "encode_two_stage",
@@ -113,25 +114,39 @@ def _check_bits(u, N: int) -> np.ndarray:
     return bits
 
 
-def polar_transform(bits: np.ndarray) -> np.ndarray:
-    """In-place XOR butterfly over the trailing axis (length must be 2^m).
+def butterfly(a: np.ndarray, stage) -> np.ndarray:
+    """Run an n-stage butterfly in place over the trailing axis (length 2^n).
 
-    Computes the Kronecker-power transform without any bit-reversal; stage
-    order is irrelevant because the stage matrices commute.  Each stage is one
-    XOR over a (blocks, 2, half, ...) view with the transform axis moved
-    first, so every XOR runs over contiguous runs of half x batch entries.
+    ``stage(x, y)`` updates the upper halves ``x`` and the lower halves ``y``
+    of every length-2h block in place.  It is called once per stage, for
+    h = N/2 down to 1, on (N/2h, h, ...) views of one (N/2h, 2, h, ...) array
+    with the transform axis moved first, so each call runs over contiguous
+    runs of h x batch entries.  Returns ``a``.
     """
-    y = np.moveaxis(bits, -1, 0)
+    y = np.moveaxis(a, -1, 0)
     work = np.ascontiguousarray(y)   # no copy for a (B, N) array in Fortran order
     N, rest = work.shape[0], work.shape[1:]
     h = N // 2
     while h >= 1:
         pairs = work.reshape((N // (2 * h), 2, h) + rest)
-        pairs[:, 0] ^= pairs[:, 1]
+        stage(pairs[:, 0], pairs[:, 1])
         h //= 2
     if work is not y:
         y[...] = work
-    return bits
+    return a
+
+
+def _xor_stage(x, y):
+    x ^= y
+
+
+def polar_transform(bits: np.ndarray) -> np.ndarray:
+    """In-place XOR butterfly over the trailing axis (length must be 2^m).
+
+    Computes the Kronecker-power transform without any bit-reversal; stage
+    order is irrelevant because the stage matrices commute.
+    """
+    return butterfly(bits, _xor_stage)
 
 
 def encode(u, spec: PolarCodeSpec) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
@@ -83,19 +84,16 @@ def _pattern_error_probs(design, base_len: int, patterns: np.ndarray) -> np.ndar
 
 
 def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
-    """Union-bound metric of each puncturing pattern; patterns is (B, m)."""
-    patterns = np.asarray(patterns, dtype=np.int64).reshape(-1, np.shape(patterns)[-1] if np.ndim(patterns) > 1 else len(patterns))
+    """Union-bound metric of each puncturing pattern.
+
+    ``patterns`` is one pattern (1-D, possibly empty) or a (B, m) batch; the
+    result holds one metric per pattern.
+    """
+    patterns = np.atleast_2d(np.asarray(patterns, dtype=np.int64))
+    if patterns.ndim != 2:
+        raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
     ep = _pattern_error_probs(design, base_spec.N, patterns)
     return ep[:, base_spec.info_zero_based].sum(axis=1)
-
-
-def evaluate_pattern(base_spec: PolarCodeSpec, design, pattern) -> float:
-    """Union-bound metric of a single puncturing pattern."""
-    arr = np.asarray(sorted(pattern), dtype=np.int64)[None, :]
-    if arr.size == 0:
-        arr = np.empty((1, 0), dtype=np.int64)
-    ep = _pattern_error_probs(design, base_spec.N, arr)
-    return float(ep[0, base_spec.info_zero_based].sum())
 
 
 @dataclass
@@ -238,8 +236,6 @@ def exhaustive_search(
             best_pat = tuple(int(c) for c in np.sort(pats[i]))
 
     if total <= budget:
-        from itertools import combinations, islice
-
         it = combinations(range(N), m)
         while True:
             chunk = list(islice(it, batch))

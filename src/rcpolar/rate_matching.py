@@ -20,12 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelSpec, ModulationSpec, demodulate, modulate, transmit
 from .polar import PolarCodeSpec
-from .puncturing import PuncturingSequence
+
+if TYPE_CHECKING:
+    from .puncturing import PuncturingSequence
 
 __all__ = [
     "RateMatcher",
@@ -94,18 +97,9 @@ class RateMatcher:
             return ((plan.r - 1) * (1 << p)) // plan.t
         return 0
 
-    def post_interleave(self, emit_idx: np.ndarray, plan: TxPlan) -> np.ndarray:
-        """Hook for an extra interleaver on the output stream; identity here.
-
-        Subclasses may reorder the emitted positions (the receiver side
-        inverts automatically because all index maps flow through this).
-        """
-        return emit_idx
-
     def emit_indices(self, plan: TxPlan) -> np.ndarray:
         _, q = self.spec.split
-        base = _emit_indices(self.read_columns, q, plan.L, self.start_column(plan))
-        return self.post_interleave(base, plan)
+        return _emit_indices(self.read_columns, q, plan.L, self.start_column(plan))
 
 
 def arrange(codeword, rm: RateMatcher) -> np.ndarray:

@@ -24,7 +24,7 @@ from rcpolar.polar import PolarCodeSpec, encode, encode_two_stage
 from rcpolar.puncturing import (
     GaussianDesign,
     PuncturingSequence,
-    evaluate_pattern,
+    evaluate_patterns,
     exhaustive_search,
     expand_regular,
     ppa,
@@ -94,12 +94,12 @@ def test_criterion_2_progressive_near_optimality():
     ratios = {}
     for m in (4, 6):
         opt = exhaustive_search(spec, design, m)
-        ratios[m] = evaluate_pattern(spec, design, seq.pattern(m)) / \
-            evaluate_pattern(spec, design, opt)
+        ratios[m] = evaluate_patterns(spec, design, seq.pattern(m))[0] / \
+            evaluate_patterns(spec, design, opt)[0]
     best10 = exhaustive_search(spec, design, 10, budget=2_000_000,
                                n_samples=1_000_000, seed=7)
-    ratios[10] = evaluate_pattern(spec, design, seq.pattern(10)) / \
-        evaluate_pattern(spec, design, best10)
+    ratios[10] = evaluate_patterns(spec, design, seq.pattern(10))[0] / \
+        evaluate_patterns(spec, design, best10)[0]
     ok = all(r <= 1.05 for r in ratios.values())
     report(2, ok, "union-bound ratios vs optimum: " +
            ", ".join(f"m={m}: {r:.4f}" for m, r in ratios.items()))

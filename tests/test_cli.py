@@ -105,14 +105,14 @@ class TestPuncture:
         design = ErasureDesign(epsilon=0.5)
         spec1 = PolarCodeSpec(n=2, k=4, info_set=(1, 2, 3, 4), split=(2, 0))
         from rcpolar.construction import bhattacharyya_bec, select_information_set
-        from rcpolar.puncturing import evaluate_pattern
+        from rcpolar.puncturing import evaluate_patterns
         prof = bhattacharyya_bec(spec1, np.full(4, 0.5))
         info = select_information_set(prof, 2)
         spec = PolarCodeSpec(n=2, k=2, info_set=info, split=(2, 0))
         for m in (1, 2, 3):
             opt = exhaustive_search(spec, design, m)
-            assert evaluate_pattern(spec, design, seq.pattern(m)) <= \
-                evaluate_pattern(spec, design, opt) * (1 + 1e-12)
+            assert evaluate_patterns(spec, design, seq.pattern(m))[0] <= \
+                evaluate_patterns(spec, design, opt)[0] * (1 + 1e-12)
 
     def test_bad_base_len(self, capsys):
         rc = main(["puncture", "--base-len", "33", "--k", "11",

@@ -15,6 +15,7 @@ from rcpolar.construction import (
     bhattacharyya_bec,
     bit_error_prob,
     design_mean_llr,
+    ga_check_mean,
     ga_evolve,
     ga_leaf_means,
     genie_monte_carlo,
@@ -24,7 +25,7 @@ from rcpolar.construction import (
     union_bound,
 )
 from rcpolar.decoder import genie_sc_decode
-from rcpolar.polar import PolarCodeSpec
+from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation
 
 # adaptive quadrature of E[2/(1+e^U)], U ~ N(1, 2), via mpmath at 30 digits
 PHI_AT_1 = 0.649886595324869
@@ -135,6 +136,42 @@ class TestGaEvolve:
         assert testable.sum() >= 4
         ratio = prof_ga.error_prob[testable] / prof_mc.error_prob[testable]
         assert np.all(ratio < 2.0) and np.all(ratio > 0.5)
+
+
+def per_block_leaves(values, check, variable):
+    """Reference recursion: bit reversal, then one Python step per block."""
+    N = values.shape[-1]
+    a = values[..., bit_reversal_permutation(N.bit_length() - 1)]
+    T = N
+    while T > 1:
+        h = T // 2
+        for s in range(0, N, T):
+            x = a[..., s : s + h].copy()
+            y = a[..., s + h : s + T]
+            a[..., s : s + h] = check(x, y)
+            a[..., s + h : s + T] = variable(x, y)
+        T = h
+    return a
+
+
+class TestButterflyRecursions:
+    """The batched kernel equals the per-block stage loop bit for bit."""
+
+    @given(n=st.integers(1, 10), lead=st.lists(st.integers(1, 3), max_size=2),
+           seed=st.integers(0, 2**32 - 1), p_edge=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_block_loop(self, n, lead, seed, p_edge):
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (1 << n,)
+        edge = rng.random(shape) < p_edge
+        # GA means from the series range through the table to the tail; exact zeros
+        means = np.where(edge, 0.0, 10.0 ** rng.uniform(-8.0, 3.0, shape))
+        want = per_block_leaves(means, ga_check_mean, lambda x, y: x + y)
+        assert np.array_equal(ga_leaf_means(means), want)
+        # erasure probabilities with exact ones
+        z = np.where(edge, 1.0, rng.random(shape))
+        want = per_block_leaves(z, lambda x, y: x + y - x * y, lambda x, y: x * y)
+        assert np.array_equal(bec_leaf_erasures(z), want)
 
 
 class TestBecRecursion:

@@ -10,6 +10,7 @@ from rcpolar.construction import (
     bhattacharyya_bec,
     ga_evolve,
     select_information_set,
+    union_bound,
 )
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (
@@ -17,7 +18,7 @@ from rcpolar.puncturing import (
     ErasureDesign,
     GaussianDesign,
     PuncturingSequence,
-    evaluate_pattern,
+    evaluate_patterns,
     exhaustive_search,
     expand_regular,
     ppa,
@@ -35,6 +36,16 @@ def base_spec(p, k, design):
         prof = bhattacharyya_bec(spec1, np.full(N, design.epsilon))
     info = select_information_set(prof, k)
     return PolarCodeSpec(n=p, k=k, info_set=info, split=(p, 0))
+
+
+def union_bound_of(spec, design):
+    """Union bound of the unpunctured base code, from its reliability profile."""
+    probe = PolarCodeSpec(n=spec.n, k=1, info_set=(1,), split=spec.split)
+    if isinstance(design, GaussianDesign):
+        prof = ga_evolve(probe, np.full(spec.N, design.mean_llr))
+    else:
+        prof = bhattacharyya_bec(probe, np.full(spec.N, design.epsilon))
+    return union_bound(prof, spec.info_set)
 
 
 class TestPpa:
@@ -61,7 +72,7 @@ class TestPpa:
         design = GaussianDesign.from_snr_db(3.0)
         spec = base_spec(4, 8, design)
         seq = ppa(spec, design)
-        mets = [evaluate_pattern(spec, design, seq.pattern(m)) for m in range(17)]
+        mets = [evaluate_patterns(spec, design, seq.pattern(m))[0] for m in range(17)]
         assert np.all(np.diff(mets) >= -1e-15)
 
     def test_n4_bec_matches_exhaustive_prefixes(self):
@@ -70,8 +81,8 @@ class TestPpa:
         seq = ppa(spec, design)
         for m in (1, 2, 3):
             opt = exhaustive_search(spec, design, m)
-            assert evaluate_pattern(spec, design, seq.pattern(m)) <= \
-                evaluate_pattern(spec, design, opt) * (1.0 + 1e-12)
+            assert evaluate_patterns(spec, design, seq.pattern(m))[0] <= \
+                evaluate_patterns(spec, design, opt)[0] * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("p,k,design", [
         (3, 4, ErasureDesign(epsilon=0.4)),
@@ -82,8 +93,8 @@ class TestPpa:
         seq = ppa(spec, design)
         for m in range(1, (1 << p)):
             opt = exhaustive_search(spec, design, m)
-            ratio = evaluate_pattern(spec, design, seq.pattern(m)) / \
-                max(evaluate_pattern(spec, design, opt), 1e-300)
+            ratio = evaluate_patterns(spec, design, seq.pattern(m))[0] / \
+                max(evaluate_patterns(spec, design, opt)[0], 1e-300)
             assert ratio <= 1.05, f"m={m}: ratio {ratio}"
 
     def test_reproduces_reference_sequence(self):
@@ -91,6 +102,18 @@ class TestPpa:
         spec = base_spec(5, 11, design)
         seq = ppa(spec, design)
         assert seq.order == reference_base32_sequence().order
+
+
+class TestEvaluatePatterns:
+    @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
+                                        ErasureDesign(epsilon=0.4)])
+    def test_empty_patterns(self, design):
+        spec = base_spec(4, 8, design)
+        unpunctured = union_bound_of(spec, design)
+        one = evaluate_patterns(spec, design, [])
+        batch = evaluate_patterns(spec, design, np.empty((3, 0), dtype=np.int64))
+        assert one.shape == (1,) and batch.shape == (3,)
+        assert np.all(one == unpunctured) and np.all(batch == unpunctured)
 
 
 class TestExhaustive:
@@ -105,7 +128,7 @@ class TestExhaustive:
         got = exhaustive_search(spec, design, 2)
         best = min(
             itertools.combinations(range(8), 2),
-            key=lambda pat: (evaluate_pattern(spec, design, pat), pat),
+            key=lambda pat: (evaluate_patterns(spec, design, pat)[0], pat),
         )
         assert got == best
 
