@@ -1,7 +1,7 @@
 """Golden fixtures: exact bytes that refactors and speed-ups must keep.
 
 Each fixture in ``tests/golden/`` was written by a commit whose outputs were
-trusted and is compared byte for byte: two HARQ sweeps, two N=1024
+trusted and is compared byte for byte: three HARQ sweeps, two N=1024
 reliability profiles and three PPA orders.  A mismatch means results changed:
 revert the change, or record the cause in CHANGES.md.  Never rewrite a
 fixture to make it pass; ``python tests/test_golden.py`` writes only the
@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from rcpolar.channel import BPSK, ModulationSpec
-from rcpolar.construction import bhattacharyya_bec, build_bicm_ga_means, ga_evolve
+from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, ga_evolve,
+                                  select_information_set)
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import ErasureDesign, GaussianDesign, ppa, reference_base32_sequence
@@ -43,6 +44,22 @@ def qam16_fading_ir_csv() -> bytes:
                       snr_grid=(6.0, 9.0, 12.0), L=384, t=4, mode="ir", seed=5,
                       max_blocks=300, target_block_errors=10**9, batch_size=100)
     return _csv(sweep(cfg), "seed=5")
+
+
+def qam64_awgn_cc_csv() -> bytes:
+    """N=256 under 64-QAM on AWGN, CC t=2, L=192, k=96 selected by GA at
+    10 dB: 300 blocks at each of three SNR points, seed 7."""
+    seq = reference_base32_sequence()
+    mod = ModulationSpec(64)
+    probe = PolarCodeSpec(n=8, k=1, info_set=(1,), split=(5, 3))
+    means = build_bicm_ga_means(probe, RateMatcher(spec=probe, sequence=seq, modulation=mod),
+                                192, 10.0)
+    spec = PolarCodeSpec(n=8, k=96, info_set=select_information_set(ga_evolve(probe, means), 96),
+                         split=(5, 3))
+    cfg = SweepConfig(spec=spec, rate_matcher=RateMatcher(spec=spec, sequence=seq, modulation=mod),
+                      channel_kind="awgn", snr_grid=(8.0, 10.0, 12.0), L=192, t=2, mode="cc",
+                      seed=7, max_blocks=300, target_block_errors=10**9, batch_size=100)
+    return _csv(sweep(cfg), "seed=7")
 
 
 def _probe_1024(modulation) -> tuple[PolarCodeSpec, RateMatcher]:
@@ -93,6 +110,7 @@ def _csv(results, *comments) -> bytes:
 FIXTURES = {
     "criterion8_sweep.csv": criterion8_sweep_csv,
     "qam16_fading_ir_sweep.csv": qam16_fading_ir_csv,
+    "qam64_awgn_cc_sweep.csv": qam64_awgn_cc_csv,
 }
 DESIGN_FIXTURES = {
     "ga_profile_1024.csv": ga_profile_1024_csv,
