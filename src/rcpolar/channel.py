@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "ModulationSpec",
@@ -212,6 +211,70 @@ def transmit(symbols, chan: ChannelSpec, mod: ModulationSpec, rng) -> tuple[np.n
     return y, coef
 
 
+@lru_cache(maxsize=None)
+def pam_demap_table(bits_per_dim: int) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Unit-energy levels of one QAM dimension and the Gray label sets.
+
+    Returns ``(levels, members)``: ``levels`` in natural order, scaled so the
+    two-dimensional constellation has unit average energy, and
+    ``members[b][v]`` the indices of the levels whose Gray label has value v
+    at bit b (bit 0 = MSB), in level order.
+    """
+    m = bits_per_dim
+    lv = pam_levels(m)
+    lv = lv / math.sqrt(2.0 * float(np.mean(lv**2)))
+    lv.setflags(write=False)
+    tab = _gray_index_table(m)
+    gray_of_level = np.empty_like(tab)
+    gray_of_level[tab] = np.arange(1 << m)
+    members = tuple(
+        tuple(tuple(int(l) for l in np.flatnonzero(((gray_of_level >> (m - 1 - b)) & 1) == v))
+              for v in (0, 1))
+        for b in range(m))
+    return lv, members
+
+
+def _log_sum_exp(metric: list, idx: tuple[int, ...]) -> np.ndarray:
+    """log sum_l exp(metric[l]) over the levels ``idx``, elementwise.
+
+    This is the arithmetic of scipy's ``logsumexp`` over a length-2^m last
+    axis whose other entries are -inf: the maxima are taken out of the sum
+    and counted, the rest add up in numpy's reduction order over the 2^m
+    entries (in sequence below 8, an 8-way tree at 8, the most that 64-QAM
+    needs), and ``log1p(s / count) + log(count)`` restores them.  Matching
+    that arithmetic keeps the LLRs' last bits.
+    """
+    a_max = _max(metric, idx)
+    is_max = {l: metric[l] == a_max for l in idx}
+    cnt = sum(is_max.values())
+    terms = [np.where(is_max[l], 0.0, np.exp(metric[l] - a_max)) if l in is_max else None
+             for l in range(len(metric))]
+    if len(terms) == 8:
+        for _ in range(3):
+            terms = [_add(terms[i], terms[i + 1]) for i in range(0, len(terms), 2)]
+    s = None
+    for t in terms:
+        s = _add(s, t)
+    s = np.zeros_like(a_max) if s is None else s
+    s = np.where(s == 0, s, s / cnt)
+    return np.log1p(s) + np.log(cnt) + a_max
+
+
+def _max(metric: list, idx: tuple[int, ...]) -> np.ndarray:
+    """Elementwise maximum of the levels ``idx``; exact in any order."""
+    a_max = metric[idx[0]]
+    for l in idx[1:]:
+        a_max = np.maximum(a_max, metric[l])
+    return a_max
+
+
+def _add(x, y):
+    """x + y, where None stands for an exact zero term."""
+    if x is None:
+        return y
+    return x if y is None else x + y
+
+
 def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int,
                   max_log: bool = False) -> np.ndarray:
     """Exact per-bit LLRs of one real dimension.
@@ -219,22 +282,16 @@ def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int,
     z: matched-filter outputs amp*level + N(0, sigma2); amp broadcastable.
     Returns (..., m) with bit 0 = MSB of the Gray label.
     """
-    lv = pam_levels(m) / math.sqrt(2.0 * float(np.mean(pam_levels(m) ** 2)))
-    tab = _gray_index_table(m)
-    # bit value of each level for each bit position
-    inv = np.empty_like(tab)
-    inv[tab] = np.arange(tab.size)          # level index -> gray value
-    gray_of_level = inv
-    metric = -((z[..., None] - amp[..., None] * lv[None, :]) ** 2) / (2.0 * sigma2)
-    out = np.empty(z.shape + (m,))
-    for b in range(m):
-        bit = (gray_of_level >> (m - 1 - b)) & 1
-        m0 = np.where(bit == 0, metric, -np.inf)
-        m1 = np.where(bit == 1, metric, -np.inf)
+    lv, members = pam_demap_table(m)
+    # np.square, not **: on a 0-d input ** takes the scalar pow(), whose
+    # last bit can differ from the array square
+    metric = [-np.square(z - amp * lv[l]) / (2.0 * sigma2) for l in range(lv.size)]
+    out = np.empty(np.shape(z) + (m,))
+    for b, (idx0, idx1) in enumerate(members):
         if max_log:
-            out[..., b] = m0.max(axis=-1) - m1.max(axis=-1)
+            out[..., b] = _max(metric, idx0) - _max(metric, idx1)
         else:
-            out[..., b] = logsumexp(m0, axis=-1) - logsumexp(m1, axis=-1)
+            out[..., b] = _log_sum_exp(metric, idx0) - _log_sum_exp(metric, idx1)
     return out
 
 

@@ -27,7 +27,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erfc
 
-from .channel import _gray_index_table, _pam_bit_llrs, demodulate, modulate, pam_levels, transmit
+from ._textio import open_text
+from .channel import _pam_bit_llrs, demodulate, modulate, pam_demap_table, transmit
 from .decoder import genie_sc_decode
 from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly, encode
 from .rate_matching import RateMatcher, TxPlan, build_tx_map, transmit_codeword_llrs
@@ -308,29 +309,17 @@ class ReliabilityProfile:
 
     def to_csv(self, path_or_file) -> None:
         """Write rows ``index,mean_llr,error_prob`` with 1-based indices."""
-        close = False
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            fh = open(path_or_file, "w", encoding="utf-8")
-            close = True
-        else:
-            fh = path_or_file
-        try:
+        with open_text(path_or_file, "w") as fh:
             fh.write(f"# method={self.method} design={self.design_param!r} n_positions={len(self)}\n")
             fh.write("index,mean_llr,error_prob\n")
             for i in range(len(self)):
                 ml = "" if math.isnan(self.mean_llr[i]) else repr(float(self.mean_llr[i]))
                 fh.write(f"{i + 1},{ml},{float(self.error_prob[i])!r}\n")
-        finally:
-            if close:
-                fh.close()
 
     @classmethod
     def from_csv(cls, path_or_file) -> "ReliabilityProfile":
-        if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-            with open(path_or_file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = path_or_file.read()
+        with open_text(path_or_file) as fh:
+            text = fh.read()
         method, design = "unknown", float("nan")
         eps, mls = [], []
         lines = [ln for ln in io.StringIO(text)]
@@ -473,19 +462,16 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
     else:
         sigma2 = 0.5 * 10.0 ** (-design_snr_db / 10.0)
         m = mod.bits_per_dim
-        lv = pam_levels(m) / np.sqrt(2.0 * float(np.mean(pam_levels(m) ** 2)))
-        gray_of_level = np.empty_like(_gray_index_table(m))
-        gray_of_level[_gray_index_table(m)] = np.arange(1 << m)
+        lv, members = pam_demap_table(m)
         nodes, weights = np.polynomial.hermite_e.hermegauss(255)
         class_mean = np.zeros(mod.n_subchannel_types)
         for b in range(m):
-            bit = (gray_of_level >> (m - 1 - b)) & 1
-            lv0 = lv[bit == 0]
+            idx0 = members[b][0]
             acc = 0.0
-            for l0 in lv0:
-                z = l0 + np.sqrt(sigma2) * nodes
+            for l in idx0:
+                z = lv[l] + np.sqrt(sigma2) * nodes
                 llr = _pam_bit_llrs(z, np.ones_like(z), sigma2, m)[:, b]
-                acc += float(np.sum(weights * llr)) / np.sqrt(2.0 * np.pi) / len(lv0)
+                acc += float(np.sum(weights * llr)) / np.sqrt(2.0 * np.pi) / len(idx0)
             class_mean[b] = acc
         # positions 2c and 2c+1 share class c; both dims have equal statistics
         bitpos_mean = np.repeat(class_mean, 2)

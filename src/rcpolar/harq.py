@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import open_text
 from .channel import ChannelSpec
 from .decoder import sc_decode
 from .polar import PolarCodeSpec, encode
@@ -227,19 +228,10 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
 
 def write_results_csv(results, path_or_file, header_comments: tuple[str, ...] = ()) -> None:
     """Write one row per SNR point in the stable column order."""
-    close = False
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        fh = open(path_or_file, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = path_or_file
-    try:
+    with open_text(path_or_file, "w", newline="") as fh:
         for line in header_comments:
             fh.write(f"# {line}\n")
         fh.write(",".join(RESULT_COLUMNS) + "\n")
         for r in results:
             row = r.row()
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
-    finally:
-        if close:
-            fh.close()

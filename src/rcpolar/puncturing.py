@@ -93,7 +93,20 @@ def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
     if patterns.ndim != 2:
         raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
     ep = _pattern_error_probs(design, base_spec.N, patterns)
-    return ep[:, base_spec.info_zero_based].sum(axis=1)
+    return _union_bound(ep, base_spec.info_zero_based)
+
+
+def _union_bound(ep: np.ndarray, info) -> np.ndarray:
+    """Sum of the information positions' error probabilities, per row of ep.
+
+    The columns are added left to right for every batch size: a reduction
+    over ep[:, info] sums pairwise when B = 1 and in sequence when B >= 2, so
+    a metric's last bit would depend on its batch.
+    """
+    metric = np.zeros(len(ep))
+    for col in ep[:, info].T:
+        metric += col
+    return metric
 
 
 @dataclass
@@ -162,7 +175,7 @@ def reference_base32_sequence() -> PuncturingSequence:
     return seq
 
 
-def ppa(base_spec: PolarCodeSpec, design, metric=None, tie_rel: float = 1e-12) -> PuncturingSequence:
+def ppa(base_spec: PolarCodeSpec, design, tie_rel: float = 1e-12) -> PuncturingSequence:
     """Greedy nested puncturing order minimizing the union bound at each step.
 
     Evaluates the metric exactly N(N+1)/2 times.  Ties (within ``tie_rel``
@@ -170,10 +183,6 @@ def ppa(base_spec: PolarCodeSpec, design, metric=None, tie_rel: float = 1e-12) -
     ``stats.ties``.
     """
     N = base_spec.N
-    info0 = base_spec.info_zero_based
-    if metric is None:
-        def metric(ep):
-            return ep[:, info0].sum(axis=1)
     punct: list[int] = []
     stats = PpaStats(metric_evals=0, step_candidates=[], step_metrics=[], ties=[])
     for m in range(N):
@@ -183,7 +192,7 @@ def ppa(base_spec: PolarCodeSpec, design, metric=None, tie_rel: float = 1e-12) -
             axis=1,
         )
         ep = _pattern_error_probs(design, N, pats)
-        met = np.asarray(metric(ep), dtype=float)
+        met = _union_bound(ep, base_spec.info_zero_based)
         stats.metric_evals += len(cands)
         best_i = int(np.lexsort((cands, met))[0])
         best_met = met[best_i]

@@ -1,7 +1,13 @@
 """Modulation, channel noise statistics, LLR demodulation, subchannel classes."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from rcpolar.channel import (
     BPSK,
@@ -9,9 +15,13 @@ from rcpolar.channel import (
     QAM64,
     ChannelSpec,
     ModulationSpec,
+    _gray_index_table,
+    _pam_bit_llrs,
     bicm_subchannel_of,
     demodulate,
     modulate,
+    pam_demap_table,
+    pam_levels,
     transmit,
 )
 
@@ -186,6 +196,61 @@ class TestDemodulate:
         approx = demodulate(y, amp, chan, QAM16, max_log=True)
         agree = np.sign(exact[np.abs(exact) > 0.1]) == np.sign(approx[np.abs(exact) > 0.1])
         assert np.mean(agree) > 0.999
+
+
+def reference_pam_bit_llrs(z, amp, sigma2, m, max_log=False):
+    """Per-bit LLRs from a masked (..., 2^m) metric array and scipy's logsumexp."""
+    lv = pam_levels(m) / math.sqrt(2.0 * float(np.mean(pam_levels(m) ** 2)))
+    gray_of_level = np.empty_like(_gray_index_table(m))
+    gray_of_level[_gray_index_table(m)] = np.arange(1 << m)
+    metric = -((z[..., None] - amp[..., None] * lv[None, :]) ** 2) / (2.0 * sigma2)
+    out = np.empty(z.shape + (m,))
+    for b in range(m):
+        bit = (gray_of_level >> (m - 1 - b)) & 1
+        m0 = np.where(bit == 0, metric, -np.inf)
+        m1 = np.where(bit == 1, metric, -np.inf)
+        if max_log:
+            out[..., b] = m0.max(axis=-1) - m1.max(axis=-1)
+        else:
+            out[..., b] = logsumexp(m0, axis=-1) - logsumexp(m1, axis=-1)
+    return out
+
+
+@st.composite
+def demap_inputs(draw):
+    """(z, amp, sigma2, m, max_log) with 0-2 leading dimensions, amplitudes
+    that are 0 (every level ties), 1 or drawn, and z either free in
+    [-1e3, 1e3] or amp times a decision midpoint (0 included)."""
+    m = draw(st.integers(1, 3))
+    shape = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    lv = pam_demap_table(m)[0]
+    mids = [0.0, *((lv[1:] + lv[:-1]) / 2)]
+    amp = draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(1e-3, 3.0))))
+    on_mid = draw(arrays(np.bool_, shape))
+    mid = draw(arrays(np.float64, shape, elements=st.sampled_from(mids)))
+    free = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    sigma2 = 10.0 ** draw(st.floats(-7.0, math.log10(3.0)))
+    return np.where(on_mid, amp * mid, free), amp, sigma2, m, draw(st.booleans())
+
+
+class TestPamBitLlrs:
+    """The demapper against scipy's logsumexp on a masked metric array,
+    compared through an int64 view so that the sign of zero counts too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(demap_inputs())
+    # z = 0 at amp 1 ties the two inner levels of 64-QAM inside one label set
+    # that has two more members, so the tie count scales the remaining sum
+    @example((np.zeros(3), np.ones(3), 1.0, 3, False))
+    # four nonzero terms in an 8-wide tree sum
+    @example((np.array([0.3, -0.7, 1.1]), np.ones(3), 2.0, 3, False))
+    def test_matches_masked_logsumexp(self, inputs):
+        z, amp, sigma2, m, max_log = inputs
+        got = _pam_bit_llrs(z, amp, sigma2, m, max_log)
+        want = reference_pam_bit_llrs(z, amp, sigma2, m, max_log)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSubchannels:

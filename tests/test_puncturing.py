@@ -115,6 +115,18 @@ class TestEvaluatePatterns:
         assert one.shape == (1,) and batch.shape == (3,)
         assert np.all(one == unpunctured) and np.all(batch == unpunctured)
 
+    def test_metric_independent_of_batch(self):
+        # Summing ep[:, info] along axis 1 took a different order for B = 1
+        # than for B >= 2; this pattern read ...099 alone and ...094 in a batch.
+        design = GaussianDesign.from_snr_db(3.0)
+        spec = base_spec(5, 16, design)
+        pattern = [3, 17, 9]
+        alone = evaluate_patterns(spec, design, pattern)[0]
+        assert alone == 0.0013681674307815094
+        for batch in ([pattern, [1, 2, 4]], [[0, 5, 6], pattern, [7, 8, 10]]):
+            got = evaluate_patterns(spec, design, batch)
+            assert got[batch.index(pattern)] == alone
+
 
 class TestExhaustive:
     def test_m0_is_empty(self):
