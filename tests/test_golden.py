@@ -2,13 +2,15 @@
 
 Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
-reliability profiles and three PPA orders.  A mismatch means results changed:
-revert the change, or record the cause in CHANGES.md.  Never rewrite a
-fixture to make it pass; ``python tests/test_golden.py`` writes only the
-fixtures that do not exist yet.
+reliability profiles, three PPA orders and the base-32 search metrics of
+large GA batches.  A mismatch means results changed: revert the change, or
+record the cause in CHANGES.md.  Never rewrite a fixture to make it pass;
+``python tests/test_golden.py`` writes only the fixtures that do not exist
+yet.
 """
 
 import io
+import itertools
 import sys
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, ga_evo
                                   select_information_set)
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
 from rcpolar.polar import PolarCodeSpec
-from rcpolar.puncturing import ErasureDesign, GaussianDesign, ppa, reference_base32_sequence
+from rcpolar.puncturing import (ErasureDesign, GaussianDesign, evaluate_patterns,
+                                exhaustive_search, ppa, reference_base32_sequence)
 from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map
 from test_acceptance import _family_spec_1024, _family_spec_256, base_code
 
@@ -95,6 +98,23 @@ def ppa_orders_txt() -> bytes:
     return "".join(lines).encode()
 
 
+def search_metrics_32_txt() -> bytes:
+    """The criterion-2 search code (base 32, k=16, 3 dB) in large GA batches:
+    the union bound of all C(32,3) patterns in ``combinations`` order, of the
+    first 8192 patterns of the seed-7 m=10 sampler, then the searched optima
+    for m=4 and for m=10 (65536 samples, seed 7); one ``repr`` per line."""
+    design = GaussianDesign.from_snr_db(3.0)
+    spec = base_code(5, 16, design)
+    all3 = np.array(list(itertools.combinations(range(32), 3)), dtype=np.int64)
+    rng = np.random.default_rng(np.random.SeedSequence((7, 32, 10)))
+    sampled = np.argsort(rng.random((8192, 32)), axis=1)[:, :10]
+    values = [*map(float, evaluate_patterns(spec, design, all3)),
+              *map(float, evaluate_patterns(spec, design, sampled)),
+              exhaustive_search(spec, design, 4),
+              exhaustive_search(spec, design, 10, n_samples=65536, seed=7)]
+    return "".join(f"{v!r}\n" for v in values).encode()
+
+
 def _profile_csv(profile) -> bytes:
     buf = io.StringIO()
     profile.to_csv(buf)
@@ -116,6 +136,7 @@ DESIGN_FIXTURES = {
     "ga_profile_1024.csv": ga_profile_1024_csv,
     "bec_profile_1024.csv": bec_profile_1024_csv,
     "ppa_orders.txt": ppa_orders_txt,
+    "search_metrics_32.txt": search_metrics_32_txt,
 }
 
 
