@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import secrets
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -106,6 +108,26 @@ def _load_sequence(name: str, p: int) -> PuncturingSequence:
     return seq
 
 
+def _output_path(cfg: dict) -> str:
+    """The ``out`` path, checked before any computation: its directory must exist."""
+    out = _require(cfg, "out", str)
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError("out", f"directory {folder} does not exist")
+    if os.path.isdir(out):
+        raise ConfigError("out", f"{out} is a directory")
+    return out
+
+
+@contextmanager
+def _writing(out: str):
+    """Report a failed write of the output file as a bad ``out`` field."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError("out", f"cannot write {out}: {e}") from None
+
+
 def _split(cfg: dict, n: int) -> tuple[int, int]:
     p = _optional(cfg, "p", int)
     q = _optional(cfg, "q", int)
@@ -132,7 +154,7 @@ def cmd_construct(cfg: dict) -> int:
     n = _require(cfg, "n", int, lambda v: v >= 1, "must be an integer >= 1")
     method = _require(cfg, "method", str, lambda v: v in ("ga", "bec", "mc"),
                       "must be one of ga, bec, mc")
-    out = _require(cfg, "out", str)
+    out = _output_path(cfg)
     N = 1 << n
     p, q = _split(cfg, n)
     # placeholder information set; profiles cover every input position
@@ -186,7 +208,7 @@ def cmd_construct(cfg: dict) -> int:
         profile = cons.genie_monte_carlo(
             full_spec, chan, ModulationSpec(mod_order), rate_matcher=rmatch,
             trials=trials, seed=seed, tx_length=select_len)
-    with open(out, "w", encoding="utf-8") as fh:
+    with _writing(out), open(out, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={seed}\n")
         profile.to_csv(fh)
     return 0
@@ -198,7 +220,7 @@ def cmd_puncture(cfg: dict) -> int:
                         "must be a power of two >= 2")
     k = _require(cfg, "k", int, lambda v: 1 <= v <= base_len,
                  "must lie in [1, base_len]")
-    out = _require(cfg, "out", str)
+    out = _output_path(cfg)
     p = base_len.bit_length() - 1
     eps = _optional(cfg, "epsilon", float, cond=lambda v: 0.0 <= v <= 1.0,
                     what="must lie in [0, 1]")
@@ -218,7 +240,8 @@ def cmd_puncture(cfg: dict) -> int:
     seq = ppa(base_spec, design)
     for step, tied in seq.stats.ties:
         print(f"tie at step {step}: candidates {tied}", file=sys.stderr)
-    seq.save(out)
+    with _writing(out):
+        seq.save(out)
     return 0
 
 
@@ -226,7 +249,7 @@ def cmd_simulate(cfg: dict) -> int:
     n = _require(cfg, "n", int, lambda v: v >= 1, "must be an integer >= 1")
     k = _require(cfg, "k", int, lambda v: 1 <= v <= (1 << n),
                  "must lie in [1, 2^n]")
-    out = _require(cfg, "out", str)
+    out = _output_path(cfg)
     p, q = _split(cfg, n)
     seq = _load_sequence(_optional(cfg, "sequence", str, default="reference32"), p)
     mod = ModulationSpec(_optional(cfg, "modulation", int, default=2,
@@ -245,6 +268,8 @@ def cmd_simulate(cfg: dict) -> int:
         start = _require(cfg, "snr_start", float)
         stop = _require(cfg, "snr_stop", float)
         step = _require(cfg, "snr_step", float, lambda v: v > 0, "must be > 0")
+        if stop < start:
+            raise ConfigError("snr_stop", f"must be >= snr_start = {start}")
         count = int(round((stop - start) / step)) + 1
         snrs = [start + i * step for i in range(count)]
     if not isinstance(snrs, (list, tuple)) or not snrs:
@@ -290,11 +315,12 @@ def cmd_simulate(cfg: dict) -> int:
                           cond=lambda v: v >= 1, what="must be >= 1"),
     )
     results = harq.sweep(sweep_cfg)
-    harq.write_results_csv(results, out, header_comments=(
-        f"seed={seed}",
-        f"n={n} k={k} p={p} q={q} L={L} t={t} mode={mode} "
-        f"modulation={mod.order} channel={kind}",
-    ))
+    with _writing(out):
+        harq.write_results_csv(results, out, header_comments=(
+            f"seed={seed}",
+            f"n={n} k={k} p={p} q={q} L={L} t={t} mode={mode} "
+            f"modulation={mod.order} channel={kind}",
+        ))
     return 0
 
 

@@ -228,9 +228,10 @@ def design_mean_llr(design_snr_db: float) -> float:
 
 def ga_check_mean(a, b) -> np.ndarray:
     """Mean LLR out of a check node with input means a, b (elementwise)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    la, lb = log_phi(a), log_phi(b)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    # one log_phi call for both inputs: it is elementwise, and its fixed cost
+    # dominates the small batches of PPA
+    la, lb = log_phi(np.stack([a, b]))
     m = np.maximum(la, lb)
     n = np.minimum(la, lb)
     # log(phi_a + phi_b - phi_a phi_b), cancellation-free
@@ -246,6 +247,11 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
     ``channel_means[..., t]`` is the mean LLR of coded position t (0-based
     codeword order, mean 0 where punctured).  Returns means indexed by input
     position (0-based u order).
+
+    The butterfly runs over integer codes into a table of distinct values, so
+    each stage evaluates the check node once per distinct input pair: a batch
+    of puncturing patterns holds few distinct means.  Both node functions are
+    elementwise, so the result is bit-identical to evaluating every element.
     """
     means = np.asarray(channel_means, dtype=float)
     N = means.shape[-1]
@@ -254,13 +260,41 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
         raise ValueError(f"length {N} is not a power of two")
     if np.any(means < 0):
         raise ValueError("channel means must be nonnegative")
-    return butterfly(means[..., bit_reversal_permutation(n)], _ga_stage)
+    vals, codes = _distinct_values(means[..., bit_reversal_permutation(n)])
+
+    def stage(x, y):
+        nonlocal vals
+        K = len(vals)
+        keys, inv = _distinct(x * K + y)
+        a, b = vals[keys // K], vals[keys % K]
+        # ga_check_mean is looked up at call time, so a wrapper installed on
+        # the module attribute sees every stage
+        vals, remap = _distinct_values(np.concatenate([ga_check_mean(a, b), a + b]))
+        x[...], y[...] = remap[inv], remap[inv + len(keys)]
+
+    butterfly(codes, stage)
+    return vals[codes]
 
 
-def _ga_stage(x, y):
-    # ga_check_mean is looked up at call time, so a wrapper installed on the
-    # module attribute sees every stage
-    x[...], y[...] = ga_check_mean(x, y), x + y
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of an int64 array and each entry's index among them."""
+    flat = keys.ravel()
+    order = np.argsort(flat)
+    ranked = flat[order]
+    first = np.empty(len(ranked), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inv = np.empty(len(flat), dtype=np.int64)
+    inv[order] = np.cumsum(first) - 1
+    return ranked[first], inv.reshape(keys.shape)
+
+
+def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table of the distinct float64 bit patterns in ``values`` and the code of
+    each entry; -0.0, +0.0 and NaNs stay distinct, so ``table[codes]``
+    reproduces ``values`` bit for bit."""
+    bits, codes = _distinct(values.view(np.int64))
+    return bits.view(np.float64), codes
 
 
 def bit_error_prob(mean_llr) -> np.ndarray:

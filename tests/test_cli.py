@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
 import json
+import os
 
 import numpy as np
+import pytest
 
 from rcpolar.cli import dump_config, load_config, main
 from rcpolar.construction import ReliabilityProfile
@@ -70,6 +72,19 @@ class TestConstruct:
         assert rc == 2
         assert "'out'" in capsys.readouterr().err
 
+    def test_missing_out_directory_names_out(self, tmp_path, capsys):
+        rc = main(["construct", "--n", "4", "--method", "ga", "--design-snr-db", "3.5",
+                   "--out", str(tmp_path / "missing" / "prof.csv")])
+        assert rc == 2
+        assert "'out'" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_out(self, capsys):
+        rc = main(["construct", "--n", "4", "--method", "ga", "--design-snr-db", "3.5",
+                   "--out", "/dev/full"])
+        assert rc == 2
+        assert "'out'" in capsys.readouterr().err
+
     def test_mc_profile(self, tmp_path):
         out = tmp_path / "mc.csv"
         rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
@@ -120,6 +135,12 @@ class TestPuncture:
         assert rc == 2
         assert "'base_len'" in capsys.readouterr().err
 
+    def test_missing_out_directory_names_out(self, tmp_path, capsys):
+        rc = main(["puncture", "--base-len", "32", "--k", "11", "--design-snr-db", "3.5",
+                   "--out", str(tmp_path / "missing" / "seq.txt")])
+        assert rc == 2
+        assert "'out'" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_smoke_csv(self, tmp_path):
@@ -157,6 +178,22 @@ class TestSimulate:
                    "--design-snr-db", "3.5"])
         assert rc == 2
         assert "'out'" in capsys.readouterr().err
+
+    def test_missing_out_directory_names_out(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--snr-start", "1.0", "--snr-stop", "1.0", "--snr-step", "1.0",
+                   "--design-snr-db", "3.5", "--seed", "1", "--max-blocks", "100",
+                   "--out", str(tmp_path / "missing" / "res.csv")])
+        assert rc == 2
+        assert "'out'" in capsys.readouterr().err
+
+    def test_reversed_snr_range_names_snr_stop(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--snr-start", "3.0", "--snr-stop", "1.0", "--snr-step", "1.0",
+                   "--design-snr-db", "3.5", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'snr_stop'" in err and "snr_start" in err
 
     def test_profile_input(self, tmp_path):
         prof_path = tmp_path / "prof.csv"

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcpolar.channel import BPSK, ChannelSpec
@@ -154,6 +154,11 @@ def per_block_leaves(values, check, variable):
     return a
 
 
+def same_bits(a, b):
+    """Equal shapes and float64 bit patterns: -0.0 differs from +0.0."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestButterflyRecursions:
     """The batched kernel equals the per-block stage loop bit for bit."""
 
@@ -167,11 +172,31 @@ class TestButterflyRecursions:
         # GA means from the series range through the table to the tail; exact zeros
         means = np.where(edge, 0.0, 10.0 ** rng.uniform(-8.0, 3.0, shape))
         want = per_block_leaves(means, ga_check_mean, lambda x, y: x + y)
-        assert np.array_equal(ga_leaf_means(means), want)
+        assert same_bits(ga_leaf_means(means), want)
         # erasure probabilities with exact ones
         z = np.where(edge, 1.0, rng.random(shape))
         want = per_block_leaves(z, lambda x, y: x + y - x * y, lambda x, y: x * y)
-        assert np.array_equal(bec_leaf_erasures(z), want)
+        assert same_bits(bec_leaf_erasures(z), want)
+
+    @given(n=st.integers(1, 8), batch=st.integers(1, 512), seed=st.integers(0, 2**32 - 1),
+           design=st.floats(1e-3, 1e2), multiples=st.lists(st.integers(2, 5), max_size=2),
+           zeros=st.sampled_from([(), (0.0,), (-0.0,), (0.0, -0.0)]),
+           p_other=st.sampled_from([0.05, 0.3, 1.0]))
+    @example(n=3, batch=4, seed=0, design=1.0, multiples=[], zeros=(0.0, -0.0), p_other=1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_pattern_batches_bit_identical(self, n, batch, seed, design, multiples, zeros,
+                                           p_other):
+        # GA over value codes sees batches of few distinct means, as in a
+        # puncturing search; every output bit, the sign of zero included,
+        # must be the per-element recursion's
+        rng = np.random.default_rng(seed)
+        others = np.array([design * k for k in multiples] + list(zeros))
+        means = np.full((batch, 1 << n), design)
+        if len(others):
+            hit = rng.random(means.shape) < p_other
+            means[hit] = rng.choice(others, size=int(hit.sum()))
+        want = per_block_leaves(means, ga_check_mean, lambda x, y: x + y)
+        assert same_bits(ga_leaf_means(means), want)
 
 
 class TestBecRecursion:
