@@ -73,10 +73,12 @@ class TestConstruct:
         assert "'out'" in capsys.readouterr().err
 
     def test_missing_out_directory_names_out(self, tmp_path, capsys):
-        rc = main(["construct", "--n", "4", "--method", "ga", "--design-snr-db", "3.5",
-                   "--out", str(tmp_path / "missing" / "prof.csv")])
-        assert rc == 2
-        assert "'out'" in capsys.readouterr().err
+        # a file in a missing directory, and a directory in place of a file
+        for out in (tmp_path / "missing" / "prof.csv", tmp_path):
+            rc = main(["construct", "--n", "4", "--method", "ga", "--design-snr-db", "3.5",
+                       "--out", str(out)])
+            assert rc == 2
+            assert "'out'" in capsys.readouterr().err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_names_out(self, capsys):
