@@ -2,8 +2,8 @@
 
 Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
-reliability profiles, three PPA orders and the base-32 search metrics of
-large GA batches.  A mismatch means results changed: revert the change, or
+reliability profiles, three PPA orders, the base-32 search metrics of
+large GA batches and the constellation points.  A mismatch means results changed: revert the change, or
 record the cause in CHANGES.md.  Never rewrite a fixture to make it pass;
 ``python tests/test_golden.py`` writes only the fixtures that do not exist
 yet.
@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcpolar.channel import BPSK, ModulationSpec
+from rcpolar.channel import BPSK, ModulationSpec, pam_demap_table
 from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, ga_evolve,
                                   select_information_set)
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
@@ -115,6 +115,17 @@ def search_metrics_32_txt() -> bytes:
     return "".join(f"{v!r}\n" for v in values).encode()
 
 
+def constellations_txt() -> bytes:
+    """Every ``constellation()`` point of BPSK, 16-QAM and 64-QAM in label
+    order, then the ``pam_demap_table(m)`` levels and members for m = 1..3;
+    one ``repr`` per line."""
+    values = [complex(p) for order in (2, 16, 64) for p in ModulationSpec(order).constellation()]
+    for m in (1, 2, 3):
+        levels, members = pam_demap_table(m)
+        values += [*map(float, levels), members]
+    return "".join(f"{v!r}\n" for v in values).encode()
+
+
 def _profile_csv(profile) -> bytes:
     buf = io.StringIO()
     profile.to_csv(buf)
@@ -137,6 +148,7 @@ DESIGN_FIXTURES = {
     "bec_profile_1024.csv": bec_profile_1024_csv,
     "ppa_orders.txt": ppa_orders_txt,
     "search_metrics_32.txt": search_metrics_32_txt,
+    "constellations.txt": constellations_txt,
 }
 
 
