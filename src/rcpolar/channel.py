@@ -54,31 +54,13 @@ class ModulationSpec:
         return self.order != 2
 
     @property
-    def n_subchannel_types(self) -> int:
-        return 1 if self.order == 2 else self.bits_per_symbol // 2
-
-    @property
     def bits_per_dim(self) -> int:
+        """Label bits per dimension; also the number of reliability classes."""
         return 1 if self.order == 2 else self.bits_per_symbol // 2
-
-    @property
-    def energy_norm(self) -> float:
-        """1 for BPSK, sqrt(10) for 16-QAM, sqrt(42) for 64-QAM."""
-        if self.order == 2:
-            return 1.0
-        lv = pam_levels(self.bits_per_dim)
-        return math.sqrt(2.0 * float(np.mean(lv**2)))
 
     def constellation(self) -> np.ndarray:
         """Complex points indexed by the symbol's bit tuple read MSB-first."""
-        if not self.is_qam:
-            return np.array([1.0 + 0j, -1.0 + 0j])
-        B = self.bits_per_symbol
-        pts = np.empty(self.order, dtype=complex)
-        for val in range(self.order):
-            bits = np.array([(val >> (B - 1 - i)) & 1 for i in range(B)], dtype=np.uint8)
-            pts[val] = complex(_map_symbol(bits[None, :], self)[0])
-        return pts
+        return _label_points(self).astype(complex)
 
 
 BPSK = ModulationSpec(2)
@@ -87,53 +69,36 @@ QAM64 = ModulationSpec(64)
 
 
 @lru_cache(maxsize=None)
-def pam_levels(bits_per_dim: int) -> np.ndarray:
-    """Unnormalized amplitude levels in natural (binary-index) order."""
-    L = 1 << bits_per_dim
-    lv = 2.0 * np.arange(L) - (L - 1)
-    lv.setflags(write=False)
-    return lv
+def _gray_pam(m: int) -> tuple[np.ndarray, float]:
+    """Unnormalized amplitude of each m-bit Gray label of one QAM dimension,
+    and the norm that gives the two-dimensional constellation unit energy.
 
-
-def _gray_decode(bits: np.ndarray) -> np.ndarray:
-    """Gray-coded bit rows (..., m), MSB first -> level index (...,)."""
-    idx = np.zeros(bits.shape[:-1], dtype=np.int64)
-    acc = np.zeros(bits.shape[:-1], dtype=np.int64)
-    for j in range(bits.shape[-1]):
-        acc ^= bits[..., j].astype(np.int64)
-        idx = (idx << 1) | acc
-    return idx
+    Level l, counted from the most negative, has amplitude 2l - (L-1) and
+    label l ^ (l >> 1), so neighbouring levels differ in one label bit.
+    """
+    lvl = np.arange(1 << m)
+    amp = np.empty(1 << m)
+    amp[lvl ^ (lvl >> 1)] = 2.0 * lvl - ((1 << m) - 1)
+    amp.setflags(write=False)
+    return amp, math.sqrt(2.0 * float(np.mean(amp**2)))
 
 
 @lru_cache(maxsize=None)
-def _gray_index_table(bits_per_dim: int) -> np.ndarray:
-    """gray_value -> level index, so vectorized mapping is a table lookup."""
-    m = bits_per_dim
-    tab = np.empty(1 << m, dtype=np.int64)
-    for g in range(1 << m):
-        bits = np.array([(g >> (m - 1 - j)) & 1 for j in range(m)], dtype=np.uint8)
-        tab[g] = int(_gray_decode(bits[None, :])[0])
-    tab.setflags(write=False)
-    return tab
+def _label_points(mod: ModulationSpec) -> np.ndarray:
+    """Unit-energy point of each symbol label (its bits read MSB first).
 
-
-def _map_symbol(sym_bits: np.ndarray, mod: ModulationSpec) -> np.ndarray:
-    """(..., bits_per_symbol) bit rows -> unit-energy complex symbols."""
-    m = mod.bits_per_dim
-    i_bits = sym_bits[..., 0::2]
-    q_bits = sym_bits[..., 1::2]
-
-    def gray_val(b):
-        v = np.zeros(b.shape[:-1], dtype=np.int64)
-        for j in range(m):
-            v = (v << 1) | b[..., j].astype(np.int64)
-        return v
-
-    tab = _gray_index_table(m)
-    lv = pam_levels(m)
-    i_amp = lv[tab[gray_val(i_bits)]]
-    q_amp = lv[tab[gray_val(q_bits)]]
-    return (i_amp + 1j * q_amp) / mod.energy_norm
+    BPSK points are real.  A QAM label interleaves the I and Q labels, I bit
+    first, and each point is ``(i_amp + 1j * q_amp) / norm``.
+    """
+    if not mod.is_qam:
+        pts = np.array([1.0, -1.0])
+    else:
+        amp, norm = _gray_pam(mod.bits_per_dim)
+        bits = (np.arange(mod.order)[:, None] >> np.arange(mod.bits_per_symbol - 1, -1, -1)) & 1
+        weights = 1 << np.arange(mod.bits_per_dim - 1, -1, -1)
+        pts = (amp[bits[:, 0::2] @ weights] + 1j * amp[bits[:, 1::2] @ weights]) / norm
+    pts.setflags(write=False)
+    return pts
 
 
 @dataclass(frozen=True)
@@ -174,10 +139,11 @@ def modulate(bits, mod: ModulationSpec) -> np.ndarray:
     B = mod.bits_per_symbol
     if n % B:
         raise ValueError(f"bit count {n} not divisible by {B} bits/symbol")
-    if mod.order == 2:
-        return 1.0 - 2.0 * bits.astype(float)
     sym_bits = bits.reshape(bits.shape[:-1] + (n // B, B))
-    return _map_symbol(sym_bits, mod)
+    labels = sym_bits[..., 0].astype(np.intp)
+    for j in range(1, B):
+        labels = (labels << 1) | sym_bits[..., j]
+    return _label_points(mod)[labels]
 
 
 def transmit(symbols, chan: ChannelSpec, mod: ModulationSpec, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -221,14 +187,13 @@ def pam_demap_table(bits_per_dim: int) -> tuple[np.ndarray, tuple[tuple[tuple[in
     at bit b (bit 0 = MSB), in level order.
     """
     m = bits_per_dim
-    lv = pam_levels(m)
-    lv = lv / math.sqrt(2.0 * float(np.mean(lv**2)))
+    lvl = np.arange(1 << m)
+    gray = lvl ^ (lvl >> 1)
+    amp, norm = _gray_pam(m)
+    lv = amp[gray] / norm
     lv.setflags(write=False)
-    tab = _gray_index_table(m)
-    gray_of_level = np.empty_like(tab)
-    gray_of_level[tab] = np.arange(1 << m)
     members = tuple(
-        tuple(tuple(int(l) for l in np.flatnonzero(((gray_of_level >> (m - 1 - b)) & 1) == v))
+        tuple(tuple(int(l) for l in np.flatnonzero(((gray >> (m - 1 - b)) & 1) == v))
               for v in (0, 1))
         for b in range(m))
     return lv, members

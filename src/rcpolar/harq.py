@@ -157,8 +157,8 @@ class SweepConfig:
             raise ValueError(f"unknown HARQ mode {self.mode!r}")
         if self.channel_kind not in ("awgn", "fading"):
             raise ValueError(f"unsupported channel kind {self.channel_kind!r} for sweeps")
-        if self.L < 1 or self.t < 1 or self.max_blocks < 1 or self.batch_size < 1:
-            raise ValueError("L, t, max_blocks, batch_size must be positive")
+        if min(self.L, self.t, self.max_blocks, self.target_block_errors, self.batch_size) < 1:
+            raise ValueError("L, t, max_blocks, target_block_errors, batch_size must be positive")
 
     @property
     def rate(self) -> float:

@@ -230,6 +230,10 @@ def exhaustive_search(
     N = base_spec.N
     if not 0 <= m <= N:
         raise ValueError(f"m = {m} out of range [0, {N}]")
+    if n_samples is not None and n_samples < 1:
+        raise ValueError(f"n_samples = {n_samples} must be >= 1")
+    if batch < 1:
+        raise ValueError(f"batch = {batch} must be >= 1")
     if m == 0:
         return ()
     total = comb(N, m)

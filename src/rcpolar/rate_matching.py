@@ -165,7 +165,7 @@ def assign_bicm_columns(rm: RateMatcher, plan: TxPlan) -> np.ndarray:
     """Reliability class of each touched column slot, in reading order."""
     _, q = rm.spec.split
     n_touched = -(-plan.L // (1 << q))
-    n_classes = rm.modulation.n_subchannel_types
+    n_classes = rm.modulation.bits_per_dim
     if n_classes == 1:
         return np.zeros(n_touched, dtype=np.int64)
     classes = _balanced_groups(n_touched, n_classes)
@@ -190,7 +190,7 @@ class TxMap:
 
 
 @lru_cache(maxsize=512)
-def _tx_map_cached(rm: RateMatcher, plan: TxPlan) -> TxMap:
+def build_tx_map(rm: RateMatcher, plan: TxPlan) -> TxMap:
     _, q = rm.spec.split
     idx = rm.emit_indices(plan)
     mod = rm.modulation
@@ -201,21 +201,17 @@ def _tx_map_cached(rm: RateMatcher, plan: TxPlan) -> TxMap:
     classes = assign_bicm_columns(rm, plan)
     k = np.arange(plan.L, dtype=np.int64)
     cls_of_bit = classes[k // (1 << q)]
-    bpc = B // mod.n_subchannel_types
-    counts = np.bincount(cls_of_bit, minlength=mod.n_subchannel_types)
+    bpc = B // mod.bits_per_dim
+    counts = np.bincount(cls_of_bit, minlength=mod.bits_per_dim)
     n_sym = int(max(-(-c // bpc) for c in counts)) if plan.L else 0
     s2s = np.empty(plan.L, dtype=np.int64)
-    for c in range(mod.n_subchannel_types):
+    for c in range(mod.bits_per_dim):
         pos = np.nonzero(cls_of_bit == c)[0]
         j = np.arange(len(pos), dtype=np.int64)
         s2s[pos] = (j // bpc) * B + c * bpc + (j % bpc)
     s2s.setflags(write=False)
     idx.setflags(write=False)
     return TxMap(emit_idx=idx, stream_to_symbit=s2s, n_symbols=n_sym)
-
-
-def build_tx_map(rm: RateMatcher, plan: TxPlan) -> TxMap:
-    return _tx_map_cached(rm, plan)
 
 
 def transmit_codeword_llrs(

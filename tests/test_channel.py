@@ -15,38 +15,58 @@ from rcpolar.channel import (
     QAM64,
     ChannelSpec,
     ModulationSpec,
-    _gray_index_table,
     _pam_bit_llrs,
     bicm_subchannel_of,
     demodulate,
     modulate,
     pam_demap_table,
-    pam_levels,
     transmit,
 )
 
 
+def lattice_norm(mod):
+    """sqrt of the mean energy of the odd-integer M-QAM lattice, 2(M-1)/3."""
+    return math.sqrt(2.0 * (mod.order - 1) / 3.0)
+
+
 class TestModulate:
     def test_bpsk_signs(self):
-        assert np.array_equal(modulate(np.array([0, 1]), BPSK), [1.0, -1.0])
+        s = modulate(np.array([0, 1]), BPSK)
+        assert s.dtype == np.float64
+        assert np.array_equal(s, [1.0, -1.0])
 
     def test_qam16_all_zero_corner(self):
         s = modulate(np.zeros(4, dtype=np.uint8), QAM16)
         assert s[0] == pytest.approx((-3 - 3j) / np.sqrt(10))
+
+    @pytest.mark.parametrize("mod", [BPSK, QAM16, QAM64])
+    def test_reads_constellation_by_label(self, mod):
+        # the bits of labels 0, 1, ..., order-1, each read MSB first
+        B = mod.bits_per_symbol
+        labels = np.arange(mod.order)
+        bits = ((labels[:, None] >> np.arange(B - 1, -1, -1)) & 1).astype(np.uint8)
+        s = modulate(bits.reshape(-1), mod)
+        assert np.array_equal(s.astype(complex).view(np.int64),
+                              mod.constellation().view(np.int64))
 
     @pytest.mark.parametrize("mod,norm", [(QAM16, 10.0), (QAM64, 42.0)])
     def test_unit_average_energy(self, mod, norm):
         pts = mod.constellation()
         assert len(pts) == mod.order
         assert np.mean(np.abs(pts) ** 2) == pytest.approx(1.0, abs=1e-12)
-        assert mod.energy_norm == pytest.approx(np.sqrt(norm))
+        # scaled by sqrt(norm), the points are the odd-integer square lattice
+        side = int(np.sqrt(mod.order))
+        lattice = pts * np.sqrt(norm)
+        assert np.allclose(lattice, np.round(lattice.real) + 1j * np.round(lattice.imag),
+                           atol=1e-12)
+        assert set(np.round(lattice.real)) == set(np.round(lattice.imag)) \
+            == set(range(1 - side, side, 2))
 
     @pytest.mark.parametrize("mod", [QAM16, QAM64])
     def test_gray_adjacency(self, mod):
         # nearest neighbours on the square lattice differ in exactly one bit
         pts = mod.constellation()
-        B = mod.bits_per_symbol
-        spacing = 2.0 / mod.energy_norm
+        spacing = 2.0 / lattice_norm(mod)
         for a in range(mod.order):
             for b in range(a + 1, mod.order):
                 if abs(abs(pts[a] - pts[b]) - spacing) < 1e-9:
@@ -54,7 +74,7 @@ class TestModulate:
 
     def test_labeling_bijective(self):
         for mod in (QAM16, QAM64):
-            pts = np.round(mod.constellation() * mod.energy_norm).astype(complex)
+            pts = np.round(mod.constellation() * lattice_norm(mod)).astype(complex)
             assert len(set(pts.tolist())) == mod.order
 
     def test_indivisible_length(self):
@@ -199,10 +219,15 @@ class TestDemodulate:
 
 
 def reference_pam_bit_llrs(z, amp, sigma2, m, max_log=False):
-    """Per-bit LLRs from a masked (..., 2^m) metric array and scipy's logsumexp."""
-    lv = pam_levels(m) / math.sqrt(2.0 * float(np.mean(pam_levels(m) ** 2)))
-    gray_of_level = np.empty_like(_gray_index_table(m))
-    gray_of_level[_gray_index_table(m)] = np.arange(1 << m)
+    """Per-bit LLRs from a masked (..., 2^m) metric array and scipy's logsumexp.
+
+    Level l has amplitude 2l - (L-1), scaled to unit two-dimensional energy,
+    and Gray label l ^ (l >> 1).
+    """
+    lvl = np.arange(1 << m)
+    raw = 2.0 * lvl - ((1 << m) - 1)
+    lv = raw / math.sqrt(2.0 * float(np.mean(raw**2)))
+    gray_of_level = lvl ^ (lvl >> 1)
     metric = -((z[..., None] - amp[..., None] * lv[None, :]) ** 2) / (2.0 * sigma2)
     out = np.empty(z.shape + (m,))
     for b in range(m):

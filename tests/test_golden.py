@@ -2,11 +2,11 @@
 
 Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
-reliability profiles, three PPA orders, the base-32 search metrics of
-large GA batches and the constellation points.  A mismatch means results changed: revert the change, or
-record the cause in CHANGES.md.  Never rewrite a fixture to make it pass;
-``python tests/test_golden.py`` writes only the fixtures that do not exist
-yet.
+reliability profiles, three PPA orders, the base-32 search metrics of large
+GA batches and the constellation points.  A mismatch means results changed:
+revert the change, or record the cause in CHANGES.md.  Never rewrite a
+fixture to make it pass; ``python tests/test_golden.py`` writes only the
+fixtures that do not exist yet.
 """
 
 import io

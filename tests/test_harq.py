@@ -185,6 +185,14 @@ class TestSweep:
         assert 0.0 <= res.bler <= 1.0
         assert 1.0 <= res.t_bar <= 2.0
 
+    def test_zero_target_block_errors_rejected(self):
+        # zero would simulate no blocks and leave the BLER undefined
+        spec, rm = make_code()
+        with pytest.raises(ValueError, match="target_block_errors"):
+            SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+                        snr_grid=(1.0,), L=32, t=1, mode="cc", seed=0,
+                        target_block_errors=0)
+
     def test_invalid_mode(self):
         spec, rm = make_code()
         with pytest.raises(ValueError):

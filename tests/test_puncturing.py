@@ -150,6 +150,17 @@ class TestExhaustive:
         with pytest.raises(EnumerationBudgetError):
             exhaustive_search(spec, design, 10, budget=1000)
 
+    @pytest.mark.parametrize("m,kwargs,field", [
+        (10, dict(budget=1000, n_samples=0), "n_samples"),
+        (10, dict(budget=1000, n_samples=5, batch=0), "batch"),
+        (3, dict(batch=0), "batch"),
+    ], ids=["no-samples", "sampled-empty-batch", "enumerated-empty-batch"])
+    def test_rejects_empty_search(self, m, kwargs, field):
+        design = GaussianDesign.from_snr_db(3.0)
+        spec = base_spec(5, 16, design)
+        with pytest.raises(ValueError, match=field):
+            exhaustive_search(spec, design, m, **kwargs)
+
     def test_sampled_search_deterministic(self):
         design = GaussianDesign.from_snr_db(3.0)
         spec = base_spec(5, 16, design)
