@@ -9,15 +9,20 @@ Three estimators populate a :class:`ReliabilityProfile`:
 Punctured coded positions enter the GA with mean 0 (the receiver sees an LLR
 that is identically zero) and the BEC recursion with erasure probability 1.
 
-The check-node function ``phi`` is evaluated once by composite Gauss-Legendre
-quadrature onto a dense log-spaced grid and interpolated monotonically; its
-inverse is solved against that same interpolant, so the pair is self-consistent
-to far better than 1e-9.  Outside the grid a matched series (small x) and a
-matched exponential tail (large x) extend both directions monotonically.
+The check-node function ``phi`` is tabulated as log phi on a dense log-spaced
+grid of 8,192 knots and interpolated monotonically; its inverse is solved
+against that same interpolant, so the pair is self-consistent to far better
+than 1e-9.  Outside the grid a matched series (small x) and a matched
+exponential tail (large x) extend both directions monotonically.  The knots
+ship as package data (``data/log_phi_knots.txt``, one ``repr`` a line), so a
+process reads them in milliseconds; they were computed once by composite
+Gauss-Legendre quadrature, and ``tests/test_construction.py`` holds that
+quadrature, recomputes every knot and compares the bits.
 """
 
 from __future__ import annotations
 
+import importlib.resources
 import io
 import math
 import threading
@@ -60,38 +65,9 @@ _GRID_HI = 200.0
 _GRID_KNOTS = 8192
 
 
-def _quad_log_phi(xs: np.ndarray) -> np.ndarray:
-    """log phi(x) by composite 16-point Gauss-Legendre quadrature.
-
-    Uses the cancellation-free form phi(x) = E[2 / (1 + e^U)], U ~ N(x, 2x).
-    The integrand has two features: the Gaussian bulk around u = x (width
-    sqrt(2x)) and the logistic knee at u = 0 (width ~2); panels are sized to
-    resolve both.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    out = np.empty(len(xs))
-    for i, x in enumerate(xs):
-        sd = math.sqrt(2.0 * x)
-        blo = x - 42.0 * sd
-        bhi = x + 42.0 * sd
-        edges = [np.linspace(blo, bhi, max(257, int(np.ceil((bhi - blo) / 1.5)) + 1))]
-        if blo > -64.0:
-            # left segment covering the logistic knee and the far Gaussian tail
-            edges.insert(0, np.linspace(-64.0, blo, int(np.ceil((blo + 64.0) / 2.0)) + 1))
-        ed = np.concatenate([e[:-1] for e in edges] + [edges[-1][-1:]])
-        mid = 0.5 * (ed[1:] + ed[:-1])
-        half = 0.5 * (ed[1:] - ed[:-1])
-        u = mid[:, None] + half[:, None] * nodes[None, :]
-        w = half[:, None] * weights[None, :]
-        logf = (
-            math.log(2.0)
-            - np.logaddexp(0.0, u)
-            - (u - x) ** 2 / (4.0 * x)
-            - 0.5 * math.log(4.0 * math.pi * x)
-        )
-        m = logf.max()
-        out[i] = m + math.log(float(np.sum(w * np.exp(logf - m))))
-    return out
+def _knot_x() -> np.ndarray:
+    """The log-spaced grid on which the shipped log phi knots are tabulated."""
+    return np.exp(np.linspace(math.log(_GRID_LO), math.log(_GRID_HI), _GRID_KNOTS))
 
 
 def _log_phi_tail(x) -> np.ndarray:
@@ -101,16 +77,19 @@ def _log_phi_tail(x) -> np.ndarray:
 
 
 class _PhiTable:
-    """Lazily built interpolation table for log phi and its inverse."""
+    """Interpolation table for log phi and its inverse, built lazily from the
+    shipped knots."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._ready = False
 
     def _build(self):
-        xs = np.exp(np.linspace(math.log(_GRID_LO), math.log(_GRID_HI), _GRID_KNOTS))
-        ls = _quad_log_phi(xs)
-        self.log_x = np.log(xs)
+        text = importlib.resources.files("rcpolar.data").joinpath("log_phi_knots.txt").read_text()
+        ls = np.array([float(v) for v in text.split()])
+        if len(ls) != _GRID_KNOTS:
+            raise RuntimeError("bundled phi knots asset is corrupt")
+        self.log_x = np.log(_knot_x())
         self.log_phi_knots = ls
         self.fwd = PchipInterpolator(self.log_x, ls, extrapolate=False)
         self.fwd_d = self.fwd.derivative()
@@ -135,7 +114,7 @@ def log_phi(x) -> np.ndarray:
     """Elementwise log of phi; phi(0) = 1, strictly decreasing in x."""
     t = _TABLE.get()
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if not np.all(x >= 0):
         raise ValueError("phi is defined for x >= 0 only")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -189,7 +168,7 @@ def _phi_inverse_log(ly) -> np.ndarray:
 def phi_inverse(y) -> np.ndarray:
     """Inverse of :func:`phi` on (0, 1]; ``phi_inverse(1) = 0``."""
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0) or np.any(y > 1.0):
+    if not np.all((y > 0.0) & (y <= 1.0)):
         raise ValueError("phi_inverse is defined on (0, 1]")
     scalar = y.ndim == 0
     y = np.atleast_1d(y)
@@ -244,7 +223,7 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
     n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError(f"length {N} is not a power of two")
-    if np.any(means < 0):
+    if not np.all(means >= 0):
         raise ValueError("channel means must be nonnegative")
     vals, codes = _distinct_values(means[..., bit_reversal_permutation(n)])
 
@@ -286,7 +265,7 @@ def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bit_error_prob(mean_llr) -> np.ndarray:
     """Q(sqrt(mean/2)): decision error probability of a consistent-Gaussian LLR."""
     m = np.asarray(mean_llr, dtype=float)
-    if np.any(m < 0):
+    if not np.all(m >= 0):
         raise ValueError("mean LLR must be nonnegative")
     return 0.5 * erfc(np.sqrt(m / 2.0) / np.sqrt(2.0))
 
@@ -317,7 +296,7 @@ class ReliabilityProfile:
         ml = np.asarray(self.mean_llr, dtype=float)
         if ep.shape != ml.shape or ep.ndim != 1:
             raise ValueError("error_prob and mean_llr must be 1-D of equal length")
-        if np.any(ep < 0) or np.any(ep > 1):
+        if not np.all((ep >= 0) & (ep <= 1)):
             raise ValueError("error probabilities must lie in [0, 1]")
         ep.setflags(write=False)
         ml.setflags(write=False)
@@ -391,7 +370,7 @@ def bec_leaf_erasures(erasure_probs: np.ndarray) -> np.ndarray:
     n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError(f"length {N} is not a power of two")
-    if np.any(z < 0) or np.any(z > 1):
+    if not np.all((z >= 0) & (z <= 1)):
         raise ValueError("erasure probabilities must lie in [0, 1]")
     return butterfly(z[..., bit_reversal_permutation(n)], _bec_stage)
 

@@ -232,6 +232,23 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "'profile'" in err and str(prof_path) in err
 
+    def test_nan_profile_row_names_profile(self, tmp_path, capsys):
+        # a NaN error_prob would otherwise rank its position least reliable
+        prof_path = tmp_path / "nan.csv"
+        assert main(["construct", "--n", "5", "--method", "ga",
+                     "--design-snr-db", "3.5", "--out", str(prof_path)]) == 0
+        lines = prof_path.read_text().splitlines(keepends=True)
+        row = lines[-1].split(",")
+        lines[-1] = ",".join(row[:2] + ["nan\n"])
+        prof_path.write_text("".join(lines))
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--profile", str(prof_path),
+                   "--snr-start", "3.0", "--snr-stop", "3.0", "--snr-step", "1.0",
+                   "--seed", "2", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'profile'" in err and str(prof_path) in err
+
     def test_non_numeric_snrs_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 5, "k": 11, "L": 32, "snrs": [1.0, "high"],
