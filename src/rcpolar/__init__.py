@@ -28,6 +28,6 @@ from .puncturing import (
     reference_base32_sequence,
     sum_capacity_check,
 )
-from .rate_matching import RateMatcher, TxPlan, arrange, de_rate_match, rate_match
+from .rate_matching import RateMatcher, TxPlan, de_rate_match
 
 __version__ = "0.1.0"

@@ -31,7 +31,6 @@ __all__ = [
     "modulate",
     "transmit",
     "demodulate",
-    "bicm_subchannel_of",
 ]
 
 
@@ -281,12 +280,3 @@ def demodulate(received, amp, chan: ChannelSpec, mod: ModulationSpec,
     out[..., 1::2] = lq
     return out.reshape(y.shape[:-1] + (y.shape[-1] * 2 * m,))
 
-
-def bicm_subchannel_of(bit_position_in_symbol: int, mod: ModulationSpec) -> int:
-    """Reliability class of a symbol bit position; class 0 is the strongest."""
-    if not 0 <= bit_position_in_symbol < mod.bits_per_symbol:
-        raise ValueError(
-            f"bit position {bit_position_in_symbol} out of range for order {mod.order}")
-    if mod.order == 2:
-        return 0
-    return bit_position_in_symbol // 2

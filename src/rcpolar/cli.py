@@ -1,9 +1,9 @@
 """Command-line entry point: construct / puncture / simulate.
 
 Configuration comes from an optional JSON file (``--config``) overridden by
-explicit flags; every run echoes the master seed into the output header so any
-published row can be regenerated.  Exit codes: 0 success, 2 configuration
-error, 3 runtime error.
+explicit flags; every run that draws random numbers echoes its master seed
+into the output header so any published row can be regenerated.  Exit codes:
+0 success, 2 configuration error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -159,19 +159,21 @@ def cmd_construct(cfg: dict) -> int:
     p, q = _split(cfg, n)
     # placeholder information set; profiles cover every input position
     spec = PolarCodeSpec(n=n, k=1, info_set=(1,), split=(p, q))
-    seed = _resolve_seed(cfg)
     seq_name = _optional(cfg, "sequence", str)
     select_len = _optional(cfg, "select_length", int, cond=lambda v: v >= 1,
                            what="must be >= 1")
-    mod_order = _optional(cfg, "modulation", int, default=2,
-                          cond=lambda v: v in (2, 16, 64), what="must be 2, 16, or 64")
+    mod = ModulationSpec(_optional(cfg, "modulation", int, default=2,
+                                   cond=lambda v: v in (2, 16, 64),
+                                   what="must be 2, 16, or 64"))
+    rm = None
+    if seq_name is not None:
+        rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p), modulation=mod)
+    elif select_len is not None and method != "mc":
+        raise ConfigError("sequence", "select_length needs a puncturing sequence")
+    seed = None
     if method == "ga":
         snr = _require(cfg, "design_snr_db", float)
         if select_len is not None:
-            if seq_name is None:
-                raise ConfigError("sequence", "select_length needs a puncturing sequence")
-            rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p),
-                             modulation=ModulationSpec(mod_order))
             means = build_bicm_ga_means(spec, rm, select_len, snr)
         else:
             means = np.full(N, cons.design_mean_llr(snr))
@@ -181,15 +183,12 @@ def cmd_construct(cfg: dict) -> int:
                        "must lie in [0, 1]")
         z = np.full(N, eps)
         if select_len is not None:
-            if seq_name is None:
-                raise ConfigError("sequence", "select_length needs a puncturing sequence")
-            rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p),
-                             modulation=ModulationSpec(2))
             tm = build_tx_map(rm, TxPlan(L=select_len, t=1, r=1, mode="cc"))
             z = np.ones(N)
             z[np.unique(tm.emit_idx)] = eps
         profile = cons.bhattacharyya_bec(spec, z)
     else:
+        seed = _resolve_seed(cfg)
         snr = _require(cfg, "snr_db", float)
         trials = _optional(cfg, "trials", int, default=100_000,
                            cond=lambda v: v >= 1, what="must be >= 1")
@@ -199,17 +198,14 @@ def cmd_construct(cfg: dict) -> int:
         chan = ChannelSpec(kind=kind, snr_db=snr) if kind != "bec" else ChannelSpec(
             kind="bec", epsilon=_require(cfg, "epsilon", float,
                                          lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
-        rmatch = None
-        if seq_name is not None:
-            rmatch = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p),
-                                 modulation=ModulationSpec(mod_order))
         # genie runs need a full-rate spec so every position is measured
         full_spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
         profile = cons.genie_monte_carlo(
-            full_spec, chan, ModulationSpec(mod_order), rate_matcher=rmatch,
+            full_spec, chan, mod, rate_matcher=rm,
             trials=trials, seed=seed, tx_length=select_len)
     with _writing(out), open(out, "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={seed}\n")
+        if seed is not None:
+            fh.write(f"# seed={seed}\n")
         profile.to_csv(fh)
     return 0
 

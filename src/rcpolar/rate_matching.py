@@ -14,6 +14,11 @@ enter the decoder's LLR accumulator.
 
 Incremental-redundancy retransmissions move the start column and rotate the
 class assignment with it; Chase retransmissions reuse transmission 1 exactly.
+
+``build_tx_map`` is the single cached map of one transmission: for each
+transmitted bit it names the codeword position the bit carries and the
+symbol-bit slot it rides.  The sender, ``de_rate_match`` and the BICM design
+means all read it.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ __all__ = [
     "RateMatcher",
     "TxPlan",
     "TxMap",
-    "arrange",
-    "rate_match",
     "de_rate_match",
     "assign_bicm_columns",
     "build_tx_map",
@@ -97,40 +100,6 @@ class RateMatcher:
             return ((plan.r - 1) * (1 << p)) // plan.t
         return 0
 
-    def emit_indices(self, plan: TxPlan) -> np.ndarray:
-        _, q = self.spec.split
-        return _emit_indices(self.read_columns, q, plan.L, self.start_column(plan))
-
-
-def arrange(codeword, rm: RateMatcher) -> np.ndarray:
-    """Row-major 2^q x 2^p matrix view of the codeword (first row = x_1..x_2^p)."""
-    p, q = rm.spec.split
-    cw = np.asarray(codeword)
-    if cw.shape[-1] != rm.spec.N:
-        raise ValueError(f"codeword length {cw.shape[-1]} does not match N = {rm.spec.N}")
-    return cw.reshape(cw.shape[:-1] + (1 << q, 1 << p))
-
-
-@lru_cache(maxsize=512)
-def _emit_indices(read_cols: tuple[int, ...], q: int, L: int, start_col: int) -> np.ndarray:
-    """Flat codeword index of each transmitted bit (length L, circular)."""
-    P = len(read_cols)
-    k = np.arange(L, dtype=np.int64)
-    slot = (start_col + k // (1 << q)) % P
-    row = k % (1 << q)
-    cols = np.asarray(read_cols, dtype=np.int64)
-    idx = row * P + cols[slot]
-    idx.setflags(write=False)
-    return idx
-
-
-def rate_match(codeword, rm: RateMatcher, plan: TxPlan) -> np.ndarray:
-    """Select the L transmitted bits of one transmission."""
-    cw = np.asarray(codeword)
-    if cw.shape[-1] != rm.spec.N:
-        raise ValueError(f"codeword length {cw.shape[-1]} does not match N = {rm.spec.N}")
-    return cw[..., rm.emit_indices(plan)]
-
 
 def de_rate_match(llrs, rm: RateMatcher, plan: TxPlan, accumulator) -> np.ndarray:
     """Add received LLRs into their codeword positions inside ``accumulator``.
@@ -144,35 +113,27 @@ def de_rate_match(llrs, rm: RateMatcher, plan: TxPlan, accumulator) -> np.ndarra
         raise ValueError(f"LLR length {llrs.shape[-1]} does not match L = {plan.L}")
     if acc.shape[:-1] != llrs.shape[:-1] or acc.shape[-1] != rm.spec.N:
         raise ValueError("accumulator shape does not match LLR batch and N")
-    idx = rm.emit_indices(plan)
+    idx = build_tx_map(rm, plan).emit_idx
     flat_acc = acc.reshape(-1, rm.spec.N)
     flat_llr = llrs.reshape(-1, plan.L)
     np.add.at(flat_acc, (np.arange(flat_acc.shape[0])[:, None], idx[None, :]), flat_llr)
     return acc
 
 
-def _balanced_groups(n_items: int, n_groups: int) -> np.ndarray:
-    """Class of each item: consecutive groups, as equal as possible, earlier larger."""
-    out = np.empty(n_items, dtype=np.int64)
-    start = 0
-    for g, part in enumerate(np.array_split(np.arange(n_items), n_groups)):
-        out[start : start + len(part)] = g
-        start += len(part)
-    return out
-
-
 def assign_bicm_columns(rm: RateMatcher, plan: TxPlan) -> np.ndarray:
-    """Reliability class of each touched column slot, in reading order."""
+    """Reliability class of each touched column slot, in reading order.
+
+    The slots split into consecutive groups, one per class, as equal as
+    possible with earlier groups larger; the assignment then rotates by
+    ``bicm_shift``.
+    """
     _, q = rm.spec.split
     n_touched = -(-plan.L // (1 << q))
     n_classes = rm.modulation.bits_per_dim
-    if n_classes == 1:
-        return np.zeros(n_touched, dtype=np.int64)
-    classes = _balanced_groups(n_touched, n_classes)
-    shift = rm.bicm_shift(plan)
-    if shift:
-        classes = np.roll(classes, shift)
-    return classes
+    sizes = np.full(n_classes, n_touched // n_classes)
+    sizes[: n_touched % n_classes] += 1
+    classes = np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
+    return np.roll(classes, rm.bicm_shift(plan))
 
 
 @dataclass(frozen=True)
@@ -191,42 +152,38 @@ class TxMap:
 
 @lru_cache(maxsize=512)
 def build_tx_map(rm: RateMatcher, plan: TxPlan) -> TxMap:
+    """Codeword position and symbol-bit slot of each of the L transmitted bits."""
     _, q = rm.spec.split
-    idx = rm.emit_indices(plan)
-    mod = rm.modulation
-    B = mod.bits_per_symbol
-    if not mod.is_qam:
-        s2s = np.arange(plan.L, dtype=np.int64)
-        return TxMap(emit_idx=idx, stream_to_symbit=s2s, n_symbols=plan.L)
-    classes = assign_bicm_columns(rm, plan)
+    rows = 1 << q
+    cols = np.asarray(rm.read_columns, dtype=np.int64)
     k = np.arange(plan.L, dtype=np.int64)
-    cls_of_bit = classes[k // (1 << q)]
-    bpc = B // mod.bits_per_dim
-    counts = np.bincount(cls_of_bit, minlength=mod.bits_per_dim)
-    n_sym = int(max(-(-c // bpc) for c in counts)) if plan.L else 0
-    s2s = np.empty(plan.L, dtype=np.int64)
-    for c in range(mod.bits_per_dim):
-        pos = np.nonzero(cls_of_bit == c)[0]
-        j = np.arange(len(pos), dtype=np.int64)
-        s2s[pos] = (j // bpc) * B + c * bpc + (j % bpc)
-    s2s.setflags(write=False)
+    slot = k // rows  # bit k is row k % 2^q of the slot-th column read, circularly
+    idx = (k % rows) * len(cols) + cols[(rm.start_column(plan) + slot) % len(cols)]
+    mod = rm.modulation
+    if not mod.is_qam:
+        s2s, n_sym = k, plan.L
+    else:
+        B = mod.bits_per_symbol
+        cls_of_bit = assign_bicm_columns(rm, plan)[slot]
+        bpc = B // mod.bits_per_dim
+        counts = np.bincount(cls_of_bit, minlength=mod.bits_per_dim)
+        n_sym = int(max(-(-c // bpc) for c in counts))
+        s2s = np.empty(plan.L, dtype=np.int64)
+        for c in range(mod.bits_per_dim):
+            pos = np.nonzero(cls_of_bit == c)[0]
+            j = np.arange(len(pos), dtype=np.int64)
+            s2s[pos] = (j // bpc) * B + c * bpc + (j % bpc)
     idx.setflags(write=False)
+    s2s.setflags(write=False)
     return TxMap(emit_idx=idx, stream_to_symbit=s2s, n_symbols=n_sym)
 
 
-def transmit_codeword_llrs(
-    codeword,
-    rm: RateMatcher,
-    plan: TxPlan,
-    chan: ChannelSpec,
-    rng,
-    accumulator: np.ndarray | None = None,
-    max_log: bool = False,
-) -> np.ndarray:
-    """Run one full transmission and fold its LLRs into the accumulator.
+def transmit_codeword_llrs(codeword, rm: RateMatcher, plan: TxPlan, chan: ChannelSpec,
+                           rng) -> np.ndarray:
+    """Run one full transmission and return its LLRs on the N codeword positions.
 
     rate-match -> class packing -> modulate -> channel -> per-bit LLRs ->
-    unpack -> accumulate.  Returns the accumulator (created zeroed if None).
+    unpack -> fold into a zeroed accumulator (positions not sent stay 0).
     """
     cw = np.asarray(codeword)
     if chan.kind == "bec" and rm.modulation.is_qam:
@@ -238,8 +195,5 @@ def transmit_codeword_llrs(
     sym_bits[..., tm.stream_to_symbit] = stream
     syms = modulate(sym_bits, mod)
     y, amp = transmit(syms, chan, mod, rng)
-    llr_sym = demodulate(y, amp, chan, mod, max_log=max_log)
-    llr_stream = llr_sym[..., tm.stream_to_symbit]
-    if accumulator is None:
-        accumulator = np.zeros(cw.shape[:-1] + (rm.spec.N,), dtype=float)
-    return de_rate_match(llr_stream, rm, plan, accumulator)
+    llr_stream = demodulate(y, amp, chan, mod)[..., tm.stream_to_symbit]
+    return de_rate_match(llr_stream, rm, plan, np.zeros(cw.shape[:-1] + (rm.spec.N,)))

@@ -31,7 +31,7 @@ from rcpolar.puncturing import (
     reference_base32_sequence,
     sum_capacity_check,
 )
-from rcpolar.rate_matching import RateMatcher, TxPlan, de_rate_match, rate_match
+from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map, de_rate_match
 
 
 def report(num: int, ok: bool, detail: str):
@@ -164,15 +164,14 @@ def test_criterion_5_structural_identities():
     rm = RateMatcher(spec=spec, sequence=seq, modulation=BPSK)
     llrs = rng.normal(size=256)
     plan_full = TxPlan(L=256, t=1, r=1, mode="cc")
-    stream = llrs[rate_match(np.arange(256), rm, plan_full)]
+    stream = llrs[build_tx_map(rm, plan_full).emit_idx]
     acc = de_rate_match(stream, rm, plan_full, np.zeros(256))
     assert np.allclose(acc, llrs)
     for m in range(33):
         L = 256 - m * 8
         if L == 0:
             continue
-        emitted = set(rate_match(np.arange(256), rm,
-                                 TxPlan(L=L, t=1, r=1, mode="cc")).tolist())
+        emitted = set(build_tx_map(rm, TxPlan(L=L, t=1, r=1, mode="cc")).emit_idx.tolist())
         assert set(range(256)) - emitted == set(expand_regular(seq, spec, m).positions)
     report(5, True,
            "involution + stage equivalence (exhaustive N<=16, random "

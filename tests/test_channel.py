@@ -16,7 +16,6 @@ from rcpolar.channel import (
     ChannelSpec,
     ModulationSpec,
     _pam_bit_llrs,
-    bicm_subchannel_of,
     demodulate,
     modulate,
     pam_demap_table,
@@ -276,21 +275,6 @@ class TestPamBitLlrs:
         want = reference_pam_bit_llrs(z, amp, sigma2, m, max_log)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-
-class TestSubchannels:
-    def test_bpsk(self):
-        assert bicm_subchannel_of(0, BPSK) == 0
-
-    def test_qam16(self):
-        assert [bicm_subchannel_of(i, QAM16) for i in range(4)] == [0, 0, 1, 1]
-
-    def test_qam64(self):
-        assert [bicm_subchannel_of(i, QAM64) for i in range(6)] == [0, 0, 1, 1, 2, 2]
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            bicm_subchannel_of(4, QAM16)
 
 
 class TestChannelSpecValidation:

@@ -47,10 +47,18 @@ class TestConstruct:
         prof = ReliabilityProfile.from_csv(out)
         assert len(prof) == 256
         lines = out.read_text().strip().split("\n")
-        assert lines[0].startswith("# seed=")
-        assert lines[2] == "index,mean_llr,error_prob"
-        idx = [int(l.split(",")[0]) for l in lines[3:]]
+        # GA draws no random numbers, so no seed line heads the profile
+        assert not any(l.startswith("# seed=") for l in lines)
+        assert lines[1] == "index,mean_llr,error_prob"
+        idx = [int(l.split(",")[0]) for l in lines[2:]]
         assert idx == list(range(1, 257))
+
+    def test_deterministic_rerun_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert main(["construct", "--n", "8", "--method", "ga",
+                         "--design-snr-db", "3.5", "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
     def test_bec_matches_recursion_example(self, tmp_path):
         out = tmp_path / "prof.csv"

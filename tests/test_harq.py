@@ -16,7 +16,7 @@ from rcpolar.harq import (
 )
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import PuncturingSequence, reference_base32_sequence
-from rcpolar.rate_matching import RateMatcher, TxPlan, rate_match, transmit_codeword_llrs
+from rcpolar.rate_matching import RateMatcher, TxPlan, transmit_codeword_llrs
 
 
 def make_code(n=5, k=8, split=None, mod=BPSK):
@@ -80,10 +80,9 @@ class TestRunBlock:
         x = np.zeros(spec.N, dtype=np.uint8)
         plan = TxPlan(L=32, t=4, r=1, mode="cc")
         single = transmit_codeword_llrs(x, rm, plan, chan, np.random.default_rng(7))
-        acc = np.zeros(spec.N)
-        for r in range(3):
-            transmit_codeword_llrs(x, rm, TxPlan(L=32, t=4, r=r + 1, mode="cc"),
-                                   chan, np.random.default_rng(7), accumulator=acc)
+        acc = sum(transmit_codeword_llrs(x, rm, TxPlan(L=32, t=4, r=r + 1, mode="cc"),
+                                         chan, np.random.default_rng(7))
+                  for r in range(3))
         assert np.allclose(acc, 3.0 * single)
 
     def test_wrong_message_length(self):

@@ -1,4 +1,8 @@
-"""Matrix arrangement, circular reading, LLR folding, class assignment."""
+"""Matrix arrangement, circular reading, LLR folding, class assignment.
+
+Every emission order is read from ``build_tx_map(rm, plan).emit_idx``: the
+codeword position carried by each transmitted bit.
+"""
 
 import numpy as np
 import pytest
@@ -11,11 +15,9 @@ from rcpolar.puncturing import PuncturingSequence, expand_regular, reference_bas
 from rcpolar.rate_matching import (
     RateMatcher,
     TxPlan,
-    arrange,
     assign_bicm_columns,
     build_tx_map,
     de_rate_match,
-    rate_match,
 )
 
 
@@ -34,41 +36,90 @@ def big_rm(mod=BPSK, split=(5, 7), **kw):
                        modulation=mod, **kw)
 
 
+def emit(rm, L):
+    """Codeword position of each bit of a first transmission of L bits."""
+    return build_tx_map(rm, TxPlan(L=L, t=1, r=1, mode="cc")).emit_idx
+
+
+def reference_emission(rm, plan):
+    """The paper's reading, built from the matrix itself.
+
+    Lay the codeword out row-wise in a 2^q x 2^p matrix, take its columns in
+    reading order from the start column, read them column-wise, and wrap
+    circularly to L bits.
+    """
+    p, q = rm.spec.split
+    matrix = np.arange(rm.spec.N).reshape(1 << q, 1 << p)
+    start = rm.start_column(plan)
+    order = rm.read_columns[start:] + rm.read_columns[:start]
+    return np.resize(np.concatenate([matrix[:, c] for c in order]), plan.L)
+
+
+@st.composite
+def matcher_and_plan(draw):
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(0, 3))
+    N = 1 << (p + q)
+    spec = PolarCodeSpec(n=p + q, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
+    seq = PuncturingSequence(base_len=1 << p, order=tuple(draw(st.permutations(range(1 << p)))))
+    mod = draw(st.sampled_from([BPSK, QAM16, QAM64]))
+    rm = RateMatcher(spec=spec, sequence=seq, modulation=mod, shift_cc_bicm=draw(st.booleans()))
+    t = draw(st.integers(1, 4))
+    plan = TxPlan(L=draw(st.integers(1, 3 * N)), t=t, r=draw(st.integers(1, t)),
+                  mode=draw(st.sampled_from(["cc", "ir"])))
+    return rm, plan
+
+
 class TestArrange:
+    """The 2^q x 2^p arrangement as the transmitted stream reads it."""
+
     def test_small_direct(self):
+        # [[x1, x2], [x3, x4]] read column 2 first, then column 1
         rm = simple_rm(n=2, split=(1, 1), order=(0, 1))
-        m = arrange(np.array([1, 2, 3, 4]), rm)
-        assert np.array_equal(m, [[1, 2], [3, 4]])
+        assert np.array_equal(emit(rm, 4), [1, 3, 0, 2])
 
     def test_element_formula(self):
         rm = simple_rm()
-        x = np.arange(1, 17)
-        m = arrange(x, rm)
-        assert m[1, 2] == 7  # row 2, column 3 holds x_7
+        # row 2, column 3 holds x_7: column 3 is the third read, row 2 its second bit
+        assert rm.read_columns.index(2) == 2
+        assert emit(rm, 16)[2 * 4 + 1] == 6
 
     def test_4096_shape_first_row(self):
         rm = big_rm()
-        x = np.arange(1, 4097)
-        m = arrange(x, rm)
-        assert m.shape == (128, 32)
-        assert np.array_equal(m[0], np.arange(1, 33))
+        cols = emit(rm, 4096).reshape(32, 128)
+        for slot, c in enumerate(rm.read_columns):
+            assert np.array_equal(cols[slot], c + 32 * np.arange(128))
+        # the first row is x_1..x_32
+        assert sorted(cols[:, 0].tolist()) == list(range(32))
 
     def test_length_mismatch(self):
         rm = simple_rm()
         with pytest.raises(ValueError):
-            arrange(np.zeros(15), rm)
+            de_rate_match(np.ones(16), rm, TxPlan(L=16, t=1, r=1, mode="cc"), np.zeros(15))
+
+    @given(matcher_and_plan())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_matrix_reference(self, case):
+        rm, plan = case
+        want = reference_emission(rm, plan)
+        assert np.array_equal(build_tx_map(rm, plan).emit_idx, want)
+        acc = de_rate_match(np.ones(plan.L), rm, plan, np.zeros(rm.spec.N))
+        counts = np.bincount(want, minlength=rm.spec.N)
+        assert np.array_equal(acc, counts)
+        never_read = counts == 0
+        assert np.all(acc[never_read] == 0.0) and not np.any(np.signbit(acc[never_read]))
 
 
 class TestRateMatch:
     def test_full_length_is_permutation(self):
         rm = simple_rm()
-        out = rate_match(np.arange(16), rm, TxPlan(L=16, t=1, r=1, mode="cc"))
+        out = emit(rm, 16)
         assert sorted(out.tolist()) == list(range(16))
 
     def test_reverse_order_reading(self):
         rm = simple_rm()
         assert rm.read_columns == (3, 1, 2, 0)
-        out = rate_match(np.arange(16), rm, TxPlan(L=12, t=1, r=1, mode="cc"))
+        out = emit(rm, 12)
         assert set(range(16)) - set(out.tolist()) == {0, 4, 8, 12}
 
     def test_ir_start_column(self):
@@ -90,12 +141,11 @@ class TestRateMatch:
     def test_circularity(self, L, c):
         rm = simple_rm()
         N = 16
-        short = rate_match(np.arange(N), rm, TxPlan(L=L, t=1, r=1, mode="cc"))
-        longer = rate_match(np.arange(N), rm, TxPlan(L=L + N * c, t=1, r=1, mode="cc"))
+        short = emit(rm, L)
+        longer = emit(rm, L + N * c)
         assert np.array_equal(longer[:L], short)
         counts = np.bincount(longer, minlength=N)
-        base = np.bincount(rate_match(np.arange(N), rm, TxPlan(L=L, t=1, r=1, mode="cc")),
-                           minlength=N)
+        base = np.bincount(short, minlength=N)
         assert np.array_equal(counts, base + c)
 
     @pytest.mark.parametrize("m", range(0, 33))
@@ -106,16 +156,14 @@ class TestRateMatch:
         L = N - m * 8
         if L == 0:
             return
-        emitted = set(rate_match(np.arange(N), rm,
-                                 TxPlan(L=L, t=1, r=1, mode="cc")).tolist())
+        emitted = set(emit(rm, L).tolist())
         expected = set(expand_regular(rm.sequence, rm.spec, m).positions)
         assert set(range(N)) - emitted == expected
 
     def test_column_integrity(self):
         # every aligned run of 2^q transmitted bits stays inside one column
         rm = big_rm(split=(5, 3))
-        out = rate_match(np.arange(rm.spec.N), rm,
-                         TxPlan(L=rm.spec.N, t=1, r=1, mode="cc"))
+        out = emit(rm, rm.spec.N)
         for s in range(0, rm.spec.N, 8):
             cols = set((out[s : s + 8] % 32).tolist())
             assert len(cols) == 1
@@ -126,7 +174,7 @@ class TestDeRateMatch:
         rm = simple_rm()
         plan = TxPlan(L=16, t=1, r=1, mode="cc")
         llrs = np.random.default_rng(0).normal(size=16)
-        stream = llrs[rate_match(np.arange(16), rm, plan)]
+        stream = llrs[build_tx_map(rm, plan).emit_idx]
         acc = de_rate_match(stream, rm, plan, np.zeros(16))
         assert np.allclose(acc, llrs)
 
@@ -161,7 +209,7 @@ class TestDeRateMatch:
         rm = simple_rm()
         plan = TxPlan(L=16, t=1, r=1, mode="cc")
         llrs = np.random.default_rng(2).normal(size=(5, 16))
-        stream = llrs[:, rate_match(np.arange(16), rm, plan)]
+        stream = llrs[:, build_tx_map(rm, plan).emit_idx]
         acc = de_rate_match(stream, rm, plan, np.zeros((5, 16)))
         assert np.allclose(acc, llrs)
 
@@ -232,13 +280,15 @@ class TestTxMap:
         assert tm.n_symbols == 1024
         assert len(set(tm.stream_to_symbit.tolist())) == 4096
 
-    def test_class_bits_land_in_class_positions(self):
-        rm = big_rm(mod=QAM16)
+    @pytest.mark.parametrize("mod", [QAM16, QAM64], ids=["qam16", "qam64"])
+    def test_class_bits_land_in_class_positions(self, mod):
+        # symbol-bit positions {0,1} carry class 0, {2,3} class 1, {4,5} class 2
+        rm = big_rm(mod=mod)
         plan = TxPlan(L=4096, t=1, r=1, mode="cc")
         tm = build_tx_map(rm, plan)
         classes = assign_bicm_columns(rm, plan)
         cls_of_stream = classes[np.arange(4096) // 128]
-        sym_pos = tm.stream_to_symbit % 4
+        sym_pos = tm.stream_to_symbit % mod.bits_per_symbol
         assert np.all((sym_pos // 2) == cls_of_stream)
 
     def test_partial_column_padding(self):
