@@ -2,8 +2,9 @@
 
 Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
-reliability profiles, three PPA orders, the base-32 search metrics of large
-GA batches and the constellation points.  A mismatch means results changed:
+reliability profiles, three PPA orders, the candidate metrics of every GA PPA
+step, the base-32 search metrics of large GA batches and the constellation
+points.  A mismatch means results changed:
 revert the change, or record the cause in CHANGES.md.  Never rewrite a
 fixture to make it pass; ``python tests/test_golden.py`` writes only the
 fixtures that do not exist yet.
@@ -98,6 +99,18 @@ def ppa_orders_txt() -> bytes:
     return "".join(lines).encode()
 
 
+def ppa_step_metrics_txt() -> bytes:
+    """Every candidate metric (``stats.step_metrics``) of GA PPA on base 32
+    (k=11) and base 64 (k=22) at 3.5 dB, step by step in candidate order;
+    one ``repr`` per line."""
+    design = GaussianDesign.from_snr_db(3.5)
+    values = [float(v)
+              for p, k in ((5, 11), (6, 22))
+              for step in ppa(base_code(p, k, design), design).stats.step_metrics
+              for v in step]
+    return "".join(f"{v!r}\n" for v in values).encode()
+
+
 def search_metrics_32_txt() -> bytes:
     """The criterion-2 search code (base 32, k=16, 3 dB) in large GA batches:
     the union bound of all C(32,3) patterns in ``combinations`` order, of the
@@ -147,6 +160,7 @@ DESIGN_FIXTURES = {
     "ga_profile_1024.csv": ga_profile_1024_csv,
     "bec_profile_1024.csv": bec_profile_1024_csv,
     "ppa_orders.txt": ppa_orders_txt,
+    "ppa_step_metrics.txt": ppa_step_metrics_txt,
     "search_metrics_32.txt": search_metrics_32_txt,
     "constellations.txt": constellations_txt,
 }
