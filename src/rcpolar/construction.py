@@ -29,7 +29,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import erfc
 
 from ._textio import open_text
@@ -92,7 +92,13 @@ class _PhiTable:
         self.log_x = np.log(_knot_x())
         self.log_phi_knots = ls
         self.fwd = PchipInterpolator(self.log_x, ls, extrapolate=False)
-        self.fwd_d = self.fwd.derivative()
+        # log phi and its derivative as the two columns of one piecewise
+        # polynomial, so a Newton step makes one interval search: the
+        # derivative's coefficients under a zero leading row evaluate in the
+        # same power-form order as fwd.derivative(), bit for bit
+        d = self.fwd.derivative().c
+        c = np.stack([self.fwd.c, np.vstack([np.zeros_like(d[:1]), d])], axis=-1)
+        self.fwd_and_d = PPoly(c, self.fwd.x, extrapolate=False)
         # seed table for the inverse: log phi is strictly decreasing
         self.inv = PchipInterpolator(ls[::-1], self.log_x[::-1], extrapolate=False)
         self.l_hi = float(ls[0])    # log phi(1e-6), close to 0
@@ -123,11 +129,12 @@ def log_phi(x) -> np.ndarray:
     big = x > _GRID_HI
     mid = ~small & ~big
     # second-order series around 0: phi ~ 1 - x/2 + x^2/4
-    xs = x[small]
-    out[small] = np.log1p(-0.5 * xs * (1.0 - 0.5 * xs))
-    if np.any(mid):
+    if small.any():
+        xs = x[small]
+        out[small] = np.log1p(-0.5 * xs * (1.0 - 0.5 * xs))
+    if mid.any():
         out[mid] = t.fwd(np.log(x[mid]))
-    if np.any(big):
+    if big.any():
         out[big] = t.l_lo + _log_phi_tail(x[big]) - _log_phi_tail(_GRID_HI)
     return float(out[0]) if scalar else out
 
@@ -145,22 +152,25 @@ def _phi_inverse_log(ly) -> np.ndarray:
     hi = ly > t.l_hi      # x below the grid: invert the series
     lo = ly < t.l_lo      # x beyond the grid: invert the matched tail
     mid = ~hi & ~lo
-    eps = -np.expm1(ly[hi])                 # 1 - y
-    out[hi] = 2.0 * eps * (1.0 + eps)
-    if np.any(lo):
+    if hi.any():
+        eps = -np.expm1(ly[hi])             # 1 - y
+        out[hi] = 2.0 * eps * (1.0 + eps)
+    if lo.any():
         target = ly[lo] - t.l_lo + _log_phi_tail(_GRID_HI)
         xv = np.full(target.shape, 2.0 * _GRID_HI)
         for _ in range(60):
             xv = -4.0 * (target - 0.5 * np.log(np.pi / xv) - np.log1p(-10.0 / (7.0 * xv)))
         out[lo] = xv
-    if np.any(mid):
+    if mid.any():
         target = ly[mid]
         # Newton on the forward interpolant, seeded by the inverse table; four
-        # steps leave a residual below 1e-13 anywhere on the table
-        z = np.clip(t.inv(target), t.log_x[0], t.log_x[-1])
+        # steps leave a residual below 1e-13 anywhere on the table.  Clipping
+        # by minimum/maximum gives np.clip's bits without its dispatch cost.
+        z_lo, z_hi = t.log_x[0], t.log_x[-1]
+        z = np.minimum(np.maximum(t.inv(target), z_lo), z_hi)
         for _ in range(4):
-            z = z - (t.fwd(z) - target) / t.fwd_d(z)
-            z = np.clip(z, t.log_x[0], t.log_x[-1])
+            f, df = t.fwd_and_d(z).T
+            z = np.minimum(np.maximum(z - (f - target) / df, z_lo), z_hi)
         out[mid] = np.exp(z)
     return out
 
@@ -193,7 +203,9 @@ def design_mean_llr(design_snr_db: float) -> float:
 
 def ga_check_mean(a, b) -> np.ndarray:
     """Mean LLR out of a check node with input means a, b (elementwise)."""
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     # one log_phi call for both inputs: it is elementwise, and its fixed cost
     # dominates the small batches of PPA
     la, lb = log_phi(np.stack([a, b]))
@@ -206,7 +218,7 @@ def ga_check_mean(a, b) -> np.ndarray:
     return np.where((a == 0.0) | (b == 0.0), 0.0, out)
 
 
-def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
+def ga_leaf_means(channel_means: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Propagate coded-position LLR means to input means, batched.
 
     ``channel_means[..., t]`` is the mean LLR of coded position t (0-based
@@ -217,6 +229,12 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
     each stage evaluates the check node once per distinct input pair: a batch
     of puncturing patterns holds few distinct means.  Both node functions are
     elementwise, so the result is bit-identical to evaluating every element.
+
+    ``memo`` maps a check-node input pair, keyed by the two float64 bit
+    patterns, to its output mean; the check node runs only on the pairs it
+    misses, and their results are stored back.  A caller that evaluates many
+    related batches (one PPA run) passes one dict to all of them; without it
+    each call starts from an empty dict.
     """
     means = np.asarray(channel_means, dtype=float)
     N = means.shape[-1]
@@ -226,19 +244,32 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
     if not np.all(means >= 0):
         raise ValueError("channel means must be nonnegative")
     vals, codes = _distinct_values(means[..., bit_reversal_permutation(n)])
+    memo = {} if memo is None else memo
 
     def stage(x, y):
         nonlocal vals
         K = len(vals)
         keys, inv = _distinct(x * K + y)
         a, b = vals[keys // K], vals[keys % K]
-        # ga_check_mean is looked up at call time, so a wrapper installed on
-        # the module attribute sees every stage
-        vals, remap = _distinct_values(np.concatenate([ga_check_mean(a, b), a + b]))
+        vals, remap = _distinct_values(np.concatenate([_memo_check_mean(a, b, memo), a + b]))
         x[...], y[...] = remap[inv], remap[inv + len(keys)]
 
     butterfly(codes, stage)
     return vals[codes]
+
+
+def _memo_check_mean(a: np.ndarray, b: np.ndarray, memo: dict) -> np.ndarray:
+    """``ga_check_mean(a, b)`` for 1-D a, b, evaluated only on the pairs that
+    ``memo`` misses; those results are stored back."""
+    pairs = list(zip(a.view(np.int64).tolist(), b.view(np.int64).tolist()))
+    out = [memo.get(p) for p in pairs]
+    miss = [i for i, v in enumerate(out) if v is None]
+    if miss:
+        # ga_check_mean is looked up at call time, so a wrapper installed on
+        # the module attribute sees every evaluation
+        for i, v in zip(miss, ga_check_mean(a[miss], b[miss]).tolist()):
+            memo[pairs[i]] = out[i] = v
+    return np.array(out, dtype=float)
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

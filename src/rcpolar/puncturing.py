@@ -67,14 +67,16 @@ class ErasureDesign:
     epsilon: float
 
 
-def _pattern_error_probs(design, base_len: int, patterns: np.ndarray) -> np.ndarray:
-    """Per-input error probabilities for a batch of patterns (B, m) -> (B, N)."""
+def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
+                         memo: dict | None = None) -> np.ndarray:
+    """Per-input error probabilities for a batch of patterns (B, m) -> (B, N);
+    ``memo`` is the GA check-node memo of :func:`ga_leaf_means`."""
     B = patterns.shape[0]
     if isinstance(design, GaussianDesign):
         means = np.full((B, base_len), design.mean_llr)
         if patterns.size:
             np.put_along_axis(means, patterns, 0.0, axis=1)
-        return bit_error_prob(ga_leaf_means(means))
+        return bit_error_prob(ga_leaf_means(means, memo=memo))
     if isinstance(design, ErasureDesign):
         z = np.full((B, base_len), design.epsilon)
         if patterns.size:
@@ -180,9 +182,11 @@ def ppa(base_spec: PolarCodeSpec, design, tie_rel: float = 1e-12) -> PuncturingS
 
     Evaluates the metric exactly N(N+1)/2 times.  Ties (within ``tie_rel``
     relative) resolve to the smallest coded index and are recorded in
-    ``stats.ties``.
+    ``stats.ties``.  Successive steps share most check-node input pairs, so
+    one GA memo serves the whole run.
     """
     N = base_spec.N
+    memo: dict = {}
     punct: list[int] = []
     stats = PpaStats(metric_evals=0, step_candidates=[], step_metrics=[], ties=[])
     for m in range(N):
@@ -191,7 +195,7 @@ def ppa(base_spec: PolarCodeSpec, design, tie_rel: float = 1e-12) -> PuncturingS
             [np.tile(np.array(punct, dtype=np.int64), (len(cands), 1)), cands[:, None]],
             axis=1,
         )
-        ep = _pattern_error_probs(design, N, pats)
+        ep = _pattern_error_probs(design, N, pats, memo)
         met = _union_bound(ep, base_spec.info_zero_based)
         stats.metric_evals += len(cands)
         best_i = int(np.lexsort((cands, met))[0])

@@ -185,7 +185,9 @@ def transmit_codeword_llrs(codeword, rm: RateMatcher, plan: TxPlan, chan: Channe
     rate-match -> class packing -> modulate -> channel -> per-bit LLRs ->
     unpack -> fold into a zeroed accumulator (positions not sent stay 0).
     """
-    cw = np.asarray(codeword)
+    cw = np.atleast_1d(codeword)
+    if cw.shape[-1] != rm.spec.N:
+        raise ValueError(f"codeword length {cw.shape[-1]} does not match N = {rm.spec.N}")
     if chan.kind == "bec" and rm.modulation.is_qam:
         raise ValueError("erasure channel supports BPSK only")
     tm = build_tx_map(rm, plan)

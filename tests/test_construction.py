@@ -143,9 +143,21 @@ class TestPhi:
         ref = _TABLE.get()
         assert same_bits(fresh.log_x, ref.log_x)
         assert same_bits(fresh.log_phi_knots, ref.log_phi_knots)
-        for name in ("fwd", "fwd_d", "inv"):
+        for name in ("fwd", "fwd_and_d", "inv"):
             assert same_bits(getattr(fresh, name).x, getattr(ref, name).x)
             assert same_bits(getattr(fresh, name).c, getattr(ref, name).c)
+
+    def test_fused_interpolant_matches_fwd_and_derivative(self):
+        # Newton reads log phi and its slope from the two columns of one
+        # piecewise polynomial; each column is bit-identical to the separate
+        # interpolant at every knot, every knot midpoint and random points
+        t = _TABLE.get()
+        x = t.fwd.x
+        z = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
+                            np.random.default_rng(0).uniform(x[0], x[-1], 100_000)])
+        both = t.fwd_and_d(z)
+        assert same_bits(both[:, 0], t.fwd(z))
+        assert same_bits(both[:, 1], t.fwd.derivative()(z))
 
     @given(st.floats(min_value=1e-5, max_value=150.0))
     @settings(max_examples=60, deadline=None)
@@ -287,6 +299,20 @@ class TestButterflyRecursions:
             means[hit] = rng.choice(others, size=int(hit.sum()))
         want = per_block_leaves(means, ga_check_mean, lambda x, y: x + y)
         assert same_bits(ga_leaf_means(means), want)
+
+    @given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           zeros=st.sampled_from([(), (0.0,), (-0.0,), (0.0, -0.0)]))
+    @settings(max_examples=40, deadline=None)
+    def test_prefilled_memo_bit_identical(self, n, seed, zeros):
+        # a memo filled by one batch changes no bit of another batch's means;
+        # both draw from one small pool (series range to tail), so they share
+        # many check-node pairs
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([10.0 ** rng.uniform(-8.0, 3.0, 5), zeros])
+        first, second = (rng.choice(pool, size=(rng.integers(1, 64), 1 << n)) for _ in range(2))
+        memo = {}
+        ga_leaf_means(first, memo=memo)
+        assert same_bits(ga_leaf_means(second, memo=memo), ga_leaf_means(second))
 
 
 class TestBecRecursion:

@@ -4,7 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rcpolar import construction
 from rcpolar.channel import ChannelSpec
 from rcpolar.construction import (
     bhattacharyya_bec,
@@ -102,6 +105,38 @@ class TestPpa:
         spec = base_spec(5, 11, design)
         seq = ppa(spec, design)
         assert seq.order == reference_base32_sequence().order
+
+
+class TestPpaMemo:
+    """One GA check-node memo serves a whole PPA run; no metric bit may move."""
+
+    @given(st.integers(2, 6), st.data(), st.floats(-2.0, 8.0))
+    @settings(max_examples=20, deadline=None)
+    def test_step_metrics_equal_fresh_evaluation(self, p, data, snr_db):
+        N = 1 << p
+        design = GaussianDesign.from_snr_db(snr_db)
+        spec = base_spec(p, data.draw(st.integers(1, N)), design)
+        seq = ppa(spec, design)
+        for m, (cands, met) in enumerate(zip(seq.stats.step_candidates, seq.stats.step_metrics)):
+            prefix = np.tile(np.array(seq.order[:m], dtype=np.int64), (len(cands), 1))
+            fresh = evaluate_patterns(spec, design, np.column_stack([prefix, cands]))
+            assert np.array_equal(fresh.view(np.int64), met.view(np.int64)), f"step {m}"
+
+    def test_check_node_calls(self, monkeypatch):
+        # without the memo, base-32 PPA evaluates the check node once per
+        # stage per step: 5 * 32 = 160 calls; a second run starts empty
+        design = GaussianDesign.from_snr_db(3.5)
+        spec = base_spec(5, 11, design)
+        calls = []
+        check = construction.ga_check_mean
+        monkeypatch.setattr(construction, "ga_check_mean",
+                            lambda a, b: calls.append(len(a)) or check(a, b))
+        ppa(spec, design)
+        first = len(calls)
+        assert first <= 60
+        calls.clear()
+        ppa(spec, design)
+        assert len(calls) == first
 
 
 class TestEvaluatePatterns:

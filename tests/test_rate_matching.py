@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpolar.channel import BPSK, QAM16, QAM64
+from rcpolar.channel import BPSK, QAM16, QAM64, ChannelSpec
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import PuncturingSequence, expand_regular, reference_base32_sequence
 from rcpolar.rate_matching import (
@@ -18,6 +18,7 @@ from rcpolar.rate_matching import (
     assign_bicm_columns,
     build_tx_map,
     de_rate_match,
+    transmit_codeword_llrs,
 )
 
 
@@ -218,6 +219,18 @@ class TestDeRateMatch:
         plan = TxPlan(L=12, t=1, r=1, mode="cc")
         with pytest.raises(ValueError):
             de_rate_match(np.ones(11), rm, plan, np.zeros(16))
+
+
+class TestTransmitCodewordLlrs:
+    # a codeword of any length but N is refused before the rate matching
+    # reads it, batched or not
+    @pytest.mark.parametrize("shape", [(20,), (10,), (3, 20), (3, 10)])
+    def test_codeword_length_mismatch_names_length_and_n(self, shape):
+        rm = simple_rm()
+        plan = TxPlan(L=12, t=1, r=1, mode="cc")
+        with pytest.raises(ValueError, match=f"codeword length {shape[-1]} does not match N = 16"):
+            transmit_codeword_llrs(np.zeros(shape, dtype=np.uint8), rm, plan,
+                                   ChannelSpec(kind="awgn", snr_db=3.0), np.random.default_rng(0))
 
 
 class TestBicmAssignment:
