@@ -12,7 +12,6 @@ from .construction import (
     phi,
     phi_inverse,
     select_information_set,
-    union_bound,
 )
 from .decoder import DecodeResult, genie_sc_decode, sc_decode
 from .harq import SimResult, SweepConfig, sweep, throughput

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import secrets
 import sys
@@ -50,8 +51,11 @@ def _require(cfg: dict, fieldname: str, kind, cond=None, what: str = ""):
         if kind is int and isinstance(val, bool):
             raise TypeError
         val = kind(val)
+        if kind is float and not math.isfinite(val):
+            raise ValueError
     except (TypeError, ValueError):
-        raise ConfigError(fieldname, f"must be {kind.__name__}") from None
+        expected = "a finite number" if kind is float else kind.__name__
+        raise ConfigError(fieldname, f"must be {expected}") from None
     if cond is not None and not cond(val):
         raise ConfigError(fieldname, what or "is out of range")
     return val
@@ -88,9 +92,7 @@ def dump_config(cfg: dict) -> str:
 
 def _resolve_seed(cfg: dict) -> int:
     seed = _optional(cfg, "seed", int)
-    if seed is None:
-        seed = secrets.randbits(48)
-    return int(seed)
+    return secrets.randbits(48) if seed is None else seed
 
 
 def _load_sequence(name: str, p: int) -> PuncturingSequence:
@@ -272,8 +274,10 @@ def cmd_simulate(cfg: dict) -> int:
         raise ConfigError("snrs", "must be a non-empty list of SNR values")
     try:
         snrs = tuple(float(s) for s in snrs)
+        if not all(map(math.isfinite, snrs)):
+            raise ValueError
     except (TypeError, ValueError):
-        raise ConfigError("snrs", f"must be a list of numbers, got {snrs!r}") from None
+        raise ConfigError("snrs", f"must be a list of finite numbers, got {snrs!r}") from None
 
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _optional(cfg, "profile", str)

@@ -23,7 +23,6 @@ quadrature, recomputes every knot and compares the bits.
 from __future__ import annotations
 
 import importlib.resources
-import io
 import math
 import threading
 from dataclasses import dataclass
@@ -52,7 +51,6 @@ __all__ = [
     "genie_monte_carlo",
     "build_bicm_ga_means",
     "select_information_set",
-    "union_bound",
     "design_mean_llr",
 ]
 
@@ -225,37 +223,41 @@ def ga_leaf_means(channel_means: np.ndarray, memo: dict | None = None) -> np.nda
     codeword order, mean 0 where punctured).  Returns means indexed by input
     position (0-based u order).
 
-    The butterfly runs over integer codes into a table of distinct values, so
-    each stage evaluates the check node once per distinct input pair: a batch
-    of puncturing patterns holds few distinct means.  Both node functions are
-    elementwise, so the result is bit-identical to evaluating every element.
-
     ``memo`` maps a check-node input pair, keyed by the two float64 bit
     patterns, to its output mean; the check node runs only on the pairs it
     misses, and their results are stored back.  A caller that evaluates many
     related batches (one PPA run) passes one dict to all of them; without it
     each call starts from an empty dict.
     """
-    means = np.asarray(channel_means, dtype=float)
-    N = means.shape[-1]
+    vals, codes = _ga_leaf_codes(*_distinct_values(np.asarray(channel_means, dtype=float)), memo)
+    return vals[codes]
+
+
+def _ga_leaf_codes(vals: np.ndarray, codes: np.ndarray,
+                   memo: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ga_leaf_means` on codes into a table of distinct values; returns
+    the leaf table and codes.  Each stage runs the check node once per distinct
+    input pair (a batch of patterns holds few distinct means); both node functions
+    are elementwise, so the result is bit-identical to evaluating every element."""
+    N = codes.shape[-1]
     n = N.bit_length() - 1
     if N != 1 << n:
         raise ValueError(f"length {N} is not a power of two")
-    if not np.all(means >= 0):
+    if not np.all(vals >= 0):
         raise ValueError("channel means must be nonnegative")
-    vals, codes = _distinct_values(means[..., bit_reversal_permutation(n)])
+    codes = codes[..., bit_reversal_permutation(n)]
     memo = {} if memo is None else memo
 
     def stage(x, y):
         nonlocal vals
         K = len(vals)
-        keys, inv = _distinct(x * K + y)
+        keys, inv = _distinct(x * K + y, K * K)
         a, b = vals[keys // K], vals[keys % K]
         vals, remap = _distinct_values(np.concatenate([_memo_check_mean(a, b, memo), a + b]))
         x[...], y[...] = remap[inv], remap[inv + len(keys)]
 
     butterfly(codes, stage)
-    return vals[codes]
+    return vals, codes
 
 
 def _memo_check_mean(a: np.ndarray, b: np.ndarray, memo: dict) -> np.ndarray:
@@ -272,9 +274,19 @@ def _memo_check_mean(a: np.ndarray, b: np.ndarray, memo: dict) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct entries of an int64 array and each entry's index among them."""
+_DENSE_CAP = 1 << 20   # largest seen-table of _distinct, in entries
+_DENSE_RATIO = 8       # and its largest multiple of the key count
+
+
+def _distinct(keys: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of an int64 array and each entry's index among them;
+    keys in [0, bound) are ranked by marking them in a table when it is small."""
     flat = keys.ravel()
+    if bound is not None and bound <= min(_DENSE_CAP, _DENSE_RATIO * len(flat)):
+        seen = np.zeros(bound, dtype=bool)
+        seen[flat] = True
+        rank = np.cumsum(seen, dtype=np.int32) - 1
+        return np.flatnonzero(seen), rank[keys]
     order = np.argsort(flat)
     ranked = flat[order]
     first = np.empty(len(ranked), dtype=bool)
@@ -352,8 +364,7 @@ class ReliabilityProfile:
             text = fh.read()
         method, design = "unknown", float("nan")
         eps, mls = [], []
-        lines = [ln for ln in io.StringIO(text)]
-        for ln in lines:
+        for ln in text.split("\n"):
             ln = ln.strip()
             if ln.startswith("#"):
                 for tok in ln[1:].split():
@@ -513,7 +524,7 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
 
 
 # ---------------------------------------------------------------------------
-# selection and the block-error bound
+# information-set selection
 # ---------------------------------------------------------------------------
 
 
@@ -524,11 +535,3 @@ def select_information_set(profile: ReliabilityProfile, k: int) -> tuple[int, ..
         raise ValueError(f"k = {k} out of range [0, {N}]")
     order = np.lexsort((np.arange(N), profile.error_prob))
     return tuple(sorted(int(i) + 1 for i in order[:k]))
-
-
-def union_bound(profile: ReliabilityProfile, info_set) -> float:
-    """Sum of estimated error probabilities over a 1-based information set."""
-    idx = np.asarray(sorted(int(i) - 1 for i in info_set), dtype=np.int64)
-    if idx.size and (idx[0] < 0 or idx[-1] >= len(profile)):
-        raise ValueError("info_set index out of range")
-    return float(np.sum(profile.error_prob[idx]))

@@ -21,7 +21,8 @@ from math import comb
 import numpy as np
 
 from .channel import ChannelSpec
-from .construction import (
+from .construction import (  # noqa: F401  (ga_leaf_means: traced by rcbench)
+    _ga_leaf_codes,
     bec_leaf_erasures,
     bit_error_prob,
     design_mean_llr,
@@ -70,17 +71,17 @@ class ErasureDesign:
 def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
                          memo: dict | None = None) -> np.ndarray:
     """Per-input error probabilities for a batch of patterns (B, m) -> (B, N);
-    ``memo`` is the GA check-node memo of :func:`ga_leaf_means`."""
+    ``memo`` is the GA check-node memo of :func:`ga_leaf_means`.  GA codes index
+    the table [0, mean], and the elementwise error probability runs on the leaf table."""
     B = patterns.shape[0]
     if isinstance(design, GaussianDesign):
-        means = np.full((B, base_len), design.mean_llr)
-        if patterns.size:
-            np.put_along_axis(means, patterns, 0.0, axis=1)
-        return bit_error_prob(ga_leaf_means(means, memo=memo))
+        codes = np.ones((B, base_len), dtype=np.int64)
+        np.put_along_axis(codes, patterns, 0, axis=1)
+        vals, codes = _ga_leaf_codes(np.array([0.0, design.mean_llr]), codes, memo)
+        return bit_error_prob(vals)[codes]
     if isinstance(design, ErasureDesign):
         z = np.full((B, base_len), design.epsilon)
-        if patterns.size:
-            np.put_along_axis(z, patterns, 1.0, axis=1)
+        np.put_along_axis(z, patterns, 1.0, axis=1)
         return bec_leaf_erasures(z)
     raise TypeError(f"unsupported design channel {design!r}")
 
@@ -88,13 +89,17 @@ def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
 def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
     """Union-bound metric of each puncturing pattern.
 
-    ``patterns`` is one pattern (1-D, possibly empty) or a (B, m) batch; the
-    result holds one metric per pattern.
+    ``patterns`` is one pattern (1-D, possibly empty) or a (B, m) batch of
+    distinct positions in [0, N); the result holds one metric per pattern.
     """
-    patterns = np.atleast_2d(np.asarray(patterns, dtype=np.int64))
+    patterns = np.atleast_2d(np.asarray(patterns))
     if patterns.ndim != 2:
         raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
-    ep = _pattern_error_probs(design, base_spec.N, patterns)
+    s = np.sort(patterns, axis=1)
+    if patterns.size and (patterns.dtype.kind not in "iu" or s[:, 0].min() < 0
+                          or s[:, -1].max() >= base_spec.N or np.any(s[:, 1:] == s[:, :-1])):
+        raise ValueError(f"patterns must hold distinct integer positions in [0, {base_spec.N})")
+    ep = _pattern_error_probs(design, base_spec.N, patterns.astype(np.int64, copy=False))
     return _union_bound(ep, base_spec.info_zero_based)
 
 
@@ -246,7 +251,8 @@ def exhaustive_search(
 
     def consider(pats: np.ndarray):
         nonlocal best_met, best_pat
-        met = evaluate_patterns(base_spec, design, pats)
+        # the public call's pattern checks are skipped: pats are valid by construction
+        met = _union_bound(_pattern_error_probs(design, N, pats), base_spec.info_zero_based)
         i = int(np.lexsort((np.arange(len(met)), met))[0])
         if met[i] < best_met:
             best_met = float(met[i])
@@ -254,10 +260,7 @@ def exhaustive_search(
 
     if total <= budget:
         it = combinations(range(N), m)
-        while True:
-            chunk = list(islice(it, batch))
-            if not chunk:
-                break
+        for chunk in iter(lambda: list(islice(it, batch)), []):
             consider(np.array(chunk, dtype=np.int64))
     else:
         if n_samples is None:

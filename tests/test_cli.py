@@ -95,6 +95,13 @@ class TestConstruct:
         assert rc == 2
         assert "'out'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_design_snr_names_field(self, tmp_path, capsys, snr):
+        rc = main(["construct", "--n", "4", "--method", "ga", f"--design-snr-db={snr}",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "'design_snr_db'" in capsys.readouterr().err
+
     def test_mc_profile(self, tmp_path):
         out = tmp_path / "mc.csv"
         rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
@@ -144,6 +151,13 @@ class TestPuncture:
                    "--design-snr-db", "3.5", "--out", "/tmp/x.txt"])
         assert rc == 2
         assert "'base_len'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
+    def test_non_finite_design_snr_names_field(self, tmp_path, capsys, snr):
+        rc = main(["puncture", "--base-len", "32", "--k", "11", f"--design-snr-db={snr}",
+                   "--out", str(tmp_path / "seq.txt")])
+        assert rc == 2
+        assert "'design_snr_db'" in capsys.readouterr().err
 
     def test_missing_out_directory_names_out(self, tmp_path, capsys):
         rc = main(["puncture", "--base-len", "32", "--k", "11", "--design-snr-db", "3.5",
@@ -260,6 +274,25 @@ class TestSimulate:
     def test_non_numeric_snrs_names_field(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n": 5, "k": 11, "L": 32, "snrs": [1.0, "high"],
+                                   "design_snr_db": 3.5, "seed": 1,
+                                   "out": str(tmp_path / "res.csv")}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert "'snrs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("snr-start", "nan"), ("snr-start", "inf"),
+                                             ("snr-stop", "inf"), ("snr-step", "inf")])
+    def test_non_finite_snr_range_names_field(self, tmp_path, capsys, field, value):
+        args = {"snr-start": "1.0", "snr-stop": "2.0", "snr-step": "1.0", field: value}
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   *[f"--{k}={v}" for k, v in args.items()],
+                   "--design-snr-db", "3.5", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        assert f"'{field.replace('-', '_')}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_snrs_names_field(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n": 5, "k": 11, "L": 32, "snrs": [1.0, bad],
                                    "design_snr_db": 3.5, "seed": 1,
                                    "out": str(tmp_path / "res.csv")}))
         assert main(["simulate", "--config", str(cfg)]) == 2

@@ -6,12 +6,14 @@ import math
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rcpolar import construction
 from rcpolar.channel import BPSK, ChannelSpec
 from rcpolar.construction import (
     _TABLE,
@@ -31,7 +33,6 @@ from rcpolar.construction import (
     phi,
     phi_inverse,
     select_information_set,
-    union_bound,
 )
 from rcpolar.decoder import genie_sc_decode
 from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation
@@ -315,6 +316,64 @@ class TestButterflyRecursions:
         assert same_bits(ga_leaf_means(second, memo=memo), ga_leaf_means(second))
 
 
+class TestDenseDistinct:
+    """Distinct pair keys ranked through a dense seen-table equal the argsort
+    path: the same sorted keys and the same inverse, entry for entry."""
+
+    @staticmethod
+    def assert_matches_argsort(keys, bound):
+        want_keys, want_inv = construction._distinct(keys)
+        got_keys, got_inv = construction._distinct(keys, bound)
+        assert np.array_equal(got_keys, want_keys)
+        assert got_inv.shape == keys.shape and np.array_equal(got_inv, want_inv)
+
+    @given(cap=st.integers(1, 4096), edge=st.sampled_from(["at", "above", "below"]),
+           lead=st.lists(st.integers(0, 8), max_size=2), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_argsort(self, cap, edge, lead, seed):
+        rng = np.random.default_rng(seed)
+        bound = {"at": cap, "above": cap + 1, "below": int(rng.integers(1, cap + 1))}[edge]
+        # enough keys that the table is within the ratio, so the cap decides
+        width = -(-bound // construction._DENSE_RATIO)
+        keys = rng.integers(0, int(rng.integers(1, bound + 1)), size=tuple(lead) + (width,))
+        with mock.patch.object(construction, "_DENSE_CAP", cap):
+            self.assert_matches_argsort(keys, bound)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_at_and_above_the_cap(self, extra):
+        # a table of exactly _DENSE_CAP entries is ranked densely (int32
+        # ranks); one entry more falls back to the argsort
+        bound = construction._DENSE_CAP + extra
+        rng = np.random.default_rng(extra)
+        keys = rng.integers(0, bound, size=(2, bound // (2 * construction._DENSE_RATIO)))
+        keys[0, 0], keys[1, -1] = 0, bound - 1
+        self.assert_matches_argsort(keys, bound)
+        assert construction._distinct(keys, bound)[1].dtype == (np.int64 if extra else np.int32)
+
+    @given(n=st.integers(1, 10), batch=st.integers(1, 256), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["patterns", "table"]), design=st.floats(1e-3, 1e2))
+    @settings(max_examples=40, deadline=None)
+    def test_ga_leaf_means_dense_off_bit_identical(self, n, batch, seed, kind, design):
+        rng = np.random.default_rng(seed)
+        N = 1 << n
+        if kind == "patterns":
+            # a puncturing search batch: zeros at m distinct positions per row
+            means = np.full((batch, N), design)
+            m = int(rng.integers(0, N + 1))
+            np.put_along_axis(means, np.argsort(rng.random((batch, N)), axis=1)[:, :m], 0.0,
+                              axis=1)
+        else:
+            # one N=1024-like profile row: a few class means, their repeat
+            # sums, and zeros at unread positions
+            classes = design * rng.uniform(0.2, 1.0, int(rng.integers(1, 4)))
+            pool = np.concatenate([classes, 2.0 * classes, [0.0]])
+            means = rng.choice(pool, size=N)
+        got = ga_leaf_means(means)
+        with mock.patch.object(construction, "_DENSE_CAP", 0):
+            want = ga_leaf_means(means)
+        assert same_bits(got, want)
+
+
 class TestBecRecursion:
     def test_fixed_points(self):
         spec = full_rate_spec(2)
@@ -374,6 +433,14 @@ class TestGenieMonteCarlo:
         target = z / 2.0  # an erased decision guesses 0; half the data disagrees
         sigma = np.sqrt(target * (1 - target) / trials)
         assert np.all(np.abs(prof.error_prob - target) < 3.0 * sigma + 1e-12)
+
+
+def union_bound(profile: ReliabilityProfile, info_set) -> float:
+    """Sum of estimated error probabilities over a 1-based information set."""
+    idx = np.asarray(sorted(int(i) - 1 for i in info_set), dtype=np.int64)
+    if idx.size and (idx[0] < 0 or idx[-1] >= len(profile)):
+        raise ValueError("info_set index out of range")
+    return float(np.sum(profile.error_prob[idx]))
 
 
 class TestSelectionAndBound:

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcpolar import construction
+from rcpolar import construction, puncturing
 from rcpolar.channel import ChannelSpec
 from rcpolar.construction import (
     bhattacharyya_bec,
+    bit_error_prob,
     ga_evolve,
+    ga_leaf_means,
     select_information_set,
-    union_bound,
 )
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (
@@ -48,7 +49,7 @@ def union_bound_of(spec, design):
         prof = ga_evolve(probe, np.full(spec.N, design.mean_llr))
     else:
         prof = bhattacharyya_bec(probe, np.full(spec.N, design.epsilon))
-    return union_bound(prof, spec.info_set)
+    return float(np.sum(prof.error_prob[spec.info_zero_based]))
 
 
 class TestPpa:
@@ -161,6 +162,57 @@ class TestEvaluatePatterns:
         for batch in ([pattern, [1, 2, 4]], [[0, 5, 6], pattern, [7, 8, 10]]):
             got = evaluate_patterns(spec, design, batch)
             assert got[batch.index(pattern)] == alone
+
+
+    @pytest.mark.parametrize("bad", [[-1], [32], [3, 3], [[1, 2], [4, 4]], [1.7], [1.0],
+                                     [[0, 31], [0, 40]]])
+    def test_bad_positions_name_patterns(self, bad):
+        # [-1] scored as [31], [3, 3] as [3] and [1.7] as [1]; [32] raised IndexError
+        design = GaussianDesign.from_snr_db(3.0)
+        spec = base_spec(5, 16, design)
+        with pytest.raises(ValueError, match="patterns"):
+            evaluate_patterns(spec, design, bad)
+
+    def test_search_batches_skip_validation(self, monkeypatch):
+        # exhaustive_search draws valid patterns itself and evaluates them
+        # without the public call's checks
+        design = GaussianDesign.from_snr_db(3.0)
+        spec = base_spec(4, 8, design)
+        want = exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=64)
+        monkeypatch.setattr(puncturing, "evaluate_patterns", None)
+        assert exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=64) == want
+
+
+class TestPatternErrorProbs:
+    """GA error probabilities over the value table equal the elementwise ones."""
+
+    @staticmethod
+    def elementwise(design, N, patterns):
+        means = np.full((len(patterns), N), design.mean_llr)
+        if patterns.size:
+            np.put_along_axis(means, patterns, 0.0, axis=1)
+        return bit_error_prob(ga_leaf_means(means))
+
+    @given(st.integers(1, 6), st.data(), st.floats(-5.0, 12.0))
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical(self, p, data, snr_db):
+        N = 1 << p
+        design = GaussianDesign.from_snr_db(snr_db)
+        B = data.draw(st.integers(1, 64))
+        m = data.draw(st.integers(0, N))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pats = np.argsort(rng.random((B, N)), axis=1)[:, :m]
+        got = puncturing._pattern_error_probs(design, N, pats)
+        want = self.elementwise(design, N, pats)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(1, 0), (3, 0)])
+    def test_empty_patterns(self, shape):
+        design = GaussianDesign.from_snr_db(3.0)
+        pats = np.empty(shape, dtype=np.int64)
+        got = puncturing._pattern_error_probs(design, 16, pats)
+        assert np.array_equal(got.view(np.int64), self.elementwise(design, 16, pats).view(np.int64))
 
 
 class TestExhaustive:
