@@ -3,10 +3,10 @@
 
 The record holds, for every workload in ``BENCHMARK.json``:
 
-* the median over a fixed seed set of each end-to-end metric of the untraced
+* the median over seeds 1-3 of each end-to-end metric of the untraced 30 s
   rcbench runs (``.rcbench/result-<workload>-seed<s>-trace0.json``), with the
   per-seed values and the median time of every operation kind;
-* every per-layer figure of the traced seed-1 run
+* every per-layer figure of the traced 30 s seed-1 run
   (``.rcbench/result-<workload>-seed1-trace1.json``).
 
 It adds the wall time of the tier-1 suite and of its criterion-7 test (one
@@ -15,10 +15,9 @@ and scipy versions.  Run from the root of a checkout, after the rcbench runs:
 
     python3 rcbench/run.py --workload <name> --seed <s> --seconds 30 --trace 0
     python3 rcbench/run.py --workload <name> --seed 1 --seconds 30 --trace 1
-    python3 scripts/bench.py --pr 11
+    python3 scripts/bench.py --pr <number>
 
-``--run`` makes those rcbench runs first, one at a time; ``--skip-tests``
-records no suite times.
+A result file of another length or tracing setting is an error.
 """
 
 from __future__ import annotations
@@ -37,18 +36,19 @@ from pathlib import Path
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0",
          "-p", "no:cacheprovider"]
 CRITERION7 = "test_criterion_7"
-
-
-def rcbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> None:
-    cmd = [sys.executable, "rcbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    subprocess.run(cmd, cwd=root, check=True, stdout=subprocess.DEVNULL)
+SEEDS = (1, 2, 3)   # seeds of the untraced runs; the traced run uses seed 1
+SECONDS = 30.0      # length of every run
 
 
 def load(root: Path, workload: str, seed: int, trace: int) -> dict:
     path = root / ".rcbench" / f"result-{workload}-seed{seed}-trace{trace}.json"
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        result = json.load(fh)
+    env = result["env"]
+    if (env["seconds"], env["trace"]) != (SECONDS, trace):
+        sys.exit(f"{path}: a {env['seconds']} s run with trace {env['trace']}, "
+                 f"expected {SECONDS} s with trace {trace}")
+    return result
 
 
 def untraced(results: list[dict]) -> dict:
@@ -88,28 +88,16 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--pr", type=int, required=True, help="number in the output file name")
-    ap.add_argument("--seeds", default="1,2,3", help="untraced seed set, comma-separated")
-    ap.add_argument("--seconds", type=float, default=30.0, help="length of each --run run")
-    ap.add_argument("--run", action="store_true", help="make the rcbench runs first")
-    ap.add_argument("--skip-tests", action="store_true", help="do not time the tier-1 suite")
-    ap.add_argument("--out", help="output path (default BENCH_<pr>.json)")
     args = ap.parse_args(argv)
     root = Path.cwd()
     if not (root / "BENCHMARK.json").is_file():
         ap.error("run from the root of an rcpolar checkout (BENCHMARK.json not found)")
-    seeds = [int(s) for s in args.seeds.split(",")]
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
 
-    if args.run:
-        for workload in workloads:
-            for seed in seeds:
-                rcbench(root, workload, seed, args.seconds, 0)
-            rcbench(root, workload, 1, args.seconds, 1)
-
-    record = {"pr": args.pr, "seeds": seeds, "workloads": {}}
+    record = {"pr": args.pr, "seeds": list(SEEDS), "workloads": {}}
     env = {}
     for workload in workloads:
-        results = [load(root, workload, s, 0) for s in seeds]
+        results = [load(root, workload, s, 0) for s in SEEDS]
         traced = load(root, workload, 1, 1)
         env = results[0]["env"]
         entry = untraced(results)
@@ -122,8 +110,8 @@ def main(argv=None) -> int:
                          "python": env.get("python"), "numpy": env.get("numpy"),
                          "scipy": env.get("scipy")}
     record["commit"] = env.get("commit")
-    record["tier1"] = None if args.skip_tests else tier1(root)
-    out = Path(args.out or f"BENCH_{args.pr}.json")
+    record["tier1"] = tier1(root)
+    out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {out}")
     return 0

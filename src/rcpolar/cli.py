@@ -92,7 +92,9 @@ def dump_config(cfg: dict) -> str:
 
 def _resolve_seed(cfg: dict) -> int:
     seed = _optional(cfg, "seed", int)
-    return secrets.randbits(48) if seed is None else seed
+    if seed is None:
+        seed = secrets.randbits(48)
+    return int(seed)
 
 
 def _load_sequence(name: str, p: int) -> PuncturingSequence:

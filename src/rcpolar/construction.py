@@ -23,6 +23,7 @@ quadrature, recomputes every knot and compares the bits.
 from __future__ import annotations
 
 import importlib.resources
+import io
 import math
 import threading
 from dataclasses import dataclass
@@ -364,7 +365,8 @@ class ReliabilityProfile:
             text = fh.read()
         method, design = "unknown", float("nan")
         eps, mls = [], []
-        for ln in text.split("\n"):
+        lines = [ln for ln in io.StringIO(text)]
+        for ln in lines:
             ln = ln.strip()
             if ln.startswith("#"):
                 for tok in ln[1:].split():

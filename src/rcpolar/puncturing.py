@@ -76,12 +76,14 @@ def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
     B = patterns.shape[0]
     if isinstance(design, GaussianDesign):
         codes = np.ones((B, base_len), dtype=np.int64)
-        np.put_along_axis(codes, patterns, 0, axis=1)
+        if patterns.size:
+            np.put_along_axis(codes, patterns, 0, axis=1)
         vals, codes = _ga_leaf_codes(np.array([0.0, design.mean_llr]), codes, memo)
         return bit_error_prob(vals)[codes]
     if isinstance(design, ErasureDesign):
         z = np.full((B, base_len), design.epsilon)
-        np.put_along_axis(z, patterns, 1.0, axis=1)
+        if patterns.size:
+            np.put_along_axis(z, patterns, 1.0, axis=1)
         return bec_leaf_erasures(z)
     raise TypeError(f"unsupported design channel {design!r}")
 
@@ -96,8 +98,9 @@ def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
     if patterns.ndim != 2:
         raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
     s = np.sort(patterns, axis=1)
-    if patterns.size and (patterns.dtype.kind not in "iu" or s[:, 0].min() < 0
-                          or s[:, -1].max() >= base_spec.N or np.any(s[:, 1:] == s[:, :-1])):
+    if patterns.size and (patterns.dtype.kind not in "iuf" or np.any(s != np.floor(s))
+                          or s[:, 0].min() < 0 or s[:, -1].max() >= base_spec.N
+                          or np.any(s[:, 1:] == s[:, :-1])):
         raise ValueError(f"patterns must hold distinct integer positions in [0, {base_spec.N})")
     ep = _pattern_error_probs(design, base_spec.N, patterns.astype(np.int64, copy=False))
     return _union_bound(ep, base_spec.info_zero_based)
@@ -260,7 +263,10 @@ def exhaustive_search(
 
     if total <= budget:
         it = combinations(range(N), m)
-        for chunk in iter(lambda: list(islice(it, batch)), []):
+        while True:
+            chunk = list(islice(it, batch))
+            if not chunk:
+                break
             consider(np.array(chunk, dtype=np.int64))
     else:
         if n_samples is None:

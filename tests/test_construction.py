@@ -342,10 +342,12 @@ class TestDenseDistinct:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_at_and_above_the_cap(self, extra):
         # a table of exactly _DENSE_CAP entries is ranked densely (int32
-        # ranks); one entry more falls back to the argsort
+        # ranks); one entry more falls back to the argsort.  There are enough
+        # keys that the ratio admits the table either way, so only the cap decides.
         bound = construction._DENSE_CAP + extra
         rng = np.random.default_rng(extra)
-        keys = rng.integers(0, bound, size=(2, bound // (2 * construction._DENSE_RATIO)))
+        keys = rng.integers(0, bound, size=(2, bound // construction._DENSE_RATIO + 1))
+        assert construction._DENSE_RATIO * keys.size >= bound
         keys[0, 0], keys[1, -1] = 0, bound - 1
         self.assert_matches_argsort(keys, bound)
         assert construction._distinct(keys, bound)[1].dtype == (np.int64 if extra else np.int32)

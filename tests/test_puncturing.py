@@ -164,14 +164,24 @@ class TestEvaluatePatterns:
             assert got[batch.index(pattern)] == alone
 
 
-    @pytest.mark.parametrize("bad", [[-1], [32], [3, 3], [[1, 2], [4, 4]], [1.7], [1.0],
-                                     [[0, 31], [0, 40]]])
+    @pytest.mark.parametrize("bad", [[-1], [32], [3, 3], [[1, 2], [4, 4]], [1.7],
+                                     [[0.0, 2.0], [1.0, 2.5]], [np.nan], [np.inf],
+                                     [[0, 31], [0, 40]], [True]])
     def test_bad_positions_name_patterns(self, bad):
         # [-1] scored as [31], [3, 3] as [3] and [1.7] as [1]; [32] raised IndexError
         design = GaussianDesign.from_snr_db(3.0)
         spec = base_spec(5, 16, design)
         with pytest.raises(ValueError, match="patterns"):
             evaluate_patterns(spec, design, bad)
+
+    @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
+                                        ErasureDesign(epsilon=0.4)])
+    def test_whole_float_positions_score_as_integers(self, design):
+        spec = base_spec(5, 16, design)
+        pats = [[3, 17, 9], [0, 31, 4]]
+        want = evaluate_patterns(spec, design, pats)
+        got = evaluate_patterns(spec, design, np.array(pats, dtype=float))
+        assert got.tolist() == want.tolist()
 
     def test_search_batches_skip_validation(self, monkeypatch):
         # exhaustive_search draws valid patterns itself and evaluates them
