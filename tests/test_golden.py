@@ -3,16 +3,18 @@
 Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
 reliability profiles, three PPA orders, the candidate metrics of every GA PPA
-step, the base-32 search metrics of large GA batches and the constellation
-points.  A mismatch means results changed:
+step, the base-32 search metrics of large GA batches, the constellation
+points and the files written by seven command-line runs.  A mismatch means results changed:
 revert the change, or record the cause in CHANGES.md.  Never rewrite a
 fixture to make it pass; ``python tests/test_golden.py`` writes only the
 fixtures that do not exist yet.
 """
 
+import contextlib
 import io
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,7 @@ import pytest
 from rcpolar.channel import BPSK, ModulationSpec, pam_demap_table
 from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, ga_evolve,
                                   select_information_set)
+from rcpolar.cli import main
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (ErasureDesign, GaussianDesign, evaluate_patterns,
@@ -139,6 +142,43 @@ def constellations_txt() -> bytes:
     return "".join(f"{v!r}\n" for v in values).encode()
 
 
+# {dir} is a scratch directory; the BEC profile written by the third run is
+# the --profile input of the fourth
+CLI_RUNS = (
+    "simulate --n 8 --k 96 --L 192 --t 2 --mode ir --modulation 64 --channel fading"
+    " --snr-start 8 --snr-stop 12 --snr-step 2 --design-snr-db 10 --max-blocks 200"
+    " --batch-size 100 --seed 3 --out {dir}/ir64.csv",
+    "simulate --n 8 --k 88 --L 176 --t 2 --mode cc --shift-cc-bicm 1 --modulation 16"
+    " --select-length 98 --design-snr-db 3.5 --snr-start 4 --snr-stop 6 --snr-step 2"
+    " --max-blocks 200 --batch-size 100 --seed 5 --out {dir}/cc16.csv",
+    "construct --method bec --sequence reference32 --select-length 98 --n 8 --epsilon 0.5"
+    " --out {dir}/bec.csv",
+    "simulate --profile {dir}/bec.csv --n 8 --k 88 --L 98 --t 2 --mode ir --snr-start 3"
+    " --snr-stop 5 --snr-step 2 --max-blocks 200 --batch-size 100 --seed 9"
+    " --out {dir}/profiled.csv",
+    "puncture --base-len 32 --k 11 --design-snr-db 3.5 --out {dir}/ga.txt",
+    "puncture --base-len 32 --k 11 --epsilon 0.5 --out {dir}/bec.txt",
+    "construct --n 10 --method ga --sequence reference32 --select-length 384"
+    " --modulation 16 --design-snr-db 9 --out {dir}/ga.csv",
+)
+
+
+def cli_outputs_txt() -> bytes:
+    """Each of ``CLI_RUNS`` in turn: the command line, its exit code, what it
+    wrote to stderr and the bytes of its ``--out`` file."""
+    chunks = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in CLI_RUNS:
+            args = run.format(dir=tmp).split()
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(args)
+            out = Path(args[args.index("--out") + 1])
+            chunks.append(f"$ rcpolar {run}\nexit {code}\n[stderr]\n{err.getvalue()}"
+                          f"[out]\n{out.read_text(encoding='utf-8')}")
+    return "".join(chunks).encode()
+
+
 def _profile_csv(profile) -> bytes:
     buf = io.StringIO()
     profile.to_csv(buf)
@@ -163,6 +203,7 @@ DESIGN_FIXTURES = {
     "ppa_step_metrics.txt": ppa_step_metrics_txt,
     "search_metrics_32.txt": search_metrics_32_txt,
     "constellations.txt": constellations_txt,
+    "cli_outputs.txt": cli_outputs_txt,
 }
 
 
