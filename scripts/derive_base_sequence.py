@@ -6,11 +6,7 @@ Writes the derived order next to the per-step tie log.  Runs in seconds.
 
 import argparse
 
-import numpy as np
-
-from rcpolar.construction import ga_evolve, select_information_set
-from rcpolar.polar import PolarCodeSpec
-from rcpolar.puncturing import GaussianDesign, ppa, reference_base32_sequence
+from rcpolar.puncturing import GaussianDesign, base_code, ppa, reference_base32_sequence
 
 
 def main():
@@ -21,14 +17,8 @@ def main():
     ap.add_argument("--out", default="base_sequence.txt")
     args = ap.parse_args()
 
-    p = args.base_len.bit_length() - 1
     design = GaussianDesign.from_snr_db(args.design_snr_db)
-    probe = PolarCodeSpec(n=p, k=1, info_set=(1,), split=(p, 0))
-    prof = ga_evolve(probe, np.full(args.base_len, design.mean_llr))
-    info = select_information_set(prof, args.k)
-    spec = PolarCodeSpec(n=p, k=args.k, info_set=info, split=(p, 0))
-
-    seq = ppa(spec, design)
+    seq = ppa(base_code(args.base_len.bit_length() - 1, args.k, design), design)
     seq.save(args.out)
     print(f"derived order -> {args.out}")
     print(",".join(map(str, seq.order)))

@@ -11,12 +11,9 @@ import argparse
 import numpy as np
 
 from rcpolar.channel import ModulationSpec
-from rcpolar.construction import (build_bicm_ga_means, ga_evolve,
-                                   select_information_set)
+from rcpolar.construction import design_code
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
-from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import reference_base32_sequence
-from rcpolar.rate_matching import RateMatcher
 
 
 def half_plateau_snr(grid, thr):
@@ -48,20 +45,14 @@ def main():
     args = ap.parse_args()
 
     p = min(5, args.n)
-    seq = reference_base32_sequence()
-    mod = ModulationSpec(args.modulation)
-    probe = PolarCodeSpec(n=args.n, k=1, info_set=(1,), split=(p, args.n - p))
-    rm_probe = RateMatcher(spec=probe, sequence=seq, modulation=mod)
-    means = build_bicm_ga_means(probe, rm_probe, args.L, args.select_snr_db)
-    info = select_information_set(ga_evolve(probe, means), args.k)
-    spec = PolarCodeSpec(n=args.n, k=args.k, info_set=info, split=(p, args.n - p))
-    rm = RateMatcher(spec=spec, sequence=seq, modulation=mod)
+    rm = design_code(args.n, args.k, (p, args.n - p), reference_base32_sequence(),
+                     ModulationSpec(args.modulation), args.L, args.select_snr_db)
 
     grid = tuple(float(np.round(g, 3)) for g in
                  np.arange(args.snr_start, args.snr_stop + 1e-9, args.snr_step))
     halves = {}
     for mode in ("cc", "ir"):
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind=args.channel,
+        cfg = SweepConfig(rate_matcher=rm, channel_kind=args.channel,
                           snr_grid=grid, L=args.L, t=args.t, mode=mode,
                           seed=args.seed, max_blocks=args.blocks,
                           target_block_errors=10**9, batch_size=1250,

@@ -10,12 +10,9 @@ up to the budget and a seeded million-pattern sample beyond it.
 import argparse
 import csv
 
-import numpy as np
-
-from rcpolar.construction import ga_evolve, select_information_set
-from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (
     GaussianDesign,
+    base_code,
     evaluate_patterns,
     exhaustive_search,
     ppa,
@@ -34,12 +31,8 @@ def main():
     ap.add_argument("--out", default="progressive_vs_exhaustive.csv")
     args = ap.parse_args()
 
-    p = args.base_len.bit_length() - 1
     design = GaussianDesign.from_snr_db(args.design_snr_db)
-    probe = PolarCodeSpec(n=p, k=1, info_set=(1,), split=(p, 0))
-    prof = ga_evolve(probe, np.full(args.base_len, design.mean_llr))
-    info = select_information_set(prof, args.k)
-    spec = PolarCodeSpec(n=p, k=args.k, info_set=info, split=(p, 0))
+    spec = base_code(args.base_len.bit_length() - 1, args.k, design)
     seq = ppa(spec, design)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

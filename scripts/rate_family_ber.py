@@ -11,12 +11,9 @@ import argparse
 import numpy as np
 
 from rcpolar.channel import BPSK
-from rcpolar.construction import (build_bicm_ga_means, ga_evolve,
-                                   select_information_set)
+from rcpolar.construction import design_code
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
-from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import reference_base32_sequence
-from rcpolar.rate_matching import RateMatcher
 
 
 def main():
@@ -38,21 +35,14 @@ def main():
     args = ap.parse_args()
 
     p = min(5, args.n)
-    q = args.n - p
-    seq = reference_base32_sequence()
-    probe = PolarCodeSpec(n=args.n, k=1, info_set=(1,), split=(p, q))
-    rm_probe = RateMatcher(spec=probe, sequence=seq, modulation=BPSK)
-    means = build_bicm_ga_means(probe, rm_probe, args.select_length,
-                                args.design_snr_db)
-    info = select_information_set(ga_evolve(probe, means), args.k)
-    spec = PolarCodeSpec(n=args.n, k=args.k, info_set=info, split=(p, q))
-    rm = RateMatcher(spec=spec, sequence=seq, modulation=BPSK)
+    rm = design_code(args.n, args.k, (p, args.n - p), reference_base32_sequence(), BPSK,
+                     args.select_length, args.design_snr_db)
 
     grid = tuple(np.round(np.arange(args.snr_start, args.snr_stop + 1e-9,
                                     args.snr_step), 3))
     for rate in args.rates:
         L = round(args.k / rate)
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind=args.channel,
+        cfg = SweepConfig(rate_matcher=rm, channel_kind=args.channel,
                           snr_grid=grid, L=L, t=1, mode="cc", seed=args.seed,
                           max_blocks=args.max_blocks,
                           target_block_errors=args.target_block_errors,

@@ -6,6 +6,7 @@ from .construction import (
     ReliabilityProfile,
     bhattacharyya_bec,
     bit_error_prob,
+    design_code,
     design_mean_llr,
     ga_evolve,
     genie_monte_carlo,
@@ -21,6 +22,7 @@ from .puncturing import (
     GaussianDesign,
     PuncturingSequence,
     RegularPattern,
+    base_code,
     exhaustive_search,
     expand_regular,
     ppa,

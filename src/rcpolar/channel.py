@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -208,7 +208,7 @@ def _log_sum_exp(metric: list, idx: tuple[int, ...]) -> np.ndarray:
     needs), and ``log1p(s / count) + log(count)`` restores them.  Matching
     that arithmetic keeps the LLRs' last bits.
     """
-    a_max = _max(metric, idx)
+    a_max = reduce(np.maximum, [metric[l] for l in idx])  # exact in any order
     is_max = {l: metric[l] == a_max for l in idx}
     cnt = sum(is_max.values())
     terms = [np.where(is_max[l], 0.0, np.exp(metric[l] - a_max)) if l in is_max else None
@@ -224,14 +224,6 @@ def _log_sum_exp(metric: list, idx: tuple[int, ...]) -> np.ndarray:
     return np.log1p(s) + np.log(cnt) + a_max
 
 
-def _max(metric: list, idx: tuple[int, ...]) -> np.ndarray:
-    """Elementwise maximum of the levels ``idx``; exact in any order."""
-    a_max = metric[idx[0]]
-    for l in idx[1:]:
-        a_max = np.maximum(a_max, metric[l])
-    return a_max
-
-
 def _add(x, y):
     """x + y, where None stands for an exact zero term."""
     if x is None:
@@ -239,8 +231,7 @@ def _add(x, y):
     return x if y is None else x + y
 
 
-def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int,
-                  max_log: bool = False) -> np.ndarray:
+def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int) -> np.ndarray:
     """Exact per-bit LLRs of one real dimension.
 
     z: matched-filter outputs amp*level + N(0, sigma2); amp broadcastable.
@@ -252,15 +243,11 @@ def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int,
     metric = [-np.square(z - amp * lv[l]) / (2.0 * sigma2) for l in range(lv.size)]
     out = np.empty(np.shape(z) + (m,))
     for b, (idx0, idx1) in enumerate(members):
-        if max_log:
-            out[..., b] = _max(metric, idx0) - _max(metric, idx1)
-        else:
-            out[..., b] = _log_sum_exp(metric, idx0) - _log_sum_exp(metric, idx1)
+        out[..., b] = _log_sum_exp(metric, idx0) - _log_sum_exp(metric, idx1)
     return out
 
 
-def demodulate(received, amp, chan: ChannelSpec, mod: ModulationSpec,
-               max_log: bool = False) -> np.ndarray:
+def demodulate(received, amp, chan: ChannelSpec, mod: ModulationSpec) -> np.ndarray:
     """Received symbols (+ known fading) -> per-bit LLRs, positive favors 0."""
     y = np.asarray(received)
     if chan.kind == "bec":
@@ -273,8 +260,8 @@ def demodulate(received, amp, chan: ChannelSpec, mod: ModulationSpec,
     safe = np.where(a > 0, a, 1.0)
     z = np.conj(coef) * y / safe
     m = mod.bits_per_dim
-    li = _pam_bit_llrs(np.real(z), a, sigma2, m, max_log)
-    lq = _pam_bit_llrs(np.imag(z), a, sigma2, m, max_log)
+    li = _pam_bit_llrs(np.real(z), a, sigma2, m)
+    lq = _pam_bit_llrs(np.imag(z), a, sigma2, m)
     out = np.empty(y.shape + (2 * m,))
     out[..., 0::2] = li
     out[..., 1::2] = lq

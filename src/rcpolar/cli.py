@@ -20,13 +20,14 @@ import numpy as np
 
 from . import construction as cons
 from . import harq
-from .construction import build_bicm_ga_means
+from .construction import build_bicm_ga_means, design_code
 from .channel import ChannelSpec, ModulationSpec
 from .polar import PolarCodeSpec
 from .puncturing import (
     ErasureDesign,
     GaussianDesign,
     PuncturingSequence,
+    base_code,
     ppa,
     reference_base32_sequence,
 )
@@ -91,7 +92,7 @@ def dump_config(cfg: dict) -> str:
 
 
 def _resolve_seed(cfg: dict) -> int:
-    seed = _optional(cfg, "seed", int)
+    seed = _optional(cfg, "seed", int, cond=lambda v: v >= 0, what="must be >= 0")
     if seed is None:
         seed = secrets.randbits(48)
     return int(seed)
@@ -161,8 +162,8 @@ def cmd_construct(cfg: dict) -> int:
     out = _output_path(cfg)
     N = 1 << n
     p, q = _split(cfg, n)
-    # placeholder information set; profiles cover every input position
-    spec = PolarCodeSpec(n=n, k=1, info_set=(1,), split=(p, q))
+    # full rate, so profiles and genie runs cover every input position
+    spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
     seq_name = _optional(cfg, "sequence", str)
     select_len = _optional(cfg, "select_length", int, cond=lambda v: v >= 1,
                            what="must be >= 1")
@@ -172,7 +173,7 @@ def cmd_construct(cfg: dict) -> int:
     rm = None
     if seq_name is not None:
         rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p), modulation=mod)
-    elif select_len is not None and method != "mc":
+    elif select_len is not None:
         raise ConfigError("sequence", "select_length needs a puncturing sequence")
     seed = None
     if method == "ga":
@@ -202,10 +203,8 @@ def cmd_construct(cfg: dict) -> int:
         chan = ChannelSpec(kind=kind, snr_db=snr) if kind != "bec" else ChannelSpec(
             kind="bec", epsilon=_require(cfg, "epsilon", float,
                                          lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
-        # genie runs need a full-rate spec so every position is measured
-        full_spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
         profile = cons.genie_monte_carlo(
-            full_spec, chan, mod, rate_matcher=rm,
+            spec, chan, mod, rate_matcher=rm,
             trials=trials, seed=seed, tx_length=select_len)
     with _writing(out), open(out, "w", encoding="utf-8") as fh:
         if seed is not None:
@@ -224,20 +223,9 @@ def cmd_puncture(cfg: dict) -> int:
     p = base_len.bit_length() - 1
     eps = _optional(cfg, "epsilon", float, cond=lambda v: 0.0 <= v <= 1.0,
                     what="must lie in [0, 1]")
-    if eps is not None:
-        design = ErasureDesign(epsilon=eps)
-        base_profile = cons.bhattacharyya_bec(
-            PolarCodeSpec(n=p, k=1, info_set=(1,), split=(p, 0)),
-            np.full(base_len, eps))
-    else:
-        snr = _require(cfg, "design_snr_db", float)
-        design = GaussianDesign.from_snr_db(snr)
-        base_profile = cons.ga_evolve(
-            PolarCodeSpec(n=p, k=1, info_set=(1,), split=(p, 0)),
-            np.full(base_len, design.mean_llr))
-    info = cons.select_information_set(base_profile, k)
-    base_spec = PolarCodeSpec(n=p, k=k, info_set=info, split=(p, 0))
-    seq = ppa(base_spec, design)
+    design = (ErasureDesign(epsilon=eps) if eps is not None
+              else GaussianDesign.from_snr_db(_require(cfg, "design_snr_db", float)))
+    seq = ppa(base_code(p, k, design), design)
     for step, tied in seq.stats.ties:
         print(f"tie at step {step}: candidates {tied}", file=sys.stderr)
     with _writing(out):
@@ -283,10 +271,8 @@ def cmd_simulate(cfg: dict) -> int:
 
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _optional(cfg, "profile", str)
-    shift_cc = bool(_optional(cfg, "shift_cc_bicm", int, default=0))
-    probe_spec = PolarCodeSpec(n=n, k=1, info_set=(1,), split=(p, q))
-    rm_probe = RateMatcher(spec=probe_spec, sequence=seq, modulation=mod,
-                           shift_cc_bicm=shift_cc)
+    shift_cc = _optional(cfg, "shift_cc_bicm", int, default=0, cond=lambda v: v in (0, 1),
+                         what="must be 0 or 1") == 1
     if profile_path is not None:
         try:
             profile = cons.ReliabilityProfile.from_csv(profile_path)
@@ -294,18 +280,17 @@ def cmd_simulate(cfg: dict) -> int:
             raise ConfigError("profile", f"cannot read {profile_path}: {e}") from None
         if len(profile) != (1 << n):
             raise ConfigError("profile", f"profile has {len(profile)} rows, need {1 << n}")
+        spec = PolarCodeSpec(n=n, k=k, info_set=cons.select_information_set(profile, k),
+                             split=(p, q))
+        rm = RateMatcher(spec=spec, sequence=seq, modulation=mod, shift_cc_bicm=shift_cc)
     else:
         design_snr = _require(cfg, "design_snr_db", float)
         select_len = _optional(cfg, "select_length", int, default=L,
                                cond=lambda v: v >= 1, what="must be >= 1")
-        means = build_bicm_ga_means(probe_spec, rm_probe, select_len, design_snr)
-        profile = cons.ga_evolve(probe_spec, means)
-    info = cons.select_information_set(profile, k)
-    spec = PolarCodeSpec(n=n, k=k, info_set=info, split=(p, q))
-    rm = RateMatcher(spec=spec, sequence=seq, modulation=mod, shift_cc_bicm=shift_cc)
+        rm = design_code(n, k, (p, q), seq, mod, select_len, design_snr, shift_cc_bicm=shift_cc)
 
     sweep_cfg = harq.SweepConfig(
-        spec=spec, rate_matcher=rm, channel_kind=kind, snr_grid=snrs,
+        rate_matcher=rm, channel_kind=kind, snr_grid=snrs,
         L=L, t=t, mode=mode, seed=seed,
         max_blocks=_optional(cfg, "max_blocks", int, default=100_000,
                              cond=lambda v: v >= 1, what="must be >= 1"),

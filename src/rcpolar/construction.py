@@ -52,6 +52,7 @@ __all__ = [
     "genie_monte_carlo",
     "build_bicm_ga_means",
     "select_information_set",
+    "design_code",
     "design_mean_llr",
 ]
 
@@ -537,3 +538,16 @@ def select_information_set(profile: ReliabilityProfile, k: int) -> tuple[int, ..
         raise ValueError(f"k = {k} out of range [0, {N}]")
     order = np.lexsort((np.arange(N), profile.error_prob))
     return tuple(sorted(int(i) + 1 for i in order[:k]))
+
+
+def design_code(n: int, k: int, split: tuple[int, int], sequence, modulation,
+                L: int, design_snr_db: float, shift_cc_bicm: bool = False) -> RateMatcher:
+    """Rate matcher of the length-2^n code whose k information positions are the
+    most reliable by GA at ``design_snr_db`` under the rate matching and BICM
+    mapping of one length-L transmission; its ``spec`` is the designed code."""
+    probe = PolarCodeSpec(n=n, k=1, info_set=(1,), split=split)  # the means read only N and split
+    means = build_bicm_ga_means(
+        probe, RateMatcher(spec=probe, sequence=sequence, modulation=modulation), L, design_snr_db)
+    info = select_information_set(ga_evolve(probe, means), k)
+    return RateMatcher(spec=PolarCodeSpec(n=n, k=k, info_set=info, split=split),
+                       sequence=sequence, modulation=modulation, shift_cc_bicm=shift_cc_bicm)

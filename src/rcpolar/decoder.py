@@ -33,12 +33,10 @@ from .polar import PolarCodeSpec, bit_reversal_permutation, polar_transform
 __all__ = ["DecodeResult", "check_llr", "var_llr", "sc_decode", "genie_sc_decode"]
 
 
-def check_llr(a, b, min_sum: bool = False) -> np.ndarray:
-    """Check-node LLR combination; exact tanh rule unless ``min_sum``."""
+def check_llr(a, b) -> np.ndarray:
+    """Check-node LLR combination by the exact tanh rule."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if min_sum:
-        return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
     # log((1 + e^{a+b}) / (e^a + e^b)), stable at any magnitude
     return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
 
@@ -93,24 +91,21 @@ def _node_plan(info_set: tuple[int, ...], n: int, pruned: bool) -> _Node:
     return build(0, 1 << n)
 
 
-def _hard_decisions_are_sc(v: np.ndarray, min_sum: bool) -> np.ndarray:
+def _hard_decisions_are_sc(v: np.ndarray) -> np.ndarray:
     """Rows of a rate-1 node's LLRs on which hard decisions equal SC's.
 
     SC reaches the hard decisions exactly while every check-node value in the
     subtree keeps a nonzero, correct sign (variable-node values then only add
-    magnitudes of agreeing sign).  Min-sum check nodes are exact, so only a
-    zero input breaks this.  Under the exact rule every such value has
-    tanh(|value|/2) >= prod tanh(|llr|/2) over the node, while rounding moves
-    it by at most a few ulp of the summed magnitudes per level; the threshold
-    keeps the first bound far above the second.
+    magnitudes of agreeing sign).  Every such value has tanh(|value|/2) >=
+    prod tanh(|llr|/2) over the node, while rounding moves it by at most a
+    few ulp of the summed magnitudes per level; the threshold keeps the
+    first bound far above the second.
     """
     mag = np.abs(v)
-    if min_sum:
-        return (mag > 0).all(axis=1)
     return np.tanh(0.5 * mag).prod(axis=1) >= 1e-8 * (1.0 + 1e-6 * mag.sum(axis=1))
 
 
-def _walk(node: _Node, v: np.ndarray, min_sum: bool, leaf) -> np.ndarray:
+def _walk(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
     """Decode LLRs ``v`` (B, size) through ``node``; returns its partial sums.
 
     The partial sums are the subtree's decisions pushed through the polar
@@ -130,18 +125,18 @@ def _walk(node: _Node, v: np.ndarray, min_sum: bool, leaf) -> np.ndarray:
     if node.kind == RATE1:
         x = (v < 0).astype(np.uint8)
         if node.size > 1:
-            redo = ~_hard_decisions_are_sc(v, min_sum)
+            redo = ~_hard_decisions_are_sc(v)
             if redo.any():
-                x[redo] = _split(node, v[redo], min_sum, leaf)
+                x[redo] = _split(node, v[redo], leaf)
         return x
-    return _split(node, v, min_sum, leaf)
+    return _split(node, v, leaf)
 
 
-def _split(node: _Node, v: np.ndarray, min_sum: bool, leaf) -> np.ndarray:
+def _split(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
     h = node.size // 2
     a, b = v[:, :h], v[:, h:]
-    xl = _walk(node.left, check_llr(a, b, min_sum), min_sum, leaf)
-    xr = _walk(node.right, var_llr(a, b, xl), min_sum, leaf)
+    xl = _walk(node.left, check_llr(a, b), leaf)
+    xr = _walk(node.right, var_llr(a, b, xl), leaf)
     return np.concatenate([xl ^ xr, xr], axis=1)
 
 
@@ -153,18 +148,17 @@ def _as_batch(llrs, N: int):
     return (llrs[None, :] if squeeze else llrs.reshape(-1, N)), squeeze, llrs.shape[:-1]
 
 
-def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, min_sum: bool,
-                  pruned: bool = True) -> np.ndarray:
+def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True) -> np.ndarray:
     """Decided input blocks (B, N); ``pruned=False`` walks every leaf."""
     plan = _node_plan(spec.info_set, spec.n, pruned)
-    x = _walk(plan, batch[:, bit_reversal_permutation(spec.n)], min_sum, None)
+    x = _walk(plan, batch[:, bit_reversal_permutation(spec.n)], None)
     return polar_transform(x)
 
 
-def sc_decode(llrs, spec: PolarCodeSpec, min_sum: bool = False) -> DecodeResult:
+def sc_decode(llrs, spec: PolarCodeSpec) -> DecodeResult:
     """Decode codeword-aligned LLRs; accepts (N,) or any (..., N) batch."""
     batch, squeeze, lead = _as_batch(llrs, spec.N)
-    dec = _decode_batch(batch, spec, min_sum)
+    dec = _decode_batch(batch, spec)
     info = dec[:, spec.info_zero_based]
     if squeeze:
         return DecodeResult(u=dec[0], info_bits=info[0])
@@ -172,8 +166,7 @@ def sc_decode(llrs, spec: PolarCodeSpec, min_sum: bool = False) -> DecodeResult:
                         info_bits=info.reshape(lead + (spec.k,)))
 
 
-def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u, min_sum: bool = False,
-                    return_leaf_llrs: bool = False):
+def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u, return_leaf_llrs: bool = False):
     """Per-position first-decision error flags under genie-aided decoding.
 
     Each fresh decision is compared with the truth, then decoding continues
@@ -199,7 +192,7 @@ def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u, min_sum: bool = False,
         return tu[:, j : j + 1]
 
     plan = _node_plan(spec.info_set, spec.n, False)
-    _walk(plan, batch[:, bit_reversal_permutation(spec.n)], min_sum, leaf)
+    _walk(plan, batch[:, bit_reversal_permutation(spec.n)], leaf)
     flags_out = flags[0] if squeeze else flags.reshape(lead + (spec.N,))
     if not return_leaf_llrs:
         return flags_out

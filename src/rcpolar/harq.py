@@ -138,8 +138,7 @@ class SimResult:
 class SweepConfig:
     """Everything a sweep needs; all randomness flows from ``seed``."""
 
-    spec: PolarCodeSpec
-    rate_matcher: RateMatcher
+    rate_matcher: RateMatcher    # its spec is the simulated code
     channel_kind: str            # "awgn" | "fading"
     snr_grid: tuple[float, ...]
     L: int
@@ -162,7 +161,7 @@ class SweepConfig:
 
     @property
     def rate(self) -> float:
-        return self.spec.k / self.L
+        return self.rate_matcher.spec.k / self.L
 
 
 def _point_batch(cfg: SweepConfig, point_idx: int, batch_idx: int, n_blocks: int):
@@ -170,9 +169,9 @@ def _point_batch(cfg: SweepConfig, point_idx: int, batch_idx: int, n_blocks: int
     chan = ChannelSpec(kind=cfg.channel_kind, snr_db=cfg.snr_grid[point_idx])
     rng = np.random.default_rng(
         np.random.SeedSequence((int(cfg.seed), int(point_idx), int(batch_idx))))
-    messages = rng.integers(0, 2, size=(n_blocks, cfg.spec.k), dtype=np.uint8)
+    messages = rng.integers(0, 2, size=(n_blocks, cfg.rate_matcher.spec.k), dtype=np.uint8)
     success, tx_used, bit_errs = run_blocks_batch(
-        cfg.spec, cfg.rate_matcher, chan, cfg.L, cfg.t, cfg.mode, messages, rng)
+        cfg.rate_matcher.spec, cfg.rate_matcher, chan, cfg.L, cfg.t, cfg.mode, messages, rng)
     return (int(n_blocks), int(bit_errs.sum()), int((~success).sum()), int(tx_used.sum()))
 
 
@@ -218,7 +217,7 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
                 snr_db=cfg.snr_grid[pi], blocks=blocks, bit_errors=bit_errors,
                 block_errors=block_errors, tx_total=tx_total, mode=cfg.mode,
                 rate=cfg.rate, order=cfg.rate_matcher.modulation.order,
-                t=cfg.t, k=cfg.spec.k,
+                t=cfg.t, k=cfg.rate_matcher.spec.k,
             ))
     finally:
         if pool is not None:

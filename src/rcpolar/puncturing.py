@@ -24,9 +24,12 @@ from .channel import ChannelSpec
 from .construction import (  # noqa: F401  (ga_leaf_means: traced by rcbench)
     _ga_leaf_codes,
     bec_leaf_erasures,
+    bhattacharyya_bec,
     bit_error_prob,
     design_mean_llr,
+    ga_evolve,
     ga_leaf_means,
+    select_information_set,
 )
 from .polar import PolarCodeSpec
 
@@ -36,6 +39,7 @@ __all__ = [
     "GaussianDesign",
     "ErasureDesign",
     "PpaStats",
+    "base_code",
     "evaluate_patterns",
     "ppa",
     "exhaustive_search",
@@ -66,6 +70,18 @@ class ErasureDesign:
     """Design channel for the union-bound metric: BEC(epsilon)."""
 
     epsilon: float
+
+
+def base_code(p: int, k: int, design) -> PolarCodeSpec:
+    """The base code PPA runs on: the k most reliable inputs on the unpunctured channel."""
+    probe = PolarCodeSpec(n=p, k=1, info_set=(1,), split=(p, 0))
+    if isinstance(design, GaussianDesign):
+        profile = ga_evolve(probe, np.full(probe.N, design.mean_llr))
+    elif isinstance(design, ErasureDesign):
+        profile = bhattacharyya_bec(probe, np.full(probe.N, design.epsilon))
+    else:
+        raise TypeError(f"unsupported design channel {design!r}")
+    return PolarCodeSpec(n=p, k=k, info_set=select_information_set(profile, k), split=(p, 0))
 
 
 def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
@@ -185,10 +201,13 @@ def reference_base32_sequence() -> PuncturingSequence:
     return seq
 
 
-def ppa(base_spec: PolarCodeSpec, design, tie_rel: float = 1e-12) -> PuncturingSequence:
+_TIE_REL = 1e-12   # relative metric gap below which PPA candidates tie
+
+
+def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
     """Greedy nested puncturing order minimizing the union bound at each step.
 
-    Evaluates the metric exactly N(N+1)/2 times.  Ties (within ``tie_rel``
+    Evaluates the metric exactly N(N+1)/2 times.  Ties (within ``_TIE_REL``
     relative) resolve to the smallest coded index and are recorded in
     ``stats.ties``.  Successive steps share most check-node input pairs, so
     one GA memo serves the whole run.
@@ -208,7 +227,7 @@ def ppa(base_spec: PolarCodeSpec, design, tie_rel: float = 1e-12) -> PuncturingS
         stats.metric_evals += len(cands)
         best_i = int(np.lexsort((cands, met))[0])
         best_met = met[best_i]
-        tied = cands[np.abs(met - best_met) <= tie_rel * max(best_met, np.finfo(float).tiny)]
+        tied = cands[np.abs(met - best_met) <= _TIE_REL * max(best_met, np.finfo(float).tiny)]
         if len(tied) > 1:
             stats.ties.append((m, tuple(int(c) for c in tied)))
         stats.step_candidates.append(cands)

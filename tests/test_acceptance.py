@@ -13,17 +13,13 @@ import pytest
 
 from rcpolar.channel import BPSK, ChannelSpec, ModulationSpec
 from rcpolar.cli import main
-from rcpolar.construction import (
-    build_bicm_ga_means,
-    ga_evolve,
-    genie_monte_carlo,
-    select_information_set,
-)
+from rcpolar.construction import design_code, ga_evolve, genie_monte_carlo
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
 from rcpolar.polar import PolarCodeSpec, encode, encode_two_stage
 from rcpolar.puncturing import (
     GaussianDesign,
     PuncturingSequence,
+    base_code,
     evaluate_patterns,
     exhaustive_search,
     expand_regular,
@@ -42,18 +38,6 @@ def report(num: int, ok: bool, detail: str):
 def full_rate(n: int, split) -> PolarCodeSpec:
     N = 1 << n
     return PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=split)
-
-
-def base_code(p: int, k: int, design) -> PolarCodeSpec:
-    spec1 = full_rate(p, (p, 0))
-    if isinstance(design, GaussianDesign):
-        prof = ga_evolve(spec1, np.full(1 << p, design.mean_llr))
-    else:
-        from rcpolar.construction import bhattacharyya_bec
-
-        prof = bhattacharyya_bec(spec1, np.full(1 << p, design.epsilon))
-    info = select_information_set(prof, k)
-    return PolarCodeSpec(n=p, k=k, info_set=info, split=(p, 0))
 
 
 def test_criterion_1_reference_sequence_reproduction(tmp_path):
@@ -178,25 +162,20 @@ def test_criterion_5_structural_identities():
            "N=256/1024/4096) and rate-matching identities for all m at (5,3)")
 
 
-def _family_spec_256():
-    seq = reference_base32_sequence()
-    probe = PolarCodeSpec(n=8, k=1, info_set=(1,), split=(5, 3))
-    rm_probe = RateMatcher(spec=probe, sequence=seq, modulation=BPSK)
-    means = build_bicm_ga_means(probe, rm_probe, 98, 3.5)
-    info = select_information_set(ga_evolve(probe, means), 88)
-    spec = PolarCodeSpec(n=8, k=88, info_set=info, split=(5, 3))
-    return spec, RateMatcher(spec=spec, sequence=seq, modulation=BPSK)
+def _family_256() -> RateMatcher:
+    """The N=256, k=88 BPSK family, designed at L=98 and 3.5 dB."""
+    return design_code(8, 88, (5, 3), reference_base32_sequence(), BPSK, 98, 3.5)
 
 
 def test_criterion_6_rate_ordering():
     """N=256, 88 information bits, BPSK AWGN at 4.0 dB: block error rate is
     non-increasing through rates 0.9 / 0.7 / 0.5 / 11/32 over >= 2e4 blocks,
     each adjacent gap significant at 3 sigma (or logged indistinguishable)."""
-    spec, rm = _family_spec_256()
+    rm = _family_256()
     lengths = (98, 126, 176, 256)
     blers, sigmas = [], []
     for L in lengths:
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+        cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn",
                           snr_grid=(4.0,), L=L, t=1, mode="cc", seed=77,
                           max_blocks=20_000, target_block_errors=10**9,
                           batch_size=1000)
@@ -219,15 +198,10 @@ def test_criterion_6_rate_ordering():
            " ; " + "; ".join(notes))
 
 
-def _family_spec_1024():
-    seq = reference_base32_sequence()
-    mod = ModulationSpec(16)
-    probe = PolarCodeSpec(n=10, k=1, info_set=(1,), split=(5, 5))
-    rm_probe = RateMatcher(spec=probe, sequence=seq, modulation=mod)
-    means = build_bicm_ga_means(probe, rm_probe, 384, 9.0)
-    info = select_information_set(ga_evolve(probe, means), 352)
-    spec = PolarCodeSpec(n=10, k=352, info_set=info, split=(5, 5))
-    return spec, RateMatcher(spec=spec, sequence=seq, modulation=mod)
+def _family_1024() -> RateMatcher:
+    """The N=1024, k=352 16-QAM family, designed at L=384 and 9 dB."""
+    return design_code(10, 352, (5, 5), reference_base32_sequence(), ModulationSpec(16),
+                       384, 9.0)
 
 
 def _half_plateau_snr(grid, thr):
@@ -246,11 +220,11 @@ def test_criterion_7_ir_vs_cc_gain():
     (L=384) on fast fading: the half-plateau SNR of incremental redundancy
     sits 1.5 to 4.5 dB below Chase combining (0.5 dB grid, >= 2e3 blocks
     per point)."""
-    spec, rm = _family_spec_1024()
+    rm = _family_1024()
     grid = tuple(float(np.round(s, 2)) for s in np.arange(4.0, 40.01, 0.5))
     half = {}
     for mode in ("cc", "ir"):
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="fading",
+        cfg = SweepConfig(rate_matcher=rm, channel_kind="fading",
                           snr_grid=grid, L=384, t=4, mode=mode, seed=2024,
                           max_blocks=2500, target_block_errors=10**9,
                           batch_size=1250)
@@ -272,10 +246,10 @@ def test_criterion_8_determinism(tmp_path):
                      "--design-snr-db", "3.5", "--out", str(out)]) == 0
     same_seq = a.read_bytes() == b.read_bytes()
 
-    spec, rm = _family_spec_256()
+    rm = _family_256()
     payloads = []
     for workers in (1, 2):
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+        cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn",
                           snr_grid=(3.0, 4.0), L=176, t=2, mode="ir", seed=31,
                           max_blocks=2000, target_block_errors=10**9,
                           batch_size=500, workers=workers)

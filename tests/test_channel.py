@@ -205,19 +205,8 @@ class TestDemodulate:
         llr = demodulate(y, coef, chan, QAM16)
         assert np.mean((llr < 0) == bits) > 0.99
 
-    def test_max_log_sign_agreement(self):
-        chan = ChannelSpec(kind="awgn", snr_db=6.0)
-        rng = np.random.default_rng(12)
-        bits = rng.integers(0, 2, size=1024 * 4, dtype=np.uint8)
-        s = modulate(bits, QAM16)
-        y, amp = transmit(s, chan, QAM16, rng)
-        exact = demodulate(y, amp, chan, QAM16)
-        approx = demodulate(y, amp, chan, QAM16, max_log=True)
-        agree = np.sign(exact[np.abs(exact) > 0.1]) == np.sign(approx[np.abs(exact) > 0.1])
-        assert np.mean(agree) > 0.999
 
-
-def reference_pam_bit_llrs(z, amp, sigma2, m, max_log=False):
+def reference_pam_bit_llrs(z, amp, sigma2, m):
     """Per-bit LLRs from a masked (..., 2^m) metric array and scipy's logsumexp.
 
     Level l has amplitude 2l - (L-1), scaled to unit two-dimensional energy,
@@ -233,16 +222,13 @@ def reference_pam_bit_llrs(z, amp, sigma2, m, max_log=False):
         bit = (gray_of_level >> (m - 1 - b)) & 1
         m0 = np.where(bit == 0, metric, -np.inf)
         m1 = np.where(bit == 1, metric, -np.inf)
-        if max_log:
-            out[..., b] = m0.max(axis=-1) - m1.max(axis=-1)
-        else:
-            out[..., b] = logsumexp(m0, axis=-1) - logsumexp(m1, axis=-1)
+        out[..., b] = logsumexp(m0, axis=-1) - logsumexp(m1, axis=-1)
     return out
 
 
 @st.composite
 def demap_inputs(draw):
-    """(z, amp, sigma2, m, max_log) with 0-2 leading dimensions, amplitudes
+    """(z, amp, sigma2, m) with 0-2 leading dimensions, amplitudes
     that are 0 (every level ties), 1 or drawn, and z either free in
     [-1e3, 1e3] or amp times a decision midpoint (0 included)."""
     m = draw(st.integers(1, 3))
@@ -255,7 +241,7 @@ def demap_inputs(draw):
     mid = draw(arrays(np.float64, shape, elements=st.sampled_from(mids)))
     free = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     sigma2 = 10.0 ** draw(st.floats(-7.0, math.log10(3.0)))
-    return np.where(on_mid, amp * mid, free), amp, sigma2, m, draw(st.booleans())
+    return np.where(on_mid, amp * mid, free), amp, sigma2, m
 
 
 class TestPamBitLlrs:
@@ -266,13 +252,13 @@ class TestPamBitLlrs:
     @given(demap_inputs())
     # z = 0 at amp 1 ties the two inner levels of 64-QAM inside one label set
     # that has two more members, so the tie count scales the remaining sum
-    @example((np.zeros(3), np.ones(3), 1.0, 3, False))
+    @example((np.zeros(3), np.ones(3), 1.0, 3))
     # four nonzero terms in an 8-wide tree sum
-    @example((np.array([0.3, -0.7, 1.1]), np.ones(3), 2.0, 3, False))
+    @example((np.array([0.3, -0.7, 1.1]), np.ones(3), 2.0, 3))
     def test_matches_masked_logsumexp(self, inputs):
-        z, amp, sigma2, m, max_log = inputs
-        got = _pam_bit_llrs(z, amp, sigma2, m, max_log)
-        want = reference_pam_bit_llrs(z, amp, sigma2, m, max_log)
+        z, amp, sigma2, m = inputs
+        got = _pam_bit_llrs(z, amp, sigma2, m)
+        want = reference_pam_bit_llrs(z, amp, sigma2, m)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

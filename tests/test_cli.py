@@ -111,6 +111,19 @@ class TestConstruct:
         assert len(prof) == 16
         assert prof.method == "monte_carlo"
 
+    def test_mc_select_length_without_sequence_names_sequence(self, tmp_path, capsys):
+        rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
+                   "--trials", "10", "--seed", "3", "--select-length", "12",
+                   "--out", str(tmp_path / "mc.csv")])
+        assert rc == 2
+        assert "'sequence'" in capsys.readouterr().err
+
+    def test_mc_negative_seed_names_seed(self, tmp_path, capsys):
+        rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
+                   "--trials", "10", "--seed", "-1", "--out", str(tmp_path / "mc.csv")])
+        assert rc == 2
+        assert "'seed'" in capsys.readouterr().err
+
 
 class TestPuncture:
     def test_reference_reproduction(self, tmp_path):
@@ -305,3 +318,12 @@ class TestSimulate:
         assert rc == 2
         err = capsys.readouterr().err
         assert "'sequence'" in err and "2^p = 16" in err
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--shift-cc-bicm", "7")])
+    def test_bad_seed_or_shift_names_field(self, tmp_path, capsys, flag, value):
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--snr-start", "1.0", "--snr-stop", "1.0", "--snr-step", "1.0",
+                   "--design-snr-db", "3.5", "--seed", "1", flag, value,
+                   "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        assert f"'{flag[2:].replace('-', '_')}'" in capsys.readouterr().err

@@ -55,14 +55,6 @@ class TestNodeFunctions:
     def test_var_identity(self, a, b):
         assert var_llr(a, b, 0) + var_llr(a, b, 1) == pytest.approx(2.0 * b, abs=1e-9)
 
-    def test_min_sum_dominates(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.normal(scale=4, size=1000), rng.normal(scale=4, size=1000)
-        exact = check_llr(a, b)
-        ms = check_llr(a, b, min_sum=True)
-        assert np.all((np.sign(ms) == np.sign(exact)) | (exact == 0.0))
-        assert np.all(np.abs(ms) >= np.abs(exact) - 1e-12)
-
 
 class TestScDecode:
     def test_noiseless_all_zero(self):
@@ -225,27 +217,26 @@ class TestPrunedPlan:
     """The pruned node plan decides exactly as the unpruned (full SC) plan."""
 
     @staticmethod
-    def assert_same(llr, spec, min_sum):
+    def assert_same(llr, spec):
         llr = np.atleast_2d(llr)
-        pruned = _decode_batch(llr, spec, min_sum)
-        full = _decode_batch(llr, spec, min_sum, pruned=False)
+        pruned = _decode_batch(llr, spec)
+        full = _decode_batch(llr, spec, pruned=False)
         assert np.array_equal(pruned, full)
         return pruned
 
-    @given(_code_and_llrs(), st.booleans())
+    @given(_code_and_llrs())
     @settings(max_examples=150, deadline=None)
-    def test_matches_full_schedule(self, case, min_sum):
+    def test_matches_full_schedule(self, case):
         spec, llr = case
-        dec = self.assert_same(llr, spec, min_sum)
+        dec = self.assert_same(llr, spec)
         # genie decoding along SC's own path never disagrees with it
-        assert not genie_sc_decode(llr, spec, dec, min_sum).any()
+        assert not genie_sc_decode(llr, spec, dec).any()
 
-    @pytest.mark.parametrize("min_sum", [False, True])
-    def test_rate1_tie_trap(self, min_sum):
+    def test_rate1_tie_trap(self):
         # a < 0, b = 0: SC decides u = (0, 1), i.e. x = (1, 1); hard decisions
         # on the LLRs would give x = (1, 0)
         spec = PolarCodeSpec(n=1, k=2, info_set=(1, 2), split=(1, 0))
-        dec = self.assert_same(np.array([-1.0, 0.0]), spec, min_sum)
+        dec = self.assert_same(np.array([-1.0, 0.0]), spec)
         assert dec.tolist() == [[0, 1]]
 
     @pytest.mark.parametrize("tiny", [1e-15, 5e-324])
@@ -254,13 +245,12 @@ class TestPrunedPlan:
         # decides 0 where the sign of the true value says 1
         spec = PolarCodeSpec(n=3, k=8, info_set=tuple(range(1, 9)), split=(3, 0))
         llr = np.array([5.0, 2.0, 3.0, 4.0, 40.0, -tiny, 7.0, 1.5])
-        self.assert_same(llr, spec, False)
+        self.assert_same(llr, spec)
 
-    @pytest.mark.parametrize("min_sum", [False, True])
-    def test_rep_zero_sum_decides_zero(self, min_sum):
+    def test_rep_zero_sum_decides_zero(self):
         # in the decoder's bit-reversed order the LLRs are (1, 1e-16, -1,
         # -1e-16): SC's halving order sums (-1 + 1) + (-1e-16 + 1e-16) = 0,
         # which decides 0, while a left-to-right sum ends at -1e-16
         spec = PolarCodeSpec(n=2, k=1, info_set=(4,), split=(2, 0))
-        dec = self.assert_same(np.array([1.0, -1.0, 1e-16, -1e-16]), spec, min_sum)
+        dec = self.assert_same(np.array([1.0, -1.0, 1e-16, -1e-16]), spec)
         assert not dec.any()

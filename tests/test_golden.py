@@ -4,10 +4,10 @@ Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
 reliability profiles, three PPA orders, the candidate metrics of every GA PPA
 step, the base-32 search metrics of large GA batches, the constellation
-points and the files written by seven command-line runs.  A mismatch means results changed:
-revert the change, or record the cause in CHANGES.md.  Never rewrite a
-fixture to make it pass; ``python tests/test_golden.py`` writes only the
-fixtures that do not exist yet.
+points and the files written by seven command-line runs.  A mismatch means
+results changed: revert the change, or record the cause in CHANGES.md.
+Never rewrite a fixture to make it pass; ``python tests/test_golden.py``
+writes only the fixtures that do not exist yet.
 """
 
 import contextlib
@@ -21,23 +21,23 @@ import numpy as np
 import pytest
 
 from rcpolar.channel import BPSK, ModulationSpec, pam_demap_table
-from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, ga_evolve,
-                                  select_information_set)
 from rcpolar.cli import main
+from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, design_code,
+                                  ga_evolve)
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
 from rcpolar.polar import PolarCodeSpec
-from rcpolar.puncturing import (ErasureDesign, GaussianDesign, evaluate_patterns,
+from rcpolar.puncturing import (ErasureDesign, GaussianDesign, base_code, evaluate_patterns,
                                 exhaustive_search, ppa, reference_base32_sequence)
 from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map
-from test_acceptance import _family_spec_1024, _family_spec_256, base_code
+from test_acceptance import _family_1024, _family_256
 
 GOLDEN = Path(__file__).with_name("golden")
 
 
 def criterion8_sweep_csv() -> bytes:
     """The criterion-8 sweep: N=256 BPSK AWGN, IR t=2, L=176, seed 31."""
-    spec, rm = _family_spec_256()
-    cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+    rm = _family_256()
+    cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn",
                       snr_grid=(3.0, 4.0), L=176, t=2, mode="ir", seed=31,
                       max_blocks=2000, target_block_errors=10**9, batch_size=500)
     return _csv(sweep(cfg), "seed=31")
@@ -46,8 +46,8 @@ def criterion8_sweep_csv() -> bytes:
 def qam16_fading_ir_csv() -> bytes:
     """The criterion-7 code (N=1024, k=352, L=384, 16-QAM) under IR t=4 on
     fast fading: 300 blocks at each of three SNR points, seed 5."""
-    spec, rm = _family_spec_1024()
-    cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="fading",
+    rm = _family_1024()
+    cfg = SweepConfig(rate_matcher=rm, channel_kind="fading",
                       snr_grid=(6.0, 9.0, 12.0), L=384, t=4, mode="ir", seed=5,
                       max_blocks=300, target_block_errors=10**9, batch_size=100)
     return _csv(sweep(cfg), "seed=5")
@@ -56,15 +56,8 @@ def qam16_fading_ir_csv() -> bytes:
 def qam64_awgn_cc_csv() -> bytes:
     """N=256 under 64-QAM on AWGN, CC t=2, L=192, k=96 selected by GA at
     10 dB: 300 blocks at each of three SNR points, seed 7."""
-    seq = reference_base32_sequence()
-    mod = ModulationSpec(64)
-    probe = PolarCodeSpec(n=8, k=1, info_set=(1,), split=(5, 3))
-    means = build_bicm_ga_means(probe, RateMatcher(spec=probe, sequence=seq, modulation=mod),
-                                192, 10.0)
-    spec = PolarCodeSpec(n=8, k=96, info_set=select_information_set(ga_evolve(probe, means), 96),
-                         split=(5, 3))
-    cfg = SweepConfig(spec=spec, rate_matcher=RateMatcher(spec=spec, sequence=seq, modulation=mod),
-                      channel_kind="awgn", snr_grid=(8.0, 10.0, 12.0), L=192, t=2, mode="cc",
+    rm = design_code(8, 96, (5, 3), reference_base32_sequence(), ModulationSpec(64), 192, 10.0)
+    cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn", snr_grid=(8.0, 10.0, 12.0), L=192, t=2, mode="cc",
                       seed=7, max_blocks=300, target_block_errors=10**9, batch_size=100)
     return _csv(sweep(cfg), "seed=7")
 

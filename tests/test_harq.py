@@ -118,15 +118,15 @@ class TestBatchEngine:
 
 class TestSweep:
     def make_cfg(self, mode="cc", workers=1, t=2, seed=99):
-        spec, rm = make_code()
-        return SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+        _, rm = make_code()
+        return SweepConfig(rate_matcher=rm, channel_kind="awgn",
                            snr_grid=(1.0, 4.0), L=32, t=t, mode=mode, seed=seed,
                            max_blocks=600, target_block_errors=50,
                            batch_size=100, stop_check_blocks=200, workers=workers)
 
     def test_t1_accounting(self):
-        spec, rm = make_code()
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+        _, rm = make_code()
+        cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn",
                           snr_grid=(2.0,), L=32, t=1, mode="cc", seed=5,
                           max_blocks=300, target_block_errors=10**9, batch_size=100)
         res = sweep(cfg)[0]
@@ -134,10 +134,10 @@ class TestSweep:
         assert res.blocks == 300
 
     def test_cc_equals_ir_at_t1(self):
-        spec, rm = make_code()
+        _, rm = make_code()
         rows = {}
         for mode in ("cc", "ir"):
-            cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+            cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn",
                               snr_grid=(2.0,), L=32, t=1, mode=mode, seed=5,
                               max_blocks=200, target_block_errors=10**9,
                               batch_size=100)
@@ -176,8 +176,8 @@ class TestSweep:
         assert len(lines) == 2 + 2
 
     def test_fading_kind_accepted(self):
-        spec, rm = make_code(mod=QAM16)
-        cfg = SweepConfig(spec=spec, rate_matcher=rm, channel_kind="fading",
+        _, rm = make_code(mod=QAM16)
+        cfg = SweepConfig(rate_matcher=rm, channel_kind="fading",
                           snr_grid=(8.0,), L=32, t=2, mode="ir", seed=1,
                           max_blocks=100, target_block_errors=10**9, batch_size=50)
         res = sweep(cfg)[0]
@@ -186,14 +186,14 @@ class TestSweep:
 
     def test_zero_target_block_errors_rejected(self):
         # zero would simulate no blocks and leave the BLER undefined
-        spec, rm = make_code()
+        _, rm = make_code()
         with pytest.raises(ValueError, match="target_block_errors"):
-            SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+            SweepConfig(rate_matcher=rm, channel_kind="awgn",
                         snr_grid=(1.0,), L=32, t=1, mode="cc", seed=0,
                         target_block_errors=0)
 
     def test_invalid_mode(self):
-        spec, rm = make_code()
+        _, rm = make_code()
         with pytest.raises(ValueError):
-            SweepConfig(spec=spec, rate_matcher=rm, channel_kind="awgn",
+            SweepConfig(rate_matcher=rm, channel_kind="awgn",
                         snr_grid=(1.0,), L=32, t=1, mode="chase", seed=0)

@@ -14,7 +14,6 @@ from rcpolar.construction import (
     bit_error_prob,
     ga_evolve,
     ga_leaf_means,
-    select_information_set,
 )
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (
@@ -22,6 +21,7 @@ from rcpolar.puncturing import (
     ErasureDesign,
     GaussianDesign,
     PuncturingSequence,
+    base_code,
     evaluate_patterns,
     exhaustive_search,
     expand_regular,
@@ -29,17 +29,6 @@ from rcpolar.puncturing import (
     reference_base32_sequence,
     sum_capacity_check,
 )
-
-
-def base_spec(p, k, design):
-    spec1 = PolarCodeSpec(n=p, k=1, info_set=(1,), split=(p, 0))
-    N = 1 << p
-    if isinstance(design, GaussianDesign):
-        prof = ga_evolve(spec1, np.full(N, design.mean_llr))
-    else:
-        prof = bhattacharyya_bec(spec1, np.full(N, design.epsilon))
-    info = select_information_set(prof, k)
-    return PolarCodeSpec(n=p, k=k, info_set=info, split=(p, 0))
 
 
 def union_bound_of(spec, design):
@@ -55,33 +44,33 @@ def union_bound_of(spec, design):
 class TestPpa:
     def test_n2_tie_breaks_to_zero(self):
         design = ErasureDesign(epsilon=0.5)
-        spec = base_spec(1, 1, design)
+        spec = base_code(1, 1, design)
         seq = ppa(spec, design)
         assert seq.order[0] == 0
 
     def test_eval_count(self):
         design = GaussianDesign.from_snr_db(2.0)
-        spec = base_spec(3, 3, design)
+        spec = base_code(3, 3, design)
         seq = ppa(spec, design)
         assert seq.stats.metric_evals == 8 * 9 // 2
 
     def test_nesting_by_construction(self):
         design = GaussianDesign.from_snr_db(2.0)
-        spec = base_spec(4, 6, design)
+        spec = base_code(4, 6, design)
         seq = ppa(spec, design)
         for m in range(16):
             assert set(seq.pattern(m)) <= set(seq.pattern(m + 1))
 
     def test_metric_monotone_in_m(self):
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(4, 8, design)
+        spec = base_code(4, 8, design)
         seq = ppa(spec, design)
         mets = [evaluate_patterns(spec, design, seq.pattern(m))[0] for m in range(17)]
         assert np.all(np.diff(mets) >= -1e-15)
 
     def test_n4_bec_matches_exhaustive_prefixes(self):
         design = ErasureDesign(epsilon=0.5)
-        spec = base_spec(2, 2, design)
+        spec = base_code(2, 2, design)
         seq = ppa(spec, design)
         for m in (1, 2, 3):
             opt = exhaustive_search(spec, design, m)
@@ -93,7 +82,7 @@ class TestPpa:
         (4, 8, GaussianDesign.from_snr_db(3.0)),
     ])
     def test_near_optimality_small(self, p, k, design):
-        spec = base_spec(p, k, design)
+        spec = base_code(p, k, design)
         seq = ppa(spec, design)
         for m in range(1, (1 << p)):
             opt = exhaustive_search(spec, design, m)
@@ -103,7 +92,7 @@ class TestPpa:
 
     def test_reproduces_reference_sequence(self):
         design = GaussianDesign.from_snr_db(3.5)
-        spec = base_spec(5, 11, design)
+        spec = base_code(5, 11, design)
         seq = ppa(spec, design)
         assert seq.order == reference_base32_sequence().order
 
@@ -116,7 +105,7 @@ class TestPpaMemo:
     def test_step_metrics_equal_fresh_evaluation(self, p, data, snr_db):
         N = 1 << p
         design = GaussianDesign.from_snr_db(snr_db)
-        spec = base_spec(p, data.draw(st.integers(1, N)), design)
+        spec = base_code(p, data.draw(st.integers(1, N)), design)
         seq = ppa(spec, design)
         for m, (cands, met) in enumerate(zip(seq.stats.step_candidates, seq.stats.step_metrics)):
             prefix = np.tile(np.array(seq.order[:m], dtype=np.int64), (len(cands), 1))
@@ -127,7 +116,7 @@ class TestPpaMemo:
         # without the memo, base-32 PPA evaluates the check node once per
         # stage per step: 5 * 32 = 160 calls; a second run starts empty
         design = GaussianDesign.from_snr_db(3.5)
-        spec = base_spec(5, 11, design)
+        spec = base_code(5, 11, design)
         calls = []
         check = construction.ga_check_mean
         monkeypatch.setattr(construction, "ga_check_mean",
@@ -144,7 +133,7 @@ class TestEvaluatePatterns:
     @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
                                         ErasureDesign(epsilon=0.4)])
     def test_empty_patterns(self, design):
-        spec = base_spec(4, 8, design)
+        spec = base_code(4, 8, design)
         unpunctured = union_bound_of(spec, design)
         one = evaluate_patterns(spec, design, [])
         batch = evaluate_patterns(spec, design, np.empty((3, 0), dtype=np.int64))
@@ -155,7 +144,7 @@ class TestEvaluatePatterns:
         # Summing ep[:, info] along axis 1 took a different order for B = 1
         # than for B >= 2; this pattern read ...099 alone and ...094 in a batch.
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(5, 16, design)
+        spec = base_code(5, 16, design)
         pattern = [3, 17, 9]
         alone = evaluate_patterns(spec, design, pattern)[0]
         assert alone == 0.0013681674307815094
@@ -170,14 +159,14 @@ class TestEvaluatePatterns:
     def test_bad_positions_name_patterns(self, bad):
         # [-1] scored as [31], [3, 3] as [3] and [1.7] as [1]; [32] raised IndexError
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(5, 16, design)
+        spec = base_code(5, 16, design)
         with pytest.raises(ValueError, match="patterns"):
             evaluate_patterns(spec, design, bad)
 
     @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
                                         ErasureDesign(epsilon=0.4)])
     def test_whole_float_positions_score_as_integers(self, design):
-        spec = base_spec(5, 16, design)
+        spec = base_code(5, 16, design)
         pats = [[3, 17, 9], [0, 31, 4]]
         want = evaluate_patterns(spec, design, pats)
         got = evaluate_patterns(spec, design, np.array(pats, dtype=float))
@@ -187,7 +176,7 @@ class TestEvaluatePatterns:
         # exhaustive_search draws valid patterns itself and evaluates them
         # without the public call's checks
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(4, 8, design)
+        spec = base_code(4, 8, design)
         want = exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=64)
         monkeypatch.setattr(puncturing, "evaluate_patterns", None)
         assert exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=64) == want
@@ -228,12 +217,12 @@ class TestPatternErrorProbs:
 class TestExhaustive:
     def test_m0_is_empty(self):
         design = ErasureDesign(epsilon=0.3)
-        spec = base_spec(3, 4, design)
+        spec = base_code(3, 4, design)
         assert exhaustive_search(spec, design, 0) == ()
 
     def test_n8_bec_brute_force(self):
         design = ErasureDesign(epsilon=0.4)
-        spec = base_spec(3, 4, design)
+        spec = base_code(3, 4, design)
         got = exhaustive_search(spec, design, 2)
         best = min(
             itertools.combinations(range(8), 2),
@@ -243,7 +232,7 @@ class TestExhaustive:
 
     def test_budget_guard(self):
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(5, 16, design)
+        spec = base_code(5, 16, design)
         with pytest.raises(EnumerationBudgetError):
             exhaustive_search(spec, design, 10, budget=1000)
 
@@ -254,13 +243,13 @@ class TestExhaustive:
     ], ids=["no-samples", "sampled-empty-batch", "enumerated-empty-batch"])
     def test_rejects_empty_search(self, m, kwargs, field):
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(5, 16, design)
+        spec = base_code(5, 16, design)
         with pytest.raises(ValueError, match=field):
             exhaustive_search(spec, design, m, **kwargs)
 
     def test_sampled_search_deterministic(self):
         design = GaussianDesign.from_snr_db(3.0)
-        spec = base_spec(5, 16, design)
+        spec = base_code(5, 16, design)
         a = exhaustive_search(spec, design, 10, budget=1000, n_samples=2000, seed=5)
         b = exhaustive_search(spec, design, 10, budget=1000, n_samples=2000, seed=5)
         assert a == b
