@@ -11,13 +11,19 @@ The record holds, for every workload in ``BENCHMARK.json``:
 
 It adds the wall time of the tier-1 suite and of its criterion-7 test (one
 pytest run with ``--durations=0``), the commit, nproc, and the Python, numpy
-and scipy versions.  Run from the root of a checkout, after the rcbench runs:
+and scipy versions.  Under ``layers`` it times, in this process, layers that
+rcbench does not time at a fixed size: the median process CPU time of one
+``sc_decode`` call at B=1 and B=512 rows, on the code of each HARQ workload
+(N=256 and N=1024) and fixed-seed LLRs of one transmission at its first
+point.  Run from the root of a checkout, after the rcbench runs:
 
     python3 rcbench/run.py --workload <name> --seed <s> --seconds 30 --trace 0
     python3 rcbench/run.py --workload <name> --seed 1 --seconds 30 --trace 1
     python3 scripts/bench.py --pr <number>
 
 A result file of another length or tracing setting is an error.
+``--layers-only`` prints the ``layers`` entry and writes nothing; run from
+the root of another checkout, it times that checkout's ``src/``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0
 CRITERION7 = "test_criterion_7"
 SEEDS = (1, 2, 3)   # seeds of the untraced runs; the traced run uses seed 1
 SECONDS = 30.0      # length of every run
+LAYER_SEED = 1
+LAYER_CALLS = {1: 101, 512: 21}   # timed sc_decode calls per batch size B
 
 
 def load(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -68,6 +76,43 @@ def untraced(results: list[dict]) -> dict:
             "attempted": [r["attempted"] for r in results]}
 
 
+def layers(root: Path) -> dict:
+    """Median process CPU time of ``sc_decode`` per HARQ workload code and B."""
+    sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
+    import numpy as np
+    from rcpolar.channel import ChannelSpec, ModulationSpec
+    from rcpolar.construction import design_code
+    from rcpolar.decoder import sc_decode
+    from rcpolar.polar import encode
+    from rcpolar.puncturing import reference_base32_sequence
+    from rcpolar.rate_matching import TxPlan, transmit_codeword_llrs
+    from workloads import HARQ_CASES
+
+    out = {}
+    for case in sorted(HARQ_CASES, key=lambda c: c.n):
+        rm = design_code(case.n, case.k, case.split, reference_base32_sequence(),
+                         ModulationSpec(case.order), case.select_L, case.select_snr_db)
+        spec = rm.spec
+        snr_db, L = case.points[0]
+        rng = np.random.default_rng(LAYER_SEED)
+        u = np.zeros((max(LAYER_CALLS), spec.N), dtype=np.uint8)
+        u[:, spec.info_zero_based] = rng.integers(0, 2, size=(len(u), spec.k))
+        llrs = transmit_codeword_llrs(encode(u, spec), rm, TxPlan(L=L, t=case.t, r=1, mode=case.mode),
+                                      ChannelSpec(kind=case.channel, snr_db=snr_db), rng)
+        for rows, calls in LAYER_CALLS.items():
+            batch = llrs[:rows]
+            sc_decode(batch, spec)   # builds and caches the node plan
+            times = []
+            for _ in range(calls):
+                t0 = time.process_time()
+                sc_decode(batch, spec)
+                times.append(time.process_time() - t0)
+            out[f"sc_decode N={spec.N} B={rows}"] = {
+                "workload": case.name, "k": spec.k, "calls": calls,
+                "cpu_s_median": statistics.median(times)}
+    return out
+
+
 def tier1(root: Path) -> dict:
     """Wall time of the tier-1 suite and of its criterion-7 test."""
     env = dict(os.environ)
@@ -87,11 +132,17 @@ def tier1(root: Path) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--pr", type=int, required=True, help="number in the output file name")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--pr", type=int, help="number in the output file name")
+    mode.add_argument("--layers-only", action="store_true",
+                      help="print the layers entry of this checkout and write nothing")
     args = ap.parse_args(argv)
     root = Path.cwd()
     if not (root / "BENCHMARK.json").is_file():
         ap.error("run from the root of an rcpolar checkout (BENCHMARK.json not found)")
+    if args.layers_only:
+        print(json.dumps(layers(root), indent=1, sort_keys=True))
+        return 0
     workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
 
     record = {"pr": args.pr, "seeds": list(SEEDS), "workloads": {}}
@@ -110,6 +161,7 @@ def main(argv=None) -> int:
                          "python": env.get("python"), "numpy": env.get("numpy"),
                          "scipy": env.get("scipy")}
     record["commit"] = env.get("commit")
+    record["layers"] = layers(root)
     record["tier1"] = tier1(root)
     out = Path(f"BENCH_{args.pr}.json")
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -14,7 +14,10 @@ wherever those reach exactly SC's decisions:
   check-node value inside the subtree can round to 0 or flip sign; other rows
   descend one level and try again.
 
-Genie-aided decoding walks the unpruned plan, which visits every leaf.
+A split whose left child is rate-0 skips its check node, since that child
+reads no LLRs: the right child gets ``b + a``, which is ``var_llr(a, b, 0)``
+bit for bit.  Genie-aided decoding walks the unpruned plan, which visits
+every leaf and computes every check node.
 
 Input LLRs are aligned to codeword positions (0-based, punctured = 0); the
 decoder internally applies the same bit-reversal as the encoder so decisions
@@ -55,6 +58,7 @@ class DecodeResult:
 
 
 RATE0, REP, RATE1, SPLIT = "rate0", "rep", "rate1", "split"
+LEFT0 = "left0"  # a split whose left child is rate-0: no check node
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,9 @@ def _node_plan(info_set: tuple[int, ...], n: int, pruned: bool) -> _Node:
                 return _Node(REP, start, size)
             if not f.any():
                 return _Node(RATE1, start, size, build(start, h), build(start + h, h))
-        return _Node(SPLIT, start, size, build(start, h), build(start + h, h))
+        left = build(start, h)
+        kind = LEFT0 if pruned and left.kind == RATE0 else SPLIT
+        return _Node(kind, start, size, left, build(start + h, h))
 
     return build(0, 1 << n)
 
@@ -135,6 +141,9 @@ def _walk(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
 def _split(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
     h = node.size // 2
     a, b = v[:, :h], v[:, h:]
+    if node.kind == LEFT0:
+        xr = _walk(node.right, b + a, leaf)
+        return np.concatenate([xr, xr], axis=1)
     xl = _walk(node.left, check_llr(a, b), leaf)
     xr = _walk(node.right, var_llr(a, b, xl), leaf)
     return np.concatenate([xl ^ xr, xr], axis=1)
@@ -175,7 +184,10 @@ def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u, return_leaf_llrs: bool = 
     decision correct).
     """
     batch, squeeze, lead = _as_batch(llrs, spec.N)
-    tu = np.asarray(true_u, dtype=np.uint8)
+    tu = np.asarray(true_u)
+    if not np.isin(tu, (0, 1)).all():
+        raise ValueError("true_u entries must be 0 or 1")
+    tu = tu.astype(np.uint8)
     if tu.shape[-1] != spec.N:
         raise ValueError(f"true_u length {tu.shape[-1]} does not match N = {spec.N}")
     tu = tu[None, :] if tu.ndim == 1 else tu.reshape(-1, spec.N)

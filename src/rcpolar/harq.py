@@ -65,6 +65,8 @@ def run_blocks_batch(
     Blocks that succeed stop transmitting; later channel draws cover only the
     still-active blocks.
     """
+    if t < 1:
+        raise ValueError(f"t = {t}: at least one transmission is needed")
     messages = np.asarray(messages, dtype=np.uint8)
     if messages.ndim != 2 or messages.shape[1] != spec.k:
         raise ValueError(f"messages have shape {messages.shape}, need (B, k) with k = {spec.k}")

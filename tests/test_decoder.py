@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcpolar import decoder
+from rcpolar.channel import QAM16
 from rcpolar.construction import (
     bhattacharyya_bec,
+    design_code,
     design_mean_llr,
     ga_evolve,
     select_information_set,
 )
 from rcpolar.decoder import _decode_batch, check_llr, genie_sc_decode, sc_decode, var_llr
 from rcpolar.polar import PolarCodeSpec, encode
+from rcpolar.puncturing import reference_base32_sequence
 
 INF = 300.0
 
@@ -179,6 +183,17 @@ class TestGenie:
         assert np.array_equal(f1, f2)
         assert f1.shape == (5, 16)
 
+    @pytest.mark.parametrize("bad", [2, -1, 0.5])
+    def test_true_u_must_be_bits(self, bad):
+        # a 2 used to reach var_llr as the factor -3 on the left LLRs
+        spec = make_spec(5, 16)
+        true_u = np.zeros(32)
+        true_u[7] = bad
+        with pytest.raises(ValueError, match="true_u"):
+            genie_sc_decode(np.ones(32), spec, true_u)
+        with pytest.raises(ValueError, match="true_u"):
+            genie_sc_decode(np.ones(32), spec, np.full(32, 2))
+
 
 @lru_cache(maxsize=None)
 def _ga_order(n):
@@ -254,3 +269,94 @@ class TestPrunedPlan:
         spec = PolarCodeSpec(n=2, k=1, info_set=(4,), split=(2, 0))
         dec = self.assert_same(np.array([1.0, -1.0, 1e-16, -1e-16]), spec)
         assert not dec.any()
+
+
+@lru_cache(maxsize=None)
+def _ir_code():
+    """The code of the N=1024, k=352 16-QAM incremental-redundancy workload."""
+    return design_code(10, 352, (5, 5), reference_base32_sequence(), QAM16, 384, 9.0).spec
+
+
+def _random_code():
+    info = np.random.default_rng(13).permutation(256)[:100] + 1
+    return PolarCodeSpec(n=8, k=100, info_set=tuple(sorted(info.tolist())), split=(8, 0))
+
+
+def _tiny_code():
+    # inputs 1-5 frozen: the root's left half is rate-0
+    return PolarCodeSpec(n=3, k=3, info_set=(6, 7, 8), split=(3, 0))
+
+
+_SKIP_CODES = {"ir": _ir_code, "random": _random_code, "tiny": _tiny_code}
+
+
+def _plan_kinds(node):
+    if node is not None:
+        yield node.kind
+        yield from _plan_kinds(node.left)
+        yield from _plan_kinds(node.right)
+
+
+def _noisy_llrs(spec, rows, seed):
+    """Noisy LLRs of random codewords with ±0.0, ±inf and ±5e-324 mixed in."""
+    rng = np.random.default_rng(seed)
+    u = np.zeros((rows, spec.N), dtype=np.uint8)
+    u[:, spec.info_zero_based] = rng.integers(0, 2, size=(rows, spec.k))
+    llr = 2.0 * (1.0 - 2.0 * encode(u, spec)) + rng.normal(scale=1.5, size=u.shape)
+    special = rng.random(llr.shape) < rng.choice([0.01, 0.1, 0.5], size=(rows, 1))
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324])
+    llr[special] = rng.choice(edge, size=int(special.sum()))
+    return llr
+
+
+def _noiseless_llrs(spec, rows=4):
+    # strong LLRs without zeros: every rate-1 node keeps its hard decisions
+    rng = np.random.default_rng(1)
+    u = np.zeros((rows, spec.N), dtype=np.uint8)
+    u[:, spec.info_zero_based] = rng.integers(0, 2, size=(rows, spec.k))
+    return 30.0 * (1.0 - 2.0 * encode(u, spec))
+
+
+def _check_elements(monkeypatch, spec, llr, pruned):
+    """Input size, per row, of every check node the walk computes."""
+    sizes = []
+
+    def counting(a, b):
+        sizes.append(np.shape(a)[1])
+        return check_llr(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(decoder, "check_llr", counting)
+        _decode_batch(llr, spec, pruned=pruned)
+    return sizes
+
+
+class TestRate0LeftSkip:
+    """A split whose left child is rate-0 skips its check node, bit for bit."""
+
+    @pytest.mark.parametrize("code", sorted(_SKIP_CODES))
+    def test_matches_full_schedule(self, code):
+        spec = _SKIP_CODES[code]()
+        assert decoder.LEFT0 in _plan_kinds(decoder._node_plan(spec.info_set, spec.n, True))
+        assert decoder.LEFT0 not in _plan_kinds(decoder._node_plan(spec.info_set, spec.n, False))
+        llr = _noisy_llrs(spec, 96, seed=spec.N + spec.k)
+        with np.errstate(invalid="ignore"):   # inf - inf in both schedules
+            pruned = _decode_batch(llr, spec)
+            full = _decode_batch(llr, spec, pruned=False)
+        assert np.array_equal(pruned, full)
+
+    @pytest.mark.parametrize("code", sorted(_SKIP_CODES))
+    def test_unpruned_computes_every_check_node(self, monkeypatch, code):
+        spec = _SKIP_CODES[code]()
+        sizes = _check_elements(monkeypatch, spec, _noiseless_llrs(spec), pruned=False)
+        assert sum(sizes) == spec.N // 2 * spec.n
+
+    def test_root_over_rate0_half(self, monkeypatch):
+        # only the right half's split over (frozen, info) computes a check node
+        assert _check_elements(monkeypatch, _tiny_code(), _noiseless_llrs(_tiny_code()), True) == [2]
+
+    def test_ir_code_elements(self, monkeypatch):
+        # the pruned plan has 2,082 check-node elements per row, 654 of them
+        # over rate-0 left children
+        spec = _ir_code()
+        assert sum(_check_elements(monkeypatch, spec, _noiseless_llrs(spec), True)) == 1428

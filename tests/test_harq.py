@@ -93,6 +93,14 @@ class TestRunBlock:
                 run_blocks_batch(spec, rm, chan, 32, 1, "cc",
                                  np.zeros(shape, dtype=np.uint8), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_needs_a_transmission(self, t):
+        # t = 0 used to return every block as failed after 0 transmissions
+        spec, rm = make_code()
+        with pytest.raises(ValueError, match=rf"t = {t}"):
+            run_blocks_batch(spec, rm, ChannelSpec(kind="awgn", snr_db=3.0), 32, t, "cc",
+                             np.zeros((2, spec.k), dtype=np.uint8), np.random.default_rng(0))
+
 
 class TestBatchEngine:
     def test_matches_scalar_path_statistically(self):

@@ -1,5 +1,6 @@
 """The design scripts in ``scripts/`` run end to end on tiny arguments."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +33,15 @@ def test_script_runs(script, tmp_path):
     assert proc.stdout.strip()
     written = list(tmp_path.iterdir())
     assert written and all(f.stat().st_size > 0 for f in written)
+
+
+def test_bench_layers_only():
+    # times this checkout's sc_decode and prints the entries; writes nothing
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--layers-only"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    entries = json.loads(proc.stdout)
+    assert sorted(entries) == [f"sc_decode N={N} B={B}" for N in (1024, 256) for B in (1, 512)]
+    assert all(e["cpu_s_median"] > 0 for e in entries.values())
