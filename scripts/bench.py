@@ -97,7 +97,8 @@ def layers(root: Path) -> dict:
         rng = np.random.default_rng(LAYER_SEED)
         u = np.zeros((max(LAYER_CALLS), spec.N), dtype=np.uint8)
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(len(u), spec.k))
-        llrs = transmit_codeword_llrs(encode(u, spec), rm, TxPlan(L=L, t=case.t, r=1, mode=case.mode),
+        plan = TxPlan(L=L, t=case.t, r=1, mode=case.mode)
+        llrs = transmit_codeword_llrs(encode(u, spec), rm, plan,
                                       ChannelSpec(kind=case.channel, snr_db=snr_db), rng)
         for rows, calls in LAYER_CALLS.items():
             batch = llrs[:rows]
