@@ -12,10 +12,20 @@ The record holds, for every workload in ``BENCHMARK.json``:
 It adds the wall time of the tier-1 suite and of its criterion-7 test (one
 pytest run with ``--durations=0``), the commit, nproc, and the Python, numpy
 and scipy versions.  Under ``layers`` it times, in this process, layers that
-rcbench does not time at a fixed size: the median process CPU time of one
-``sc_decode`` call at B=1 and B=512 rows, on the code of each HARQ workload
-(N=256 and N=1024) and fixed-seed LLRs of one transmission at its first
-point.  Run from the root of a checkout, after the rcbench runs:
+rcbench does not time at a fixed size, on the code of each HARQ workload
+(N=256 and N=1024) at its first point:
+
+* one ``sc_decode`` call at B=1 and B=512 rows, on fixed-seed LLRs of one
+  transmission;
+* one HARQ batch: ``run_blocks_batch`` on the workload's batch of fixed-seed
+  messages (B=64 for IR, B=256 for CC), every transmission included.
+
+Each layer records the median process CPU time of a call, raw
+(``cpu_s_median_raw``) and divided as rcbench divides its times
+(``cpu_s_median``): by the host's slowdown, measured with the kernel of
+``rcbench/calibrate.py`` timed after every call, to the power of the
+workload's sensitivity ``beta``.  Run from the root of a checkout, after the
+rcbench runs:
 
     python3 rcbench/run.py --workload <name> --seed <s> --seconds 30 --trace 0
     python3 rcbench/run.py --workload <name> --seed 1 --seconds 30 --trace 1
@@ -46,6 +56,7 @@ SEEDS = (1, 2, 3)   # seeds of the untraced runs; the traced run uses seed 1
 SECONDS = 30.0      # length of every run
 LAYER_SEED = 1
 LAYER_CALLS = {1: 101, 512: 21}   # timed sc_decode calls per batch size B
+HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
 
 
 def load(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -77,16 +88,31 @@ def untraced(results: list[dict]) -> dict:
 
 
 def layers(root: Path) -> dict:
-    """Median process CPU time of ``sc_decode`` per HARQ workload code and B."""
+    """Calibrated CPU time of ``sc_decode`` and of one HARQ batch per HARQ workload."""
     sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
     import numpy as np
+    from calibrate import kernel_s, slowdown
     from rcpolar.channel import ChannelSpec, ModulationSpec
     from rcpolar.construction import design_code
     from rcpolar.decoder import sc_decode
+    from rcpolar.harq import run_blocks_batch
     from rcpolar.polar import encode
     from rcpolar.puncturing import reference_base32_sequence
     from rcpolar.rate_matching import TxPlan, transmit_codeword_llrs
-    from workloads import HARQ_CASES
+    from workloads import HARQ_CASES, harq_messages
+
+    def timed(call, calls: int, beta: float) -> dict:
+        """Median CPU time of ``call``, raw and divided by slowdown ** beta."""
+        call()   # first-call costs, such as building the node plan, stay out
+        times, kernel = [], []
+        for _ in range(calls):
+            t0 = time.process_time()
+            call()
+            times.append(time.process_time() - t0)
+            kernel.append(kernel_s())
+        raw, slow = statistics.median(times), slowdown(kernel)
+        return {"calls": calls, "cpu_s_median_raw": raw, "slowdown": slow, "beta": beta,
+                "cpu_s_median": raw / slow ** beta}
 
     out = {}
     for case in sorted(HARQ_CASES, key=lambda c: c.n):
@@ -94,23 +120,24 @@ def layers(root: Path) -> dict:
                          ModulationSpec(case.order), case.select_L, case.select_snr_db)
         spec = rm.spec
         snr_db, L = case.points[0]
+        chan = ChannelSpec(kind=case.channel, snr_db=snr_db)
         rng = np.random.default_rng(LAYER_SEED)
         u = np.zeros((max(LAYER_CALLS), spec.N), dtype=np.uint8)
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(len(u), spec.k))
         plan = TxPlan(L=L, t=case.t, r=1, mode=case.mode)
-        llrs = transmit_codeword_llrs(encode(u, spec), rm, plan,
-                                      ChannelSpec(kind=case.channel, snr_db=snr_db), rng)
+        llrs = transmit_codeword_llrs(encode(u, spec), rm, plan, chan, rng)
         for rows, calls in LAYER_CALLS.items():
-            batch = llrs[:rows]
-            sc_decode(batch, spec)   # builds and caches the node plan
-            times = []
-            for _ in range(calls):
-                t0 = time.process_time()
-                sc_decode(batch, spec)
-                times.append(time.process_time() - t0)
             out[f"sc_decode N={spec.N} B={rows}"] = {
-                "workload": case.name, "k": spec.k, "calls": calls,
-                "cpu_s_median": statistics.median(times)}
+                "workload": case.name, "k": spec.k,
+                **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
+
+        def batch():   # the same messages and channel draws on every call
+            messages, rng = harq_messages(case, LAYER_SEED, 0, 0)
+            run_blocks_batch(spec, rm, chan, L, case.t, case.mode, messages, rng)
+
+        out[f"harq batch N={spec.N} B={case.batch}"] = {
+            "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
+            **timed(batch, HARQ_BATCH_CALLS, case.beta)}
     return out
 
 

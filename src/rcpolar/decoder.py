@@ -19,6 +19,9 @@ reads no LLRs: the right child gets ``b + a``, which is ``var_llr(a, b, 0)``
 bit for bit.  Genie-aided decoding walks the unpruned plan, which visits
 every leaf and computes every check node.
 
+Given the transmitted codewords, a row stops at its first wrong decision, for
+HARQ's genie acknowledgement; a CRC-based one would have to revisit this.
+
 Input LLRs are aligned to codeword positions (0-based, punctured = 0); the
 decoder internally applies the same bit-reversal as the encoder so decisions
 come out in natural input order.  An LLR of exactly 0 decides bit 0.
@@ -59,6 +62,11 @@ class DecodeResult:
 
 RATE0, REP, RATE1, SPLIT = "rate0", "rep", "rate1", "split"
 LEFT0 = "left0"  # a split whose left child is rate-0: no check node
+# Early termination checks a left child of at least this many inputs only.
+# HARQ cycles against full decoding, alternated in one process: checking every
+# left child gave 1.15x on IR and 0.99x on CC (22 of 60 cycles faster); from
+# 32 inputs on, 1.23x and 1.01x (34 of 60).
+EARLY_STOP_MIN_HALF = 32
 
 
 @dataclass(frozen=True)
@@ -111,12 +119,14 @@ def _hard_decisions_are_sc(v: np.ndarray) -> np.ndarray:
     return np.tanh(0.5 * mag).prod(axis=1) >= 1e-8 * (1.0 + 1e-6 * mag.sum(axis=1))
 
 
-def _walk(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
+def _walk(node: _Node, v: np.ndarray, leaf, t: np.ndarray | None = None) -> np.ndarray:
     """Decode LLRs ``v`` (B, size) through ``node``; returns its partial sums.
 
     The partial sums are the subtree's decisions pushed through the polar
     transform, i.e. its re-encoded codeword.  ``leaf(start, llr)`` replaces
-    the decision at size-1 nodes when given.
+    the decision at size-1 nodes when given.  Given the true partial sums
+    ``t``, a row stops at its first wrong decision; its partial sums then
+    differ from ``t`` but are otherwise arbitrary.
     """
     if node.size == 1 and leaf is not None:
         return leaf(node.start, v)
@@ -133,19 +143,28 @@ def _walk(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
         if node.size > 1:
             redo = ~_hard_decisions_are_sc(v)
             if redo.any():
-                x[redo] = _split(node, v[redo], leaf)
+                x[redo] = _split(node, v[redo], leaf, None if t is None else t[redo])
         return x
-    return _split(node, v, leaf)
+    return _split(node, v, leaf, t)
 
 
-def _split(node: _Node, v: np.ndarray, leaf) -> np.ndarray:
+def _split(node: _Node, v: np.ndarray, leaf, t: np.ndarray | None) -> np.ndarray:
     h = node.size // 2
+    if h < EARLY_STOP_MIN_HALF:
+        t = None
     a, b = v[:, :h], v[:, h:]
+    tr = None if t is None else t[:, h:]
     if node.kind == LEFT0:
-        xr = _walk(node.right, b + a, leaf)
+        xr = _walk(node.right, b + a, leaf, tr)
         return np.concatenate([xr, xr], axis=1)
-    xl = _walk(node.left, check_llr(a, b), leaf)
-    xr = _walk(node.right, var_llr(a, b, xl), leaf)
+    tl = None if t is None else t[:, :h] ^ tr
+    xl = _walk(node.left, check_llr(a, b), leaf, tl)
+    if t is None or (right := (xl == tl).all(axis=1)).all():
+        xr = _walk(node.right, var_llr(a, b, xl), leaf, tr)
+    else:   # rows that decided the left child wrongly stop, with xr = 0
+        xr = np.zeros_like(xl)
+        if right.any():
+            xr[right] = _walk(node.right, var_llr(a[right], b[right], xl[right]), leaf, tr[right])
     return np.concatenate([xl ^ xr, xr], axis=1)
 
 
@@ -157,17 +176,36 @@ def _as_batch(llrs, N: int):
     return (llrs[None, :] if squeeze else llrs.reshape(-1, N)), squeeze, llrs.shape[:-1]
 
 
-def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True) -> np.ndarray:
+def _truth(bits, N: int, rows: int, name: str) -> np.ndarray:
+    """True bits of each LLR row as a (rows, N) uint8 array, checked."""
+    bits = np.asarray(bits)
+    if not ((bits == 0) | (bits == 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+    if bits.shape[-1:] != (N,) or bits.size != rows * N:
+        raise ValueError(f"{name} has shape {bits.shape}, need {rows} rows of N = {N} bits")
+    return bits.astype(np.uint8).reshape(rows, N)
+
+
+def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True,
+                  x_true: np.ndarray | None = None) -> np.ndarray:
     """Decided input blocks (B, N); ``pruned=False`` walks every leaf."""
     plan = _node_plan(spec.info_set, spec.n, pruned)
-    x = _walk(plan, batch[:, bit_reversal_permutation(spec.n)], None)
+    perm = bit_reversal_permutation(spec.n)
+    x = _walk(plan, batch[:, perm], None, None if x_true is None else x_true[:, perm])
     return polar_transform(x)
 
 
-def sc_decode(llrs, spec: PolarCodeSpec) -> DecodeResult:
-    """Decode codeword-aligned LLRs; accepts (N,) or any (..., N) batch."""
+def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> DecodeResult:
+    """Decode codeword-aligned LLRs; accepts (N,) or any (..., N) batch.
+
+    With ``x_true``, the transmitted codeword of each row, a row stops at its
+    first wrong decision; its ``u`` then differs from the true input block
+    but is otherwise arbitrary, frozen bits included.
+    """
     batch, squeeze, lead = _as_batch(llrs, spec.N)
-    dec = _decode_batch(batch, spec)
+    if x_true is not None:
+        x_true = _truth(x_true, spec.N, batch.shape[0], "x_true")
+    dec = _decode_batch(batch, spec, x_true=x_true)
     info = dec[:, spec.info_zero_based]
     if squeeze:
         return DecodeResult(u=dec[0], info_bits=info[0])
@@ -184,15 +222,7 @@ def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u, return_leaf_llrs: bool = 
     decision correct).
     """
     batch, squeeze, lead = _as_batch(llrs, spec.N)
-    tu = np.asarray(true_u)
-    if not np.isin(tu, (0, 1)).all():
-        raise ValueError("true_u entries must be 0 or 1")
-    tu = tu.astype(np.uint8)
-    if tu.shape[-1] != spec.N:
-        raise ValueError(f"true_u length {tu.shape[-1]} does not match N = {spec.N}")
-    tu = tu[None, :] if tu.ndim == 1 else tu.reshape(-1, spec.N)
-    if tu.shape[0] != batch.shape[0]:
-        raise ValueError("true_u batch does not match llrs batch")
+    tu = _truth(true_u, spec.N, batch.shape[0], "true_u")
     frozen = spec.frozen_mask
     flags = np.zeros(batch.shape, dtype=bool)
     leaf_llrs = np.zeros(batch.shape)

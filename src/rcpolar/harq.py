@@ -4,8 +4,11 @@ A block is encoded once and sent up to t times.  Chase retransmissions repeat
 transmission 1 bit for bit; IR retransmissions start at a rotated column and
 rotate the symbol-mapping classes with it.  The receiver accumulates LLRs per
 codeword position across transmissions and attempts SC decoding after each.
-Acknowledgement is genie: decoded information bits are compared to the truth
-(no CRC is attached, so code rates are exactly k/L).
+Acknowledgement is genie: decoded bits are compared to the truth (no CRC is
+attached, so code rates are exactly k/L).  So an attempt before the last
+transmission stops at its first wrong decision (``sc_decode``'s ``x_true``),
+and only the last attempt, whose bit errors are counted, decodes in full.  A
+CRC-based acknowledgement would have to revisit this.
 
 Every random draw is tied to (seed, SNR point, fixed-size batch index), so
 results are byte-identical for any worker count or scheduling order.
@@ -63,11 +66,15 @@ def run_blocks_batch(
     Returns (success, transmissions_used, info_bit_errors) per block; bit
     errors count over the information bits of the final decoding attempt.
     Blocks that succeed stop transmitting; later channel draws cover only the
-    still-active blocks.
+    still-active blocks.  Attempts before transmission ``t`` stop at their
+    first wrong decision; the results equal those of full decoding.
     """
     if t < 1:
         raise ValueError(f"t = {t}: at least one transmission is needed")
-    messages = np.asarray(messages, dtype=np.uint8)
+    messages = np.asarray(messages)
+    if not ((messages == 0) | (messages == 1)).all():
+        raise ValueError("messages entries must be 0 or 1")
+    messages = messages.astype(np.uint8)
     if messages.ndim != 2 or messages.shape[1] != spec.k:
         raise ValueError(f"messages have shape {messages.shape}, need (B, k) with k = {spec.k}")
     B = messages.shape[0]
@@ -84,11 +91,11 @@ def run_blocks_batch(
         delta = transmit_codeword_llrs(x[active], rm, plan, chan, rng)
         acc[active] += delta
         tx_used[active] = r
-        res = sc_decode(acc[active], spec)
-        errs = (res.info_bits != messages[active]).sum(axis=1)
-        ok = errs == 0
+        res = sc_decode(acc[active], spec, x_true=None if r == t else x[active])
+        ok = (res.u == u[active]).all(axis=1)
         success[active[ok]] = True
-        bit_errs[active] = errs
+        if r == t:
+            bit_errs[active] = (res.info_bits != messages[active]).sum(axis=1)
         active = active[~ok]
         if active.size == 0:
             break

@@ -108,10 +108,9 @@ def _check_bits(u, N: int) -> np.ndarray:
     u = np.asarray(u)
     if u.shape[-1] != N:
         raise ValueError(f"block length {u.shape[-1]} does not match N = {N}")
-    bits = u.astype(np.uint8, copy=True)
-    if not np.all((bits == 0) | (bits == 1)):
+    if not np.all((u == 0) | (u == 1)):
         raise ValueError("block entries must be 0 or 1")
-    return bits
+    return u.astype(np.uint8, copy=True)
 
 
 def butterfly(a: np.ndarray, stage) -> np.ndarray:

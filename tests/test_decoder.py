@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rcpolar import decoder
@@ -360,3 +360,84 @@ class TestRate0LeftSkip:
         # over rate-0 left children
         spec = _ir_code()
         assert sum(_check_elements(monkeypatch, spec, _noiseless_llrs(spec), True)) == 1428
+
+
+@st.composite
+def _early_case(draw):
+    """A code whose pruned plan has REP, RATE1 and LEFT0 nodes, with noisy LLRs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([6, 8, 10]))
+    if n == 10:
+        spec = _ir_code()
+    else:
+        N = 1 << n
+        k = draw(st.integers(N // 4, 3 * N // 4))
+        info = tuple(sorted((rng.permutation(N)[:k] + 1).tolist()))
+        spec = PolarCodeSpec(n=n, k=k, info_set=info, split=(n, 0))
+    kinds = set(_plan_kinds(decoder._node_plan(spec.info_set, spec.n, True)))
+    assume({decoder.REP, decoder.RATE1, decoder.LEFT0} <= kinds)
+    u = np.zeros((16, spec.N), dtype=np.uint8)
+    u[:, spec.info_zero_based] = rng.integers(0, 2, size=(16, spec.k))
+    llr = draw(st.sampled_from([1.0, 2.0, 4.0])) * (1.0 - 2.0 * encode(u, spec))
+    llr += rng.normal(scale=draw(st.sampled_from([0.5, 1.0, 2.0])), size=llr.shape)
+    # punctured zeros, saturation, and values that fail the rate-1 guard
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-12, -1e-12])
+    special = rng.random(llr.shape) < draw(st.sampled_from([0.0, 0.02, 0.2, 0.6]))
+    llr[special] = rng.choice(edge, size=int(special.sum()))
+    # checks at every split, or only at the large ones as in production
+    return spec, llr, rng, draw(st.sampled_from([1, decoder.EARLY_STOP_MIN_HALF]))
+
+
+class TestEarlyTermination:
+    """With the true codeword, a row stops at its first wrong decision."""
+
+    @given(_early_case())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_full_decoding(self, case):
+        spec, llr, rng, min_half = case
+        with np.errstate(invalid="ignore"):   # inf - inf in the check node
+            full = sc_decode(llr, spec).u
+        # the decoder's own codeword on the first half, one bit off it on the
+        # second: the first half succeeds, the second fails
+        x_true = encode(full, spec)
+        x_true[np.arange(8, 16), rng.integers(0, spec.N, size=8)] ^= 1
+        with pytest.MonkeyPatch.context() as m, np.errstate(invalid="ignore"):
+            m.setattr(decoder, "EARLY_STOP_MIN_HALF", min_half)
+            early = sc_decode(llr, spec, x_true=x_true).u
+        u_true = encode(x_true, spec)
+        ok = (full == u_true).all(axis=1)
+        assert ok.tolist() == [True] * 8 + [False] * 8
+        assert np.array_equal((early == u_true).all(axis=1), ok)
+        assert np.array_equal(early[ok], full[ok])
+
+    def test_wrong_rows_skip_work(self, monkeypatch):
+        # rows whose true first information bit is not the decided one stop
+        # long before the end
+        spec = _ir_code()
+        llr = _noiseless_llrs(spec)
+        u = sc_decode(llr, spec).u
+        wrong = u.copy()
+        wrong[:, spec.info_zero_based[0]] ^= 1
+        calls = []
+
+        def counting(a, b):
+            calls.append(np.shape(a)[0] * np.shape(a)[1])
+            return check_llr(a, b)
+
+        monkeypatch.setattr(decoder, "check_llr", counting)
+        sc_decode(llr, spec, x_true=encode(u, spec))
+        right = sum(calls)
+        calls.clear()
+        sc_decode(llr, spec, x_true=encode(wrong, spec))
+        assert right == 4 * 1428 and sum(calls) < right // 2
+
+    @pytest.mark.parametrize("x_true, match", [
+        (np.full((2, 8), 2), "x_true entries must be 0 or 1"),
+        (np.full((2, 8), 0.5), "x_true entries must be 0 or 1"),
+        (np.zeros((2, 9)), r"x_true has shape \(2, 9\), need 2 rows of N = 8 bits"),
+        (np.zeros((3, 8)), r"x_true has shape \(3, 8\)"),
+        (np.zeros(16), r"x_true has shape \(16,\)"),
+    ])
+    def test_x_true_checked(self, x_true, match):
+        with pytest.raises(ValueError, match=match):
+            sc_decode(np.ones((2, 8)), make_spec(3, 4), x_true=x_true)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rcpolar.channel import BPSK, QAM16, ChannelSpec
-from rcpolar.construction import bhattacharyya_bec, select_information_set
+from rcpolar.construction import bhattacharyya_bec, design_code, select_information_set
+from rcpolar.decoder import sc_decode
 from rcpolar.harq import (
     SweepConfig,
     run_blocks_batch,
@@ -14,7 +15,7 @@ from rcpolar.harq import (
     throughput,
     write_results_csv,
 )
-from rcpolar.polar import PolarCodeSpec
+from rcpolar.polar import PolarCodeSpec, encode
 from rcpolar.puncturing import PuncturingSequence, reference_base32_sequence
 from rcpolar.rate_matching import RateMatcher, TxPlan, transmit_codeword_llrs
 
@@ -93,6 +94,16 @@ class TestRunBlock:
                 run_blocks_batch(spec, rm, chan, 32, 1, "cc",
                                  np.zeros(shape, dtype=np.uint8), np.random.default_rng(0))
 
+    def test_messages_must_be_bits(self):
+        # 256 and -255 used to wrap to 0 and 1 and come back decoded
+        spec, rm = make_code()
+        msgs = np.zeros((2, spec.k), dtype=np.int64)
+        msgs[0, 0], msgs[1, 1] = 256, -255
+        for bad in (msgs, np.full((2, spec.k), 0.5)):
+            with pytest.raises(ValueError, match="messages entries must be 0 or 1"):
+                run_blocks_batch(spec, rm, ChannelSpec(kind="awgn", snr_db=40.0), 32, 1, "cc",
+                                 bad, np.random.default_rng(0))
+
     @pytest.mark.parametrize("t", [0, -1])
     def test_needs_a_transmission(self, t):
         # t = 0 used to return every block as failed after 0 transmissions
@@ -122,6 +133,73 @@ class TestBatchEngine:
         ok, used, errs = run_blocks_batch(spec, rm, chan, 32, 3, "ir", msgs, rng)
         assert errs.sum() <= (~ok).sum() * spec.k
         assert used.min() >= 1 and used.max() <= 3
+
+
+def full_decoding_loop(spec, rm, chan, L, t, mode, messages, rng):
+    """The HARQ loop that decodes every attempt in full (the reference)."""
+    B = messages.shape[0]
+    u = np.zeros((B, spec.N), dtype=np.uint8)
+    u[:, spec.info_zero_based] = messages
+    x = encode(u, spec)
+    acc = np.zeros((B, spec.N))
+    active = np.arange(B)
+    success = np.zeros(B, dtype=bool)
+    tx_used = np.zeros(B, dtype=np.int64)
+    bit_errs = np.zeros(B, dtype=np.int64)
+    for r in range(1, t + 1):
+        delta = transmit_codeword_llrs(x[active], rm, TxPlan(L=L, t=t, r=r, mode=mode), chan, rng)
+        acc[active] += delta
+        tx_used[active] = r
+        res = sc_decode(acc[active], spec)
+        errs = (res.info_bits != messages[active]).sum(axis=1)
+        ok = errs == 0
+        success[active[ok]] = True
+        bit_errs[active] = errs
+        active = active[~ok]
+        if active.size == 0:
+            break
+    return success, tx_used, bit_errs
+
+
+class TestEarlyTermination:
+    """Attempts before the last transmission stop at their first wrong
+    decision; every counter still equals full decoding's."""
+
+    @staticmethod
+    def assert_same(rm, channel, snrs, L, t, mode):
+        """(success, tx_used, bit_errs) over 64 blocks at each SNR, pooled."""
+        spec = rm.spec
+        pooled = []
+        for i, snr in enumerate(snrs):
+            chan = ChannelSpec(kind=channel, snr_db=snr)
+            msgs = np.random.default_rng(i).integers(0, 2, size=(64, spec.k), dtype=np.uint8)
+            got = run_blocks_batch(spec, rm, chan, L, t, mode, msgs, np.random.default_rng(40 + i))
+            want = full_decoding_loop(spec, rm, chan, L, t, mode, msgs,
+                                      np.random.default_rng(40 + i))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            pooled.append(got)
+        return tuple(np.concatenate(a) for a in zip(*pooled))
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_ir_qam16_fading(self, t):
+        # 0 dB: every block fails every round; 4-16 dB: blocks decode after
+        # each of the four transmissions, and some fail all of them
+        rm = design_code(8, 88, (5, 3), reference_base32_sequence(), QAM16, 96, 9.0)
+        success, tx, _ = self.assert_same(rm, "fading", (0.0, 4.0, 8.0, 16.0), 96, t, "ir")
+        assert set(tx[success].tolist()) == set(range(1, t + 1))
+        assert (~success).sum() > 64
+
+    def test_cc_bpsk_awgn(self):
+        rm = design_code(8, 88, (5, 3), reference_base32_sequence(), BPSK, 98, 3.5)
+        success, tx, _ = self.assert_same(rm, "awgn", (-6.0, 2.0, 4.0), 98, 2, "cc")
+        assert set(tx[success].tolist()) == {1, 2} and (~success).sum() > 64
+
+    @pytest.mark.parametrize("mode", ["cc", "ir"])
+    def test_blocks_that_fail_every_round(self, mode):
+        rm = design_code(8, 88, (5, 3), reference_base32_sequence(), QAM16, 96, 9.0)
+        success, tx, errs = self.assert_same(rm, "fading", (-10.0,), 96, 3, mode)
+        assert not success.any() and (tx == 3).all() and (errs > 0).all()
 
 
 class TestSweep:

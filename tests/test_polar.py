@@ -77,6 +77,13 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(np.array([0, 2, 0, 1]), spec)
 
+    @pytest.mark.parametrize("bad", [256, -255, 0.5])
+    def test_non_binary_checked_before_the_cast(self, bad):
+        # 256, -255 and 0.5 used to wrap or truncate to a bit and be encoded
+        spec = full_rate_spec(2, split=(1, 1))
+        with pytest.raises(ValueError, match="0 or 1"):
+            encode(np.array([0, bad, 0, 1]), spec)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matrix_oracle(self, n):
         spec = full_rate_spec(n, split=(n, 0))
