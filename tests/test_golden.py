@@ -4,7 +4,8 @@ Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
 reliability profiles, three PPA orders, the candidate metrics of every GA PPA
 step, the base-32 search metrics of large GA batches, the constellation
-points and the files written by seven command-line runs.  A mismatch means
+points, the files written by seven command-line runs and two genie-aided
+Monte-Carlo profiles.  A mismatch means
 results changed: revert the change, or record the cause in CHANGES.md.
 Never rewrite a fixture to make it pass; ``python tests/test_golden.py``
 writes only the fixtures that do not exist yet.
@@ -156,12 +157,20 @@ CLI_RUNS = (
 )
 
 
-def cli_outputs_txt() -> bytes:
-    """Each of ``CLI_RUNS`` in turn: the command line, its exit code, what it
+# genie-aided Monte-Carlo profiles, without and with a rate matcher
+GENIE_MC_RUNS = (
+    "construct --n 8 --method mc --snr-db 2.0 --trials 4000 --seed 3 --out {dir}/mc.csv",
+    "construct --n 8 --method mc --snr-db 8 --trials 2000 --seed 5 --sequence reference32"
+    " --select-length 98 --modulation 16 --channel fading --out {dir}/mc_rm.csv",
+)
+
+
+def cli_outputs_txt(runs=CLI_RUNS) -> bytes:
+    """Each of ``runs`` in turn: the command line, its exit code, what it
     wrote to stderr and the bytes of its ``--out`` file."""
     chunks = []
     with tempfile.TemporaryDirectory() as tmp:
-        for run in CLI_RUNS:
+        for run in runs:
             args = run.format(dir=tmp).split()
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
@@ -197,6 +206,7 @@ DESIGN_FIXTURES = {
     "search_metrics_32.txt": search_metrics_32_txt,
     "constellations.txt": constellations_txt,
     "cli_outputs.txt": cli_outputs_txt,
+    "genie_mc_outputs.txt": lambda: cli_outputs_txt(GENIE_MC_RUNS),
 }
 
 
