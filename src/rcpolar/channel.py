@@ -100,18 +100,16 @@ def _label_points(mod: ModulationSpec) -> np.ndarray:
     return pts
 
 
+LLR_INF = 300.0   # finite LLR of a bit the erasure channel did not erase
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Channel model: AWGN, per-symbol (fast) fading, or an erasure channel.
-
-    ``llr_inf`` is the finite stand-in for an infinite LLR, used for erasure
-    non-erasures and known padding bits so downstream arithmetic stays total.
-    """
+    """Channel model: AWGN, per-symbol (fast) fading, or an erasure channel."""
 
     kind: str                     # "awgn" | "fading" | "bec"
     snr_db: float | None = None
     epsilon: float | None = None
-    llr_inf: float = 300.0
 
     def __post_init__(self):
         if self.kind not in ("awgn", "fading", "bec"):
@@ -120,8 +118,8 @@ class ChannelSpec:
             if self.epsilon is None or not 0.0 <= self.epsilon <= 1.0:
                 raise ValueError("bec channel needs epsilon in [0, 1]")
         else:
-            if self.snr_db is None:
-                raise ValueError(f"{self.kind} channel needs snr_db")
+            if self.snr_db is None or not math.isfinite(self.snr_db):
+                raise ValueError(f"{self.kind} channel needs a finite snr_db")
 
     def noise_sigma2(self, mod: ModulationSpec) -> float:
         """Noise variance per real dimension at this SNR."""
@@ -251,7 +249,7 @@ def demodulate(received, amp, chan: ChannelSpec, mod: ModulationSpec) -> np.ndar
     """Received symbols (+ known fading) -> per-bit LLRs, positive favors 0."""
     y = np.asarray(received)
     if chan.kind == "bec":
-        return np.sign(np.real(y)) * chan.llr_inf
+        return np.sign(np.real(y)) * LLR_INF
     sigma2 = chan.noise_sigma2(mod)
     if mod.order == 2:
         return 2.0 * np.asarray(amp) * np.real(y) / sigma2

@@ -44,28 +44,67 @@ class ConfigError(ValueError):
         self.fieldname = fieldname
 
 
-def _require(cfg: dict, fieldname: str, kind, cond=None, what: str = ""):
-    if fieldname not in cfg or cfg[fieldname] is None:
-        raise ConfigError(fieldname, "is required")
-    val = cfg[fieldname]
+# Every config field: its type, then, unless any value of the type will do, a
+# condition on the value and the message that names its failure.  JSON and
+# flags feed the same fields; integers must be whole, and no field takes a
+# boolean.
+_AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_FIELDS = {
+    "out": (str,),
+    "seed": (int, lambda v: v >= 0, "must be >= 0"),
+    "n": (int, lambda v: v >= 1, "must be an integer >= 1"),
+    "k": (int, *_AT_LEAST_1),
+    "p": (int, *_AT_LEAST_1),
+    "q": (int, lambda v: v >= 0, "must be >= 0"),
+    "base_len": (int, lambda v: v >= 2 and (v & (v - 1)) == 0, "must be a power of two >= 2"),
+    "method": (str, lambda v: v in ("ga", "bec", "mc"), "must be one of ga, bec, mc"),
+    "design_snr_db": (float,),
+    "snr_db": (float,),
+    "epsilon": (float, *_UNIT),
+    "trials": (int, *_AT_LEAST_1),
+    "channel": (str, lambda v: v in ("awgn", "fading", "bec"), "must be awgn, fading, or bec"),
+    "modulation": (int, lambda v: v in (2, 16, 64), "must be 2, 16, or 64"),
+    "sequence": (str,),
+    "select_length": (int, *_AT_LEAST_1),
+    "profile": (str,),
+    "mode": (str, lambda v: v in ("cc", "ir"), "must be cc or ir"),
+    "t": (int, *_AT_LEAST_1),
+    "L": (int, *_AT_LEAST_1),
+    "snr_start": (float,),
+    "snr_stop": (float,),
+    "snr_step": (float, lambda v: v > 0, "must be > 0"),
+    "max_blocks": (int, *_AT_LEAST_1),
+    "target_block_errors": (int, *_AT_LEAST_1),
+    "batch_size": (int, *_AT_LEAST_1),
+    "workers": (int, *_AT_LEAST_1),
+    "shift_cc_bicm": (int, lambda v: v in (0, 1), "must be 0 or 1"),
+}
+_REQUIRED = object()
+
+
+def _get(cfg: dict, fieldname: str, default=_REQUIRED):
+    """Field ``fieldname`` of ``cfg`` converted to its type and checked; when it
+    is absent, ``default``, which only a required field lacks."""
+    val = cfg.get(fieldname)
+    if val is None:
+        if default is _REQUIRED:
+            raise ConfigError(fieldname, "is required")
+        return default
+    kind, *check = _FIELDS[fieldname]
     try:
-        if kind is int and isinstance(val, bool):
+        if isinstance(val, bool) or (kind is int and isinstance(val, float)
+                                     and not val.is_integer()):
             raise TypeError
         val = kind(val)
         if kind is float and not math.isfinite(val):
             raise ValueError
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         expected = "a finite number" if kind is float else kind.__name__
         raise ConfigError(fieldname, f"must be {expected}") from None
-    if cond is not None and not cond(val):
-        raise ConfigError(fieldname, what or "is out of range")
+    if check and not check[0](val):
+        raise ConfigError(fieldname, check[1])
     return val
-
-
-def _optional(cfg: dict, fieldname: str, kind, default=None, cond=None, what: str = ""):
-    if fieldname not in cfg or cfg[fieldname] is None:
-        return default
-    return _require(cfg, fieldname, kind, cond, what)
 
 
 def load_config(path: str | None, overrides: dict) -> dict:
@@ -92,10 +131,8 @@ def dump_config(cfg: dict) -> str:
 
 
 def _resolve_seed(cfg: dict) -> int:
-    seed = _optional(cfg, "seed", int, cond=lambda v: v >= 0, what="must be >= 0")
-    if seed is None:
-        seed = secrets.randbits(48)
-    return int(seed)
+    seed = _get(cfg, "seed", None)
+    return secrets.randbits(48) if seed is None else seed
 
 
 def _load_sequence(name: str, p: int) -> PuncturingSequence:
@@ -115,7 +152,7 @@ def _load_sequence(name: str, p: int) -> PuncturingSequence:
 
 def _output_path(cfg: dict) -> str:
     """The ``out`` path, checked before any computation: its directory must exist."""
-    out = _require(cfg, "out", str)
+    out = _get(cfg, "out")
     folder = os.path.dirname(out) or "."
     if not os.path.isdir(folder):
         raise ConfigError("out", f"directory {folder} does not exist")
@@ -134,20 +171,14 @@ def _writing(out: str):
 
 
 def _split(cfg: dict, n: int) -> tuple[int, int]:
-    p = _optional(cfg, "p", int)
-    q = _optional(cfg, "q", int)
+    p, q = _get(cfg, "p", None), _get(cfg, "q", None)
     if p is None and q is None:
-        p = min(5, n)
-        q = n - p
-    elif p is None or q is None:
+        return min(5, n), n - min(5, n)
+    if p is None or q is None:
         raise ConfigError("p", "p and q must be given together")
     if p + q != n:
         raise ConfigError("p", f"p + q must equal n = {n}")
-    if p < 1 or q < 0:
-        raise ConfigError("p", "need p >= 1 and q >= 0")
     return p, q
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +187,16 @@ def _split(cfg: dict, n: int) -> tuple[int, int]:
 
 
 def cmd_construct(cfg: dict) -> int:
-    n = _require(cfg, "n", int, lambda v: v >= 1, "must be an integer >= 1")
-    method = _require(cfg, "method", str, lambda v: v in ("ga", "bec", "mc"),
-                      "must be one of ga, bec, mc")
+    n = _get(cfg, "n")
+    method = _get(cfg, "method")
     out = _output_path(cfg)
     N = 1 << n
     p, q = _split(cfg, n)
     # full rate, so profiles and genie runs cover every input position
     spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
-    seq_name = _optional(cfg, "sequence", str)
-    select_len = _optional(cfg, "select_length", int, cond=lambda v: v >= 1,
-                           what="must be >= 1")
-    mod = ModulationSpec(_optional(cfg, "modulation", int, default=2,
-                                   cond=lambda v: v in (2, 16, 64),
-                                   what="must be 2, 16, or 64"))
+    seq_name = _get(cfg, "sequence", None)
+    select_len = _get(cfg, "select_length", None)
+    mod = ModulationSpec(_get(cfg, "modulation", 2))
     rm = None
     if seq_name is not None:
         rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p), modulation=mod)
@@ -177,35 +204,27 @@ def cmd_construct(cfg: dict) -> int:
         raise ConfigError("sequence", "select_length needs a puncturing sequence")
     seed = None
     if method == "ga":
-        snr = _require(cfg, "design_snr_db", float)
+        snr = _get(cfg, "design_snr_db")
         if select_len is not None:
             means = build_bicm_ga_means(spec, rm, select_len, snr)
         else:
             means = np.full(N, cons.design_mean_llr(snr))
         profile = cons.ga_evolve(spec, means)
     elif method == "bec":
-        eps = _require(cfg, "epsilon", float, lambda v: 0.0 <= v <= 1.0,
-                       "must lie in [0, 1]")
+        eps = _get(cfg, "epsilon")
         z = np.full(N, eps)
-        if select_len is not None:
+        if select_len is not None:   # a bit sent r times is erased with eps^r
             tm = build_tx_map(rm, TxPlan(L=select_len, t=1, r=1, mode="cc"))
-            z = np.ones(N)
-            z[np.unique(tm.emit_idx)] = eps
+            z = eps ** np.bincount(tm.emit_idx, minlength=N)
         profile = cons.bhattacharyya_bec(spec, z)
     else:
         seed = _resolve_seed(cfg)
-        snr = _require(cfg, "snr_db", float)
-        trials = _optional(cfg, "trials", int, default=100_000,
-                           cond=lambda v: v >= 1, what="must be >= 1")
-        kind = _optional(cfg, "channel", str, default="awgn",
-                         cond=lambda v: v in ("awgn", "fading", "bec"),
-                         what="must be awgn, fading, or bec")
-        chan = ChannelSpec(kind=kind, snr_db=snr) if kind != "bec" else ChannelSpec(
-            kind="bec", epsilon=_require(cfg, "epsilon", float,
-                                         lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"))
-        profile = cons.genie_monte_carlo(
-            spec, chan, mod, rate_matcher=rm,
-            trials=trials, seed=seed, tx_length=select_len)
+        kind = _get(cfg, "channel", "awgn")
+        chan = (ChannelSpec(kind="bec", epsilon=_get(cfg, "epsilon")) if kind == "bec"
+                else ChannelSpec(kind=kind, snr_db=_get(cfg, "snr_db")))
+        profile = cons.genie_monte_carlo(spec, chan, mod, rate_matcher=rm,
+                                         trials=_get(cfg, "trials", 100_000), seed=seed,
+                                         tx_length=select_len)
     with _writing(out), open(out, "w", encoding="utf-8") as fh:
         if seed is not None:
             fh.write(f"# seed={seed}\n")
@@ -214,17 +233,15 @@ def cmd_construct(cfg: dict) -> int:
 
 
 def cmd_puncture(cfg: dict) -> int:
-    base_len = _require(cfg, "base_len", int,
-                        lambda v: v >= 2 and (v & (v - 1)) == 0,
-                        "must be a power of two >= 2")
-    k = _require(cfg, "k", int, lambda v: 1 <= v <= base_len,
-                 "must lie in [1, base_len]")
+    base_len = _get(cfg, "base_len")
+    k = _get(cfg, "k")
+    if k > base_len:
+        raise ConfigError("k", "must lie in [1, base_len]")
     out = _output_path(cfg)
     p = base_len.bit_length() - 1
-    eps = _optional(cfg, "epsilon", float, cond=lambda v: 0.0 <= v <= 1.0,
-                    what="must lie in [0, 1]")
+    eps = _get(cfg, "epsilon", None)
     design = (ErasureDesign(epsilon=eps) if eps is not None
-              else GaussianDesign.from_snr_db(_require(cfg, "design_snr_db", float)))
+              else GaussianDesign.from_snr_db(_get(cfg, "design_snr_db")))
     seq = ppa(base_code(p, k, design), design)
     for step, tied in seq.stats.ties:
         print(f"tie at step {step}: candidates {tied}", file=sys.stderr)
@@ -234,28 +251,26 @@ def cmd_puncture(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict) -> int:
-    n = _require(cfg, "n", int, lambda v: v >= 1, "must be an integer >= 1")
-    k = _require(cfg, "k", int, lambda v: 1 <= v <= (1 << n),
-                 "must lie in [1, 2^n]")
+    n = _get(cfg, "n")
+    k = _get(cfg, "k")
+    if k > 1 << n:
+        raise ConfigError("k", "must lie in [1, 2^n]")
     out = _output_path(cfg)
     p, q = _split(cfg, n)
-    seq = _load_sequence(_optional(cfg, "sequence", str, default="reference32"), p)
-    mod = ModulationSpec(_optional(cfg, "modulation", int, default=2,
-                                   cond=lambda v: v in (2, 16, 64),
-                                   what="must be 2, 16, or 64"))
-    kind = _optional(cfg, "channel", str, default="awgn",
-                     cond=lambda v: v in ("awgn", "fading"),
-                     what="must be awgn or fading")
-    mode = _optional(cfg, "mode", str, default="cc",
-                     cond=lambda v: v in ("cc", "ir"), what="must be cc or ir")
-    t = _optional(cfg, "t", int, default=1, cond=lambda v: v >= 1, what="must be >= 1")
-    L = _require(cfg, "L", int, lambda v: v >= 1, "must be >= 1")
+    seq = _load_sequence(_get(cfg, "sequence", "reference32"), p)
+    mod = ModulationSpec(_get(cfg, "modulation", 2))
+    kind = _get(cfg, "channel", "awgn")
+    if kind == "bec":
+        raise ConfigError("channel", "must be awgn or fading")
+    mode = _get(cfg, "mode", "cc")
+    t = _get(cfg, "t", 1)
+    L = _get(cfg, "L")
     seed = _resolve_seed(cfg)
     snrs = cfg.get("snrs")
     if snrs is None:
-        start = _require(cfg, "snr_start", float)
-        stop = _require(cfg, "snr_stop", float)
-        step = _require(cfg, "snr_step", float, lambda v: v > 0, "must be > 0")
+        start = _get(cfg, "snr_start")
+        stop = _get(cfg, "snr_stop")
+        step = _get(cfg, "snr_step")
         if stop < start:
             raise ConfigError("snr_stop", f"must be >= snr_start = {start}")
         count = int(round((stop - start) / step)) + 1
@@ -270,9 +285,8 @@ def cmd_simulate(cfg: dict) -> int:
         raise ConfigError("snrs", f"must be a list of finite numbers, got {snrs!r}") from None
 
     # information set: explicit file, or designed at select_length/design SNR
-    profile_path = _optional(cfg, "profile", str)
-    shift_cc = _optional(cfg, "shift_cc_bicm", int, default=0, cond=lambda v: v in (0, 1),
-                         what="must be 0 or 1") == 1
+    profile_path = _get(cfg, "profile", None)
+    shift_cc = _get(cfg, "shift_cc_bicm", 0) == 1
     if profile_path is not None:
         try:
             profile = cons.ReliabilityProfile.from_csv(profile_path)
@@ -284,22 +298,17 @@ def cmd_simulate(cfg: dict) -> int:
                              split=(p, q))
         rm = RateMatcher(spec=spec, sequence=seq, modulation=mod, shift_cc_bicm=shift_cc)
     else:
-        design_snr = _require(cfg, "design_snr_db", float)
-        select_len = _optional(cfg, "select_length", int, default=L,
-                               cond=lambda v: v >= 1, what="must be >= 1")
+        design_snr = _get(cfg, "design_snr_db")
+        select_len = _get(cfg, "select_length", L)
         rm = design_code(n, k, (p, q), seq, mod, select_len, design_snr, shift_cc_bicm=shift_cc)
 
     sweep_cfg = harq.SweepConfig(
         rate_matcher=rm, channel_kind=kind, snr_grid=snrs,
         L=L, t=t, mode=mode, seed=seed,
-        max_blocks=_optional(cfg, "max_blocks", int, default=100_000,
-                             cond=lambda v: v >= 1, what="must be >= 1"),
-        target_block_errors=_optional(cfg, "target_block_errors", int, default=100,
-                                      cond=lambda v: v >= 1, what="must be >= 1"),
-        batch_size=_optional(cfg, "batch_size", int, default=512,
-                             cond=lambda v: v >= 1, what="must be >= 1"),
-        workers=_optional(cfg, "workers", int, default=1,
-                          cond=lambda v: v >= 1, what="must be >= 1"),
+        max_blocks=_get(cfg, "max_blocks", 100_000),
+        target_block_errors=_get(cfg, "target_block_errors", 100),
+        batch_size=_get(cfg, "batch_size", 512),
+        workers=_get(cfg, "workers", 1),
     )
     results = harq.sweep(sweep_cfg)
     with _writing(out):
@@ -316,67 +325,30 @@ def cmd_simulate(cfg: dict) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; flags override its fields")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--out", help="output file path")
+# each subcommand's function, help and fields; every field is a --<name> flag
+_COMMANDS = {
+    "construct": (cmd_construct, "write a bit-channel reliability profile CSV",
+                  "n method design_snr_db snr_db epsilon trials channel modulation p q"
+                  " sequence select_length"),
+    "puncture": (cmd_puncture, "derive a progressive puncturing sequence",
+                 "base_len k design_snr_db epsilon"),
+    "simulate": (cmd_simulate, "run a BER/BLER/throughput sweep",
+                 "n k p q sequence modulation channel mode t L snr_start snr_stop snr_step"
+                 " design_snr_db select_length profile max_blocks target_block_errors"
+                 " batch_size workers shift_cc_bicm"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rcpolar",
                                  description="rate-compatible polar codes and HARQ simulation")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("construct", help="write a bit-channel reliability profile CSV")
-    _add_common(c)
-    c.add_argument("--n", type=int)
-    c.add_argument("--method", choices=("ga", "bec", "mc"))
-    c.add_argument("--design-snr-db", dest="design_snr_db", type=float)
-    c.add_argument("--snr-db", dest="snr_db", type=float)
-    c.add_argument("--epsilon", type=float)
-    c.add_argument("--trials", type=int)
-    c.add_argument("--channel", choices=("awgn", "fading", "bec"))
-    c.add_argument("--modulation", type=int)
-    c.add_argument("--p", type=int)
-    c.add_argument("--q", type=int)
-    c.add_argument("--sequence")
-    c.add_argument("--select-length", dest="select_length", type=int)
-
-    d = sub.add_parser("puncture", help="derive a progressive puncturing sequence")
-    _add_common(d)
-    d.add_argument("--base-len", dest="base_len", type=int)
-    d.add_argument("--k", type=int)
-    d.add_argument("--design-snr-db", dest="design_snr_db", type=float)
-    d.add_argument("--epsilon", type=float)
-
-    s = sub.add_parser("simulate", help="run a BER/BLER/throughput sweep")
-    _add_common(s)
-    s.add_argument("--n", type=int)
-    s.add_argument("--k", type=int)
-    s.add_argument("--p", type=int)
-    s.add_argument("--q", type=int)
-    s.add_argument("--sequence")
-    s.add_argument("--modulation", type=int)
-    s.add_argument("--channel", choices=("awgn", "fading"))
-    s.add_argument("--mode", choices=("cc", "ir"))
-    s.add_argument("--t", type=int)
-    s.add_argument("--L", type=int)
-    s.add_argument("--snr-start", dest="snr_start", type=float)
-    s.add_argument("--snr-stop", dest="snr_stop", type=float)
-    s.add_argument("--snr-step", dest="snr_step", type=float)
-    s.add_argument("--design-snr-db", dest="design_snr_db", type=float)
-    s.add_argument("--select-length", dest="select_length", type=int)
-    s.add_argument("--profile")
-    s.add_argument("--max-blocks", dest="max_blocks", type=int)
-    s.add_argument("--target-block-errors", dest="target_block_errors", type=int)
-    s.add_argument("--batch-size", dest="batch_size", type=int)
-    s.add_argument("--workers", type=int)
-    s.add_argument("--shift-cc-bicm", dest="shift_cc_bicm", type=int)
-
+    for name, (_, helptext, fields) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=helptext)
+        sp.add_argument("--config", help="JSON config file; flags override its fields")
+        for f in ("seed", "out", *fields.split()):
+            sp.add_argument("--" + f.replace("_", "-"))
     return ap
-
-
-_COMMANDS = {"construct": cmd_construct, "puncture": cmd_puncture, "simulate": cmd_simulate}
 
 
 def main(argv=None) -> int:
@@ -385,7 +357,7 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
     try:
         cfg = load_config(ns.config, overrides)
-        code = _COMMANDS[ns.command](cfg)
+        code = _COMMANDS[ns.command][0](cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

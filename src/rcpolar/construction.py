@@ -25,8 +25,9 @@ from __future__ import annotations
 import importlib.resources
 import io
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
@@ -76,49 +77,34 @@ def _log_phi_tail(x) -> np.ndarray:
     return 0.5 * np.log(np.pi / x) - x / 4.0 + np.log1p(-10.0 / (7.0 * x))
 
 
-class _PhiTable:
-    """Interpolation table for log phi and its inverse, built lazily from the
-    shipped knots."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._ready = False
-
-    def _build(self):
-        text = importlib.resources.files("rcpolar.data").joinpath("log_phi_knots.txt").read_text()
-        ls = np.array([float(v) for v in text.split()])
-        if len(ls) != _GRID_KNOTS:
-            raise RuntimeError("bundled phi knots asset is corrupt")
-        self.log_x = np.log(_knot_x())
-        self.log_phi_knots = ls
-        self.fwd = PchipInterpolator(self.log_x, ls, extrapolate=False)
-        # log phi and its derivative as the two columns of one piecewise
-        # polynomial, so a Newton step makes one interval search: the
-        # derivative's coefficients under a zero leading row evaluate in the
-        # same power-form order as fwd.derivative(), bit for bit
-        d = self.fwd.derivative().c
-        c = np.stack([self.fwd.c, np.vstack([np.zeros_like(d[:1]), d])], axis=-1)
-        self.fwd_and_d = PPoly(c, self.fwd.x, extrapolate=False)
+@lru_cache(maxsize=None)
+def _phi_table() -> SimpleNamespace:
+    """Interpolation table for log phi and its inverse, built from the shipped
+    knots on first use."""
+    text = importlib.resources.files("rcpolar.data").joinpath("log_phi_knots.txt").read_text()
+    ls = np.array([float(v) for v in text.split()])
+    if len(ls) != _GRID_KNOTS:
+        raise RuntimeError("bundled phi knots asset is corrupt")
+    log_x = np.log(_knot_x())
+    fwd = PchipInterpolator(log_x, ls, extrapolate=False)
+    # log phi and its derivative as the two columns of one piecewise
+    # polynomial, so a Newton step makes one interval search: the
+    # derivative's coefficients under a zero leading row evaluate in the
+    # same power-form order as fwd.derivative(), bit for bit
+    d = fwd.derivative().c
+    c = np.stack([fwd.c, np.vstack([np.zeros_like(d[:1]), d])], axis=-1)
+    return SimpleNamespace(
+        log_x=log_x, log_phi_knots=ls, fwd=fwd,
+        fwd_and_d=PPoly(c, fwd.x, extrapolate=False),
         # seed table for the inverse: log phi is strictly decreasing
-        self.inv = PchipInterpolator(ls[::-1], self.log_x[::-1], extrapolate=False)
-        self.l_hi = float(ls[0])    # log phi(1e-6), close to 0
-        self.l_lo = float(ls[-1])   # log phi(200)
-        self._ready = True
-
-    def get(self):
-        if not self._ready:
-            with self._lock:
-                if not self._ready:
-                    self._build()
-        return self
-
-
-_TABLE = _PhiTable()
+        inv=PchipInterpolator(ls[::-1], log_x[::-1], extrapolate=False),
+        l_hi=float(ls[0]),    # log phi(1e-6), close to 0
+        l_lo=float(ls[-1]))   # log phi(200)
 
 
 def log_phi(x) -> np.ndarray:
     """Elementwise log of phi; phi(0) = 1, strictly decreasing in x."""
-    t = _TABLE.get()
+    t = _phi_table()
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise ValueError("phi is defined for x >= 0 only")
@@ -146,7 +132,7 @@ def phi(x) -> np.ndarray:
 
 def _phi_inverse_log(ly) -> np.ndarray:
     """Solve log_phi(x) = ly elementwise; ly must be <= 0."""
-    t = _TABLE.get()
+    t = _phi_table()
     ly = np.atleast_1d(np.asarray(ly, dtype=float))
     out = np.empty_like(ly)
     hi = ly > t.l_hi      # x below the grid: invert the series
@@ -218,20 +204,14 @@ def ga_check_mean(a, b) -> np.ndarray:
     return np.where((a == 0.0) | (b == 0.0), 0.0, out)
 
 
-def ga_leaf_means(channel_means: np.ndarray, memo: dict | None = None) -> np.ndarray:
+def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
     """Propagate coded-position LLR means to input means, batched.
 
     ``channel_means[..., t]`` is the mean LLR of coded position t (0-based
     codeword order, mean 0 where punctured).  Returns means indexed by input
     position (0-based u order).
-
-    ``memo`` maps a check-node input pair, keyed by the two float64 bit
-    patterns, to its output mean; the check node runs only on the pairs it
-    misses, and their results are stored back.  A caller that evaluates many
-    related batches (one PPA run) passes one dict to all of them; without it
-    each call starts from an empty dict.
     """
-    vals, codes = _ga_leaf_codes(*_distinct_values(np.asarray(channel_means, dtype=float)), memo)
+    vals, codes = _ga_leaf_codes(*_distinct_values(np.asarray(channel_means, dtype=float)))
     return vals[codes]
 
 
@@ -240,7 +220,13 @@ def _ga_leaf_codes(vals: np.ndarray, codes: np.ndarray,
     """:func:`ga_leaf_means` on codes into a table of distinct values; returns
     the leaf table and codes.  Each stage runs the check node once per distinct
     input pair (a batch of patterns holds few distinct means); both node functions
-    are elementwise, so the result is bit-identical to evaluating every element."""
+    are elementwise, so the result is bit-identical to evaluating every element.
+
+    ``memo`` maps a check-node input pair, keyed by the two float64 bit
+    patterns, to its output mean; the check node runs only on the pairs it
+    misses, and their results are stored back.  A caller that evaluates many
+    related batches (one PPA run) passes one dict to all of them; without it
+    each call starts from an empty dict."""
     N = codes.shape[-1]
     n = N.bit_length() - 1
     if N != 1 << n:
@@ -289,14 +275,8 @@ def _distinct(keys: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, n
         seen[flat] = True
         rank = np.cumsum(seen, dtype=np.int32) - 1
         return np.flatnonzero(seen), rank[keys]
-    order = np.argsort(flat)
-    ranked = flat[order]
-    first = np.empty(len(ranked), dtype=bool)
-    first[:1] = True
-    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    inv = np.empty(len(flat), dtype=np.int64)
-    inv[order] = np.cumsum(first) - 1
-    return ranked[first], inv.reshape(keys.shape)
+    table, inv = np.unique(flat, return_inverse=True)
+    return table, inv.reshape(keys.shape)   # numpy 1.x returns the inverse flat
 
 
 def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -443,6 +423,9 @@ def bhattacharyya_bec(spec: PolarCodeSpec, erasure_probs) -> ReliabilityProfile:
 # ---------------------------------------------------------------------------
 
 
+_GENIE_BATCH = 8192   # trials per batch; the batch index keys the random draws
+
+
 def genie_monte_carlo(
     spec: PolarCodeSpec,
     chan,
@@ -450,23 +433,22 @@ def genie_monte_carlo(
     rate_matcher=None,
     trials: int = 100_000,
     seed: int = 0,
-    batch_size: int = 8192,
     tx_length: int | None = None,
 ) -> ReliabilityProfile:
     """Estimate per-position first-error rates with a genie-aided SC decoder.
 
     Random information blocks are encoded, sent through ``chan``/``mod`` (with
     ``rate_matcher`` selecting/repeating coded bits when given), and decoded
-    with every previous decision forced correct.  Batches of fixed size carry
-    their own seeded random streams, so the result does not depend on how the
-    batches are scheduled.
+    with every previous decision forced correct.  Batches of
+    ``_GENIE_BATCH`` trials carry their own seeded random streams, so the
+    result does not depend on how the batches are scheduled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     counts = np.zeros(spec.N, dtype=np.int64)
-    n_batches = (trials + batch_size - 1) // batch_size
+    n_batches = (trials + _GENIE_BATCH - 1) // _GENIE_BATCH
     for bi in range(n_batches):
-        b = min(batch_size, trials - bi * batch_size)
+        b = min(_GENIE_BATCH, trials - bi * _GENIE_BATCH)
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 7, bi)))
         u = np.zeros((b, spec.N), dtype=np.uint8)
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(b, spec.k), dtype=np.uint8)

@@ -16,8 +16,8 @@ wherever those reach exactly SC's decisions:
 
 A split whose left child is rate-0 skips its check node, since that child
 reads no LLRs: the right child gets ``b + a``, which is ``var_llr(a, b, 0)``
-bit for bit.  Genie-aided decoding walks the unpruned plan, which visits
-every leaf and computes every check node.
+bit for bit.  Genie-aided decoding takes no decisions, so it needs no plan:
+it recurses over the code tree with the true partial sums.
 
 Given the transmitted codewords, a row stops at its first wrong decision, for
 HARQ's genie acknowledgement; a CRC-based one would have to revisit this.
@@ -119,17 +119,14 @@ def _hard_decisions_are_sc(v: np.ndarray) -> np.ndarray:
     return np.tanh(0.5 * mag).prod(axis=1) >= 1e-8 * (1.0 + 1e-6 * mag.sum(axis=1))
 
 
-def _walk(node: _Node, v: np.ndarray, leaf, t: np.ndarray | None = None) -> np.ndarray:
+def _walk(node: _Node, v: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     """Decode LLRs ``v`` (B, size) through ``node``; returns its partial sums.
 
     The partial sums are the subtree's decisions pushed through the polar
-    transform, i.e. its re-encoded codeword.  ``leaf(start, llr)`` replaces
-    the decision at size-1 nodes when given.  Given the true partial sums
+    transform, i.e. its re-encoded codeword.  Given the true partial sums
     ``t``, a row stops at its first wrong decision; its partial sums then
     differ from ``t`` but are otherwise arbitrary.
     """
-    if node.size == 1 and leaf is not None:
-        return leaf(node.start, v)
     if node.kind == RATE0:
         return np.zeros(v.shape, dtype=np.uint8)
     if node.kind == REP:
@@ -143,28 +140,28 @@ def _walk(node: _Node, v: np.ndarray, leaf, t: np.ndarray | None = None) -> np.n
         if node.size > 1:
             redo = ~_hard_decisions_are_sc(v)
             if redo.any():
-                x[redo] = _split(node, v[redo], leaf, None if t is None else t[redo])
+                x[redo] = _split(node, v[redo], None if t is None else t[redo])
         return x
-    return _split(node, v, leaf, t)
+    return _split(node, v, t)
 
 
-def _split(node: _Node, v: np.ndarray, leaf, t: np.ndarray | None) -> np.ndarray:
+def _split(node: _Node, v: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     h = node.size // 2
     if h < EARLY_STOP_MIN_HALF:
         t = None
     a, b = v[:, :h], v[:, h:]
     tr = None if t is None else t[:, h:]
     if node.kind == LEFT0:
-        xr = _walk(node.right, b + a, leaf, tr)
+        xr = _walk(node.right, b + a, tr)
         return np.concatenate([xr, xr], axis=1)
     tl = None if t is None else t[:, :h] ^ tr
-    xl = _walk(node.left, check_llr(a, b), leaf, tl)
+    xl = _walk(node.left, check_llr(a, b), tl)
     if t is None or (right := (xl == tl).all(axis=1)).all():
-        xr = _walk(node.right, var_llr(a, b, xl), leaf, tr)
+        xr = _walk(node.right, var_llr(a, b, xl), tr)
     else:   # rows that decided the left child wrongly stop, with xr = 0
         xr = np.zeros_like(xl)
         if right.any():
-            xr[right] = _walk(node.right, var_llr(a[right], b[right], xl[right]), leaf, tr[right])
+            xr[right] = _walk(node.right, var_llr(a[right], b[right], xl[right]), tr[right])
     return np.concatenate([xl ^ xr, xr], axis=1)
 
 
@@ -191,7 +188,7 @@ def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True,
     """Decided input blocks (B, N); ``pruned=False`` walks every leaf."""
     plan = _node_plan(spec.info_set, spec.n, pruned)
     perm = bit_reversal_permutation(spec.n)
-    x = _walk(plan, batch[:, perm], None, None if x_true is None else x_true[:, perm])
+    x = _walk(plan, batch[:, perm], None if x_true is None else x_true[:, perm])
     return polar_transform(x)
 
 
@@ -213,30 +210,32 @@ def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> DecodeResult:
                         info_bits=info.reshape(lead + (spec.k,)))
 
 
-def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u, return_leaf_llrs: bool = False):
+def _genie_leaf_llrs(batch: np.ndarray, spec: PolarCodeSpec, tu: np.ndarray) -> np.ndarray:
+    """Decision LLR of every input (B, N) with every earlier decision correct:
+    the channel each input sees under genie-aided decoding."""
+    out = np.empty(batch.shape)
+
+    def walk(v: np.ndarray, t: np.ndarray, start: int) -> None:
+        if v.shape[1] == 1:
+            out[:, start] = v[:, 0]
+            return
+        h = v.shape[1] // 2
+        a, b, tr = v[:, :h], v[:, h:], t[:, h:]
+        tl = t[:, :h] ^ tr
+        walk(check_llr(a, b), tl, start)
+        walk(var_llr(a, b, tl), tr, start + h)
+
+    walk(batch[:, bit_reversal_permutation(spec.n)], polar_transform(tu.copy()), 0)
+    return out
+
+
+def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u) -> np.ndarray:
     """Per-position first-decision error flags under genie-aided decoding.
 
     Each fresh decision is compared with the truth, then decoding continues
-    from the true bit.  With ``return_leaf_llrs`` the per-position decision
-    LLRs come back too (the channel each input sees, with every earlier
-    decision correct).
+    from the true bit.
     """
     batch, squeeze, lead = _as_batch(llrs, spec.N)
     tu = _truth(true_u, spec.N, batch.shape[0], "true_u")
-    frozen = spec.frozen_mask
-    flags = np.zeros(batch.shape, dtype=bool)
-    leaf_llrs = np.zeros(batch.shape)
-
-    def leaf(j: int, v: np.ndarray) -> np.ndarray:
-        leaf_llrs[:, j] = v[:, 0]
-        fresh = (v[:, 0] < 0) & ~frozen[j]
-        flags[:, j] = fresh != tu[:, j]
-        return tu[:, j : j + 1]
-
-    plan = _node_plan(spec.info_set, spec.n, False)
-    _walk(plan, batch[:, bit_reversal_permutation(spec.n)], leaf)
-    flags_out = flags[0] if squeeze else flags.reshape(lead + (spec.N,))
-    if not return_leaf_llrs:
-        return flags_out
-    leaf_out = leaf_llrs[0] if squeeze else leaf_llrs.reshape(lead + (spec.N,))
-    return flags_out, leaf_out
+    flags = ((_genie_leaf_llrs(batch, spec, tu) < 0) & ~spec.frozen_mask) != tu
+    return flags[0] if squeeze else flags.reshape(lead + (spec.N,))

@@ -159,8 +159,6 @@ class PuncturingSequence:
 
     base_len: int
     order: tuple[int, ...]
-    method: str = "unspecified"
-    design_snr_db: float | None = None
     stats: PpaStats | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -178,9 +176,9 @@ class PuncturingSequence:
         return ",".join(str(c) for c in self.order) + "\n"
 
     @classmethod
-    def from_text(cls, text: str, method: str = "file") -> "PuncturingSequence":
+    def from_text(cls, text: str) -> "PuncturingSequence":
         entries = [int(t) for t in text.strip().split(",")]
-        return cls(base_len=len(entries), order=tuple(entries), method=method)
+        return cls(base_len=len(entries), order=tuple(entries))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -195,7 +193,7 @@ class PuncturingSequence:
 def reference_base32_sequence() -> PuncturingSequence:
     """The bundled length-32 puncturing order (3.5 dB design, rate 11/32)."""
     text = importlib.resources.files("rcpolar.data").joinpath("base32_sequence.txt").read_text()
-    seq = PuncturingSequence.from_text(text, method="reference")
+    seq = PuncturingSequence.from_text(text)
     if seq.base_len != 32:
         raise RuntimeError("bundled sequence asset is corrupt")
     return seq
@@ -233,14 +231,7 @@ def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
         stats.step_candidates.append(cands)
         stats.step_metrics.append(met)
         punct.append(int(cands[best_i]))
-    if isinstance(design, GaussianDesign):
-        snr = 10.0 * np.log10(design.mean_llr / 4.0)
-        method = "ppa-ga"
-    else:
-        snr = None
-        method = "ppa-bec"
-    return PuncturingSequence(base_len=N, order=tuple(punct), method=method,
-                              design_snr_db=snr, stats=stats)
+    return PuncturingSequence(base_len=N, order=tuple(punct), stats=stats)
 
 
 def exhaustive_search(

@@ -11,6 +11,7 @@ from scipy.special import logsumexp
 
 from rcpolar.channel import (
     BPSK,
+    LLR_INF,
     QAM16,
     QAM64,
     ChannelSpec,
@@ -173,7 +174,7 @@ class TestDemodulate:
         s = modulate(np.zeros(10_000, dtype=np.uint8), BPSK)
         y, amp = transmit(s, chan, BPSK, rng)
         llr = demodulate(y, amp, chan, BPSK)
-        assert set(np.unique(llr)) <= {0.0, chan.llr_inf}
+        assert set(np.unique(llr)) <= {0.0, LLR_INF}
 
     def test_qam16_class_reliability_split(self):
         # strong pair carries larger average LLR magnitude than the weak pair
@@ -277,3 +278,9 @@ class TestChannelSpecValidation:
     def test_gaussian_needs_snr(self):
         with pytest.raises(ValueError):
             ChannelSpec(kind="awgn")
+
+    @pytest.mark.parametrize("kind", ["awgn", "fading"])
+    @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf])
+    def test_gaussian_rejects_non_finite_snr(self, kind, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            ChannelSpec(kind=kind, snr_db=snr_db)

@@ -37,6 +37,31 @@ class TestConfigHandling:
     def test_missing_config_file(self):
         assert main(["construct", "--config", "/nonexistent.json"]) == 2
 
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("construct", {"n": 3.7, "method": "ga", "design_snr_db": 3.5}, "n"),
+        ("construct", {"n": True, "method": "ga", "design_snr_db": 3.5}, "n"),
+        ("construct", {"n": 3, "method": "ga", "design_snr_db": True}, "design_snr_db"),
+        ("puncture", {"base_len": 8, "k": 4.9, "design_snr_db": 3.5}, "k"),
+        ("puncture", {"base_len": 8, "k": 4, "epsilon": False}, "epsilon"),
+    ])
+    def test_fractional_or_boolean_numbers_name_field(self, tmp_path, capsys, command, cfg, field):
+        out = tmp_path / "out.txt"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "out": str(out)}))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_float_is_an_integer(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 3.0, "method": "ga", "design_snr_db": 3.5,
+                                    "out": str(a)}))
+        assert main(["construct", "--config", str(path)]) == 0
+        assert main(["construct", "--n", "3", "--method", "ga", "--design-snr-db", "3.5",
+                     "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestConstruct:
     def test_ga_profile_rows(self, tmp_path):
@@ -67,6 +92,16 @@ class TestConstruct:
         assert rc == 0
         prof = ReliabilityProfile.from_csv(out)
         assert np.allclose(prof.error_prob, [0.9375, 0.5625, 0.4375, 0.0625])
+
+    def test_bec_select_length_counts_repetitions(self, tmp_path):
+        # L = 2N sends every bit twice, so each is erased with probability eps^2
+        rep, plain = tmp_path / "rep.csv", tmp_path / "plain.csv"
+        assert main(["construct", "--n", "5", "--method", "bec", "--epsilon", "0.5",
+                     "--sequence", "reference32", "--select-length", "64",
+                     "--out", str(rep)]) == 0
+        assert main(["construct", "--n", "5", "--method", "bec", "--epsilon", "0.25",
+                     "--out", str(plain)]) == 0
+        assert rep.read_bytes() == plain.read_bytes()
 
     def test_invalid_n_names_field(self, tmp_path, capsys):
         rc = main(["construct", "--n", "0", "--method", "ga",

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from rcpolar import construction
 from rcpolar.channel import BPSK, ChannelSpec
 from rcpolar.construction import (
-    _TABLE,
     ReliabilityProfile,
+    _distinct_values,
+    _ga_leaf_codes,
     _knot_x,
     _phi_inverse_log,
-    _PhiTable,
+    _phi_table,
     bec_leaf_erasures,
     bhattacharyya_bec,
     bit_error_prob,
@@ -34,7 +35,7 @@ from rcpolar.construction import (
     phi_inverse,
     select_information_set,
 )
-from rcpolar.decoder import genie_sc_decode
+from rcpolar.decoder import _genie_leaf_llrs
 from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation
 
 # adaptive quadrature of E[2/(1+e^U)], U ~ N(1, 2), via mpmath at 30 digits
@@ -125,7 +126,7 @@ class TestPhi:
         # four Newton steps are the whole inverse inside the table: over a
         # dense grid of targets and every knot, x is finite and log_phi(x)
         # comes back within 1e-13 (at most 2.9e-14 measured)
-        t = _TABLE.get()
+        t = _phi_table()
         ly = np.concatenate([np.linspace(t.l_lo, t.l_hi, 2_000_001), t.log_phi_knots])
         x = _phi_inverse_log(ly)
         assert np.all(np.isfinite(x)) and np.all(x > 0)
@@ -133,15 +134,15 @@ class TestPhi:
 
     def test_shipped_knots_match_quadrature(self):
         # every shipped knot is the quadrature's value, bit for bit (about 2.3 s)
-        assert same_bits(_TABLE.get().log_phi_knots, _quad_log_phi(_knot_x()))
+        assert same_bits(_phi_table().log_phi_knots, _quad_log_phi(_knot_x()))
 
     def test_fresh_table_builds_fast(self):
         # reading the knots and fitting the interpolants takes about 9 ms; the
         # quadrature it replaced took 1.5-2.3 s in every process
         t0 = time.perf_counter()
-        fresh = _PhiTable().get()
+        fresh = _phi_table.__wrapped__()
         assert time.perf_counter() - t0 < 0.5
-        ref = _TABLE.get()
+        ref = _phi_table()
         assert same_bits(fresh.log_x, ref.log_x)
         assert same_bits(fresh.log_phi_knots, ref.log_phi_knots)
         for name in ("fwd", "fwd_and_d", "inv"):
@@ -152,7 +153,7 @@ class TestPhi:
         # Newton reads log phi and its slope from the two columns of one
         # piecewise polynomial; each column is bit-identical to the separate
         # interpolant at every knot, every knot midpoint and random points
-        t = _TABLE.get()
+        t = _phi_table()
         x = t.fwd.x
         z = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
                             np.random.default_rng(0).uniform(x[0], x[-1], 100_000)])
@@ -311,9 +312,13 @@ class TestButterflyRecursions:
         rng = np.random.default_rng(seed)
         pool = np.concatenate([10.0 ** rng.uniform(-8.0, 3.0, 5), zeros])
         first, second = (rng.choice(pool, size=(rng.integers(1, 64), 1 << n)) for _ in range(2))
+        def leaves(means, memo):
+            vals, codes = _ga_leaf_codes(*_distinct_values(means), memo)
+            return vals[codes]
+
         memo = {}
-        ga_leaf_means(first, memo=memo)
-        assert same_bits(ga_leaf_means(second, memo=memo), ga_leaf_means(second))
+        leaves(first, memo)
+        assert same_bits(leaves(second, memo), ga_leaf_means(second))
 
 
 class TestDenseDistinct:
@@ -406,8 +411,8 @@ class TestBecRecursion:
             pat = np.array(pattern, dtype=bool)
             prob = np.prod(np.where(pat, eps, 1.0 - eps))
             llr = np.where(pat, 0.0, 1.0)
-            _, leaf = genie_sc_decode(llr, spec, zero_u, return_leaf_llrs=True)
-            expect += prob * (leaf == 0.0)
+            leaf = _genie_leaf_llrs(llr[None, :], spec, zero_u[None, :])
+            expect += prob * (leaf[0] == 0.0)
         got = bec_leaf_erasures(eps)
         assert np.allclose(got, expect, atol=1e-12)
 
