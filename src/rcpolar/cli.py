@@ -84,14 +84,23 @@ _REQUIRED = object()
 
 
 def _get(cfg: dict, fieldname: str, default=_REQUIRED):
-    """Field ``fieldname`` of ``cfg`` converted to its type and checked; when it
-    is absent, ``default``, which only a required field lacks."""
+    """Field ``fieldname`` of ``cfg``, converted to its type and checked; when
+    the field is absent, ``default``, or an error if no default is given."""
     val = cfg.get(fieldname)
     if val is None:
         if default is _REQUIRED:
             raise ConfigError(fieldname, "is required")
         return default
     kind, *check = _FIELDS[fieldname]
+    val = _convert(fieldname, kind, val)
+    if check and not check[0](val):
+        raise ConfigError(fieldname, check[1])
+    return val
+
+
+def _convert(fieldname: str, kind, val):
+    """``val`` as a ``kind``: a whole number for int, a finite one for float,
+    and never a boolean."""
     try:
         if isinstance(val, bool) or (kind is int and isinstance(val, float)
                                      and not val.is_integer()):
@@ -102,8 +111,6 @@ def _get(cfg: dict, fieldname: str, default=_REQUIRED):
     except (TypeError, ValueError, OverflowError):
         expected = "a finite number" if kind is float else kind.__name__
         raise ConfigError(fieldname, f"must be {expected}") from None
-    if check and not check[0](val):
-        raise ConfigError(fieldname, check[1])
     return val
 
 
@@ -277,12 +284,7 @@ def cmd_simulate(cfg: dict) -> int:
         snrs = [start + i * step for i in range(count)]
     if not isinstance(snrs, (list, tuple)) or not snrs:
         raise ConfigError("snrs", "must be a non-empty list of SNR values")
-    try:
-        snrs = tuple(float(s) for s in snrs)
-        if not all(map(math.isfinite, snrs)):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ConfigError("snrs", f"must be a list of finite numbers, got {snrs!r}") from None
+    snrs = tuple(_convert("snrs", float, s) for s in snrs)
 
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _get(cfg, "profile", None)

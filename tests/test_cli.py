@@ -43,6 +43,8 @@ class TestConfigHandling:
         ("construct", {"n": 3, "method": "ga", "design_snr_db": True}, "design_snr_db"),
         ("puncture", {"base_len": 8, "k": 4.9, "design_snr_db": 3.5}, "k"),
         ("puncture", {"base_len": 8, "k": 4, "epsilon": False}, "epsilon"),
+        ("simulate", {"n": 5, "k": 11, "L": 32, "snrs": [1.0, True], "design_snr_db": 3.5,
+                      "seed": 1}, "snrs"),
     ])
     def test_fractional_or_boolean_numbers_name_field(self, tmp_path, capsys, command, cfg, field):
         out = tmp_path / "out.txt"
@@ -145,6 +147,13 @@ class TestConstruct:
         prof = ReliabilityProfile.from_csv(out)
         assert len(prof) == 16
         assert prof.method == "monte_carlo"
+
+    def test_mc_on_bec_needs_no_snr(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert main(["construct", "--n", "3", "--method", "mc", "--channel", "bec",
+                     "--epsilon", "0.3", "--trials", "100", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert len(ReliabilityProfile.from_csv(out)) == 8
 
     def test_mc_select_length_without_sequence_names_sequence(self, tmp_path, capsys):
         rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",

@@ -5,10 +5,10 @@ trusted and is compared byte for byte: three HARQ sweeps, two N=1024
 reliability profiles, three PPA orders, the candidate metrics of every GA PPA
 step, the base-32 search metrics of large GA batches, the constellation
 points, the files written by seven command-line runs and two genie-aided
-Monte-Carlo profiles.  A mismatch means
-results changed: revert the change, or record the cause in CHANGES.md.
-Never rewrite a fixture to make it pass; ``python tests/test_golden.py``
-writes only the fixtures that do not exist yet.
+Monte-Carlo profiles.  A mismatch means results changed: revert the change,
+or record the cause in CHANGES.md.  Never rewrite a fixture to make it pass;
+``python tests/test_golden.py`` writes only the fixtures that do not exist
+yet.
 """
 
 import contextlib
