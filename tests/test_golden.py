@@ -4,8 +4,9 @@ Each fixture in ``tests/golden/`` was written by a commit whose outputs were
 trusted and is compared byte for byte: three HARQ sweeps, two N=1024
 reliability profiles, three PPA orders, the candidate metrics of every GA PPA
 step, the base-32 search metrics of large GA batches, the constellation
-points, the files written by seven command-line runs and two genie-aided
-Monte-Carlo profiles.  A mismatch means results changed: revert the change,
+points, the files written by seven command-line runs, two genie-aided
+Monte-Carlo profiles written by the CLI and two computed without a rate
+matcher.  A mismatch means results changed: revert the change,
 or record the cause in CHANGES.md.  Never rewrite a fixture to make it pass;
 ``python tests/test_golden.py`` writes only the fixtures that do not exist
 yet.
@@ -21,10 +22,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcpolar.channel import BPSK, ModulationSpec, pam_demap_table
+from rcpolar.channel import BPSK, ChannelSpec, ModulationSpec, pam_demap_table
 from rcpolar.cli import main
 from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, design_code,
-                                  ga_evolve)
+                                  ga_evolve, genie_monte_carlo)
 from rcpolar.harq import SweepConfig, sweep, write_results_csv
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (ErasureDesign, GaussianDesign, base_code, evaluate_patterns,
@@ -165,6 +166,19 @@ GENIE_MC_RUNS = (
 )
 
 
+def genie_mc_plain_txt() -> bytes:
+    """Genie-aided Monte-Carlo error rates of the N=64 full-rate code sent
+    without a rate matcher: 4000 trials on the erasure channel at epsilon 0.4
+    (seed 2), then 4000 BPSK trials on fast fading at 3 dB (seed 4); one
+    ``repr`` per line."""
+    spec = PolarCodeSpec(n=6, k=64, info_set=tuple(range(1, 65)), split=(5, 1))
+    values = []
+    for chan, seed in ((ChannelSpec("bec", epsilon=0.4), 2),
+                       (ChannelSpec("fading", snr_db=3.0), 4)):
+        values += map(float, genie_monte_carlo(spec, chan, BPSK, trials=4000, seed=seed).error_prob)
+    return "".join(f"{v!r}\n" for v in values).encode()
+
+
 def cli_outputs_txt(runs=CLI_RUNS) -> bytes:
     """Each of ``runs`` in turn: the command line, its exit code, what it
     wrote to stderr and the bytes of its ``--out`` file."""
@@ -207,6 +221,7 @@ DESIGN_FIXTURES = {
     "constellations.txt": constellations_txt,
     "cli_outputs.txt": cli_outputs_txt,
     "genie_mc_outputs.txt": lambda: cli_outputs_txt(GENIE_MC_RUNS),
+    "genie_mc_plain.txt": genie_mc_plain_txt,
 }
 
 
