@@ -17,6 +17,9 @@ rcbench does not time at a fixed size, on the code of each HARQ workload
 
 * one ``sc_decode`` call at B=1 and B=512 rows, on fixed-seed LLRs of one
   transmission;
+* one ``encode`` call and one tx chain (``transmit_codeword_llrs``: rate
+  matching, modulation, channel, demapping and the fold onto N positions) of
+  the first transmission, on the workload's batch size of fixed-seed blocks;
 * one HARQ batch: ``run_blocks_batch`` on the workload's batch of fixed-seed
   messages (B=64 for IR, B=256 for CC), every transmission included.
 
@@ -56,6 +59,7 @@ SEEDS = (1, 2, 3)   # seeds of the untraced runs; the traced run uses seed 1
 SECONDS = 30.0      # length of every run
 LAYER_SEED = 1
 LAYER_CALLS = {1: 101, 512: 21}   # timed sc_decode calls per batch size B
+TX_CALLS = 51                      # timed encode and tx-chain calls per workload
 HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
 
 
@@ -88,7 +92,8 @@ def untraced(results: list[dict]) -> dict:
 
 
 def layers(root: Path) -> dict:
-    """Calibrated CPU time of ``sc_decode`` and of one HARQ batch per HARQ workload."""
+    """Calibrated CPU time of ``sc_decode``, ``encode``, the tx chain and one
+    HARQ batch per HARQ workload."""
     sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
     import numpy as np
     from calibrate import kernel_s, slowdown
@@ -125,11 +130,20 @@ def layers(root: Path) -> dict:
         u = np.zeros((max(LAYER_CALLS), spec.N), dtype=np.uint8)
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(len(u), spec.k))
         plan = TxPlan(L=L, t=case.t, r=1, mode=case.mode)
-        llrs = transmit_codeword_llrs(encode(u, spec), rm, plan, chan, rng)
+        x = encode(u, spec)
+        llrs = transmit_codeword_llrs(x, rm, plan, chan, rng)
         for rows, calls in LAYER_CALLS.items():
             out[f"sc_decode N={spec.N} B={rows}"] = {
                 "workload": case.name, "k": spec.k,
                 **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
+        b = case.batch
+        out[f"encode N={spec.N} B={b}"] = {
+            "workload": case.name, "k": spec.k,
+            **timed(lambda: encode(u[:b], spec), TX_CALLS, case.beta)}
+        out[f"tx chain N={spec.N} B={b}"] = {
+            "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
+            **timed(lambda: transmit_codeword_llrs(x[:b], rm, plan, chan, rng),
+                    TX_CALLS, case.beta)}
 
         def batch():   # the same messages and channel draws on every call
             messages, rng = harq_messages(case, LAYER_SEED, 0, 0)

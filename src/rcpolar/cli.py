@@ -31,7 +31,7 @@ from .puncturing import (
     ppa,
     reference_base32_sequence,
 )
-from .rate_matching import RateMatcher, TxPlan, build_tx_map
+from .rate_matching import RateMatcher, TxPlan, de_rate_match
 
 __all__ = ["main", "ConfigError"]
 
@@ -204,6 +204,11 @@ def cmd_construct(cfg: dict) -> int:
     seq_name = _get(cfg, "sequence", None)
     select_len = _get(cfg, "select_length", None)
     mod = ModulationSpec(_get(cfg, "modulation", 2))
+    if mod.is_qam and seq_name is None:
+        raise ConfigError("modulation", "must be 2 without a puncturing sequence")
+    kind = _get(cfg, "channel", "awgn")
+    if mod.is_qam and "bec" in (method, kind):
+        raise ConfigError("modulation", "must be 2 on the erasure channel")
     rm = None
     if seq_name is not None:
         rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p), modulation=mod)
@@ -221,15 +226,14 @@ def cmd_construct(cfg: dict) -> int:
         eps = _get(cfg, "epsilon")
         z = np.full(N, eps)
         if select_len is not None:   # a bit sent r times is erased with eps^r
-            tm = build_tx_map(rm, TxPlan(L=select_len, t=1, r=1, mode="cc"))
-            z = eps ** np.bincount(tm.emit_idx, minlength=N)
+            z = eps ** de_rate_match(np.ones(select_len), rm,
+                                     TxPlan(L=select_len, t=1, r=1, mode="cc"))
         profile = cons.bhattacharyya_bec(spec, z)
     else:
         seed = _resolve_seed(cfg)
-        kind = _get(cfg, "channel", "awgn")
         chan = (ChannelSpec(kind="bec", epsilon=_get(cfg, "epsilon")) if kind == "bec"
                 else ChannelSpec(kind=kind, snr_db=_get(cfg, "snr_db")))
-        profile = cons.genie_monte_carlo(spec, chan, mod, rate_matcher=rm,
+        profile = cons.genie_monte_carlo(spec, chan, rate_matcher=rm,
                                          trials=_get(cfg, "trials", 100_000), seed=seed,
                                          tx_length=select_len)
     with _writing(out), open(out, "w", encoding="utf-8") as fh:
@@ -288,7 +292,6 @@ def cmd_simulate(cfg: dict) -> int:
 
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _get(cfg, "profile", None)
-    shift_cc = _get(cfg, "shift_cc_bicm", 0) == 1
     if profile_path is not None:
         try:
             profile = cons.ReliabilityProfile.from_csv(profile_path)
@@ -298,11 +301,11 @@ def cmd_simulate(cfg: dict) -> int:
             raise ConfigError("profile", f"profile has {len(profile)} rows, need {1 << n}")
         spec = PolarCodeSpec(n=n, k=k, info_set=cons.select_information_set(profile, k),
                              split=(p, q))
-        rm = RateMatcher(spec=spec, sequence=seq, modulation=mod, shift_cc_bicm=shift_cc)
     else:
-        design_snr = _get(cfg, "design_snr_db")
-        select_len = _get(cfg, "select_length", L)
-        rm = design_code(n, k, (p, q), seq, mod, select_len, design_snr, shift_cc_bicm=shift_cc)
+        spec = design_code(n, k, (p, q), seq, mod, _get(cfg, "select_length", L),
+                           _get(cfg, "design_snr_db")).spec
+    rm = RateMatcher(spec=spec, sequence=seq, modulation=mod,
+                     shift_cc_bicm=_get(cfg, "shift_cc_bicm", 0) == 1)
 
     sweep_cfg = harq.SweepConfig(
         rate_matcher=rm, channel_kind=kind, snr_grid=snrs,

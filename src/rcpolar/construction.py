@@ -23,7 +23,6 @@ quadrature, recomputes every knot and compares the bits.
 from __future__ import annotations
 
 import importlib.resources
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,10 +33,11 @@ from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import erfc
 
 from ._textio import open_text
-from .channel import _pam_bit_llrs, demodulate, modulate, pam_demap_table, transmit
+from .channel import BPSK, _pam_bit_llrs, demodulate, modulate, pam_demap_table, transmit
 from .decoder import genie_sc_decode
 from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly, encode
-from .rate_matching import RateMatcher, TxPlan, build_tx_map, transmit_codeword_llrs
+from .rate_matching import (RateMatcher, TxPlan, build_tx_map, de_rate_match,
+                            transmit_codeword_llrs)
 
 __all__ = [
     "ReliabilityProfile",
@@ -346,8 +346,7 @@ class ReliabilityProfile:
             text = fh.read()
         method, design = "unknown", float("nan")
         eps, mls = [], []
-        lines = [ln for ln in io.StringIO(text)]
-        for ln in lines:
+        for ln in text.split("\n"):
             ln = ln.strip()
             if ln.startswith("#"):
                 for tok in ln[1:].split():
@@ -429,7 +428,6 @@ _GENIE_BATCH = 8192   # trials per batch; the batch index keys the random draws
 def genie_monte_carlo(
     spec: PolarCodeSpec,
     chan,
-    mod,
     rate_matcher=None,
     trials: int = 100_000,
     seed: int = 0,
@@ -437,11 +435,12 @@ def genie_monte_carlo(
 ) -> ReliabilityProfile:
     """Estimate per-position first-error rates with a genie-aided SC decoder.
 
-    Random information blocks are encoded, sent through ``chan``/``mod`` (with
-    ``rate_matcher`` selecting/repeating coded bits when given), and decoded
-    with every previous decision forced correct.  Batches of
-    ``_GENIE_BATCH`` trials carry their own seeded random streams, so the
-    result does not depend on how the batches are scheduled.
+    Random information blocks are encoded, sent through ``chan`` and decoded
+    with every previous decision forced correct.  A ``rate_matcher`` selects,
+    repeats and maps the coded bits onto its modulation; without one the
+    codeword goes out as plain BPSK.  Batches of ``_GENIE_BATCH`` trials
+    carry their own seeded random streams, so the result does not depend on
+    how the batches are scheduled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -454,18 +453,16 @@ def genie_monte_carlo(
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(b, spec.k), dtype=np.uint8)
         x = encode(u, spec)
         if rate_matcher is not None:
-            L = tx_length if tx_length is not None else spec.N
-            plan = TxPlan(L=L, t=1, r=1, mode="cc")
+            plan = TxPlan(L=spec.N if tx_length is None else tx_length, t=1, r=1, mode="cc")
             llrs = transmit_codeword_llrs(x, rate_matcher, plan, chan, rng)
         else:
-            syms = modulate(x, mod)
-            y, amp = transmit(syms, chan, mod, rng)
-            llrs = demodulate(y, amp, chan, mod)
+            y, amp = transmit(modulate(x, BPSK), chan, BPSK, rng)
+            llrs = demodulate(y, amp, chan, BPSK)
         flags = genie_sc_decode(llrs, spec, u)
         counts += flags.sum(axis=0)
     return ReliabilityProfile(
         method="monte_carlo",
-        design_param=float(getattr(chan, "snr_db", 0.0) or 0.0),
+        design_param=float(chan.epsilon if chan.kind == "bec" else chan.snr_db),
         error_prob=counts / float(trials),
         mean_llr=np.full(spec.N, np.nan),
     )
@@ -475,16 +472,16 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
                         design_snr_db: float) -> np.ndarray:
     """Per-coded-position design LLR means under the transmission mapping.
 
-    Positions never read at length L carry mean 0.  QAM positions carry the
-    average LLR of their reliability class at the design point, computed by
-    Gauss-Hermite integration over the noise; BPSK positions carry the usual
-    2/sigma^2 with sigma^2 = 1/(2 * 10^(snr/10)).
+    Each transmitted bit carries the average LLR of its reliability class at
+    the design point: for QAM computed by Gauss-Hermite integration over the
+    noise, for BPSK the usual 2/sigma^2 with sigma^2 = 1/(2 * 10^(snr/10)).
+    Repeated positions add their means; positions never read at length L
+    carry mean 0.
     """
     mod = rm.modulation
     plan = TxPlan(L=L, t=1, r=1, mode="cc")
-    tm = build_tx_map(rm, plan)
     if not mod.is_qam:
-        means_stream = np.full(L, design_mean_llr(design_snr_db))
+        class_mean = np.array([design_mean_llr(design_snr_db)])
     else:
         sigma2 = 0.5 * 10.0 ** (-design_snr_db / 10.0)
         m = mod.bits_per_dim
@@ -499,13 +496,7 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
                 llr = _pam_bit_llrs(z, np.ones_like(z), sigma2, m)[:, b]
                 acc += float(np.sum(weights * llr)) / np.sqrt(2.0 * np.pi) / len(idx0)
             class_mean[b] = acc
-        # positions 2c and 2c+1 share class c; both dims have equal statistics
-        bitpos_mean = np.repeat(class_mean, 2)
-        means_stream = bitpos_mean[tm.stream_to_symbit % mod.bits_per_symbol]
-    # repeated positions accumulate LLR mass additively; untouched stay 0
-    means = np.zeros(spec.N)
-    np.add.at(means, tm.emit_idx, means_stream)
-    return means
+    return de_rate_match(class_mean[build_tx_map(rm, plan).bit_class], rm, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +514,7 @@ def select_information_set(profile: ReliabilityProfile, k: int) -> tuple[int, ..
 
 
 def design_code(n: int, k: int, split: tuple[int, int], sequence, modulation,
-                L: int, design_snr_db: float, shift_cc_bicm: bool = False) -> RateMatcher:
+                L: int, design_snr_db: float) -> RateMatcher:
     """Rate matcher of the length-2^n code whose k information positions are the
     most reliable by GA at ``design_snr_db`` under the rate matching and BICM
     mapping of one length-L transmission; its ``spec`` is the designed code."""
@@ -532,4 +523,4 @@ def design_code(n: int, k: int, split: tuple[int, int], sequence, modulation,
         probe, RateMatcher(spec=probe, sequence=sequence, modulation=modulation), L, design_snr_db)
     info = select_information_set(ga_evolve(probe, means), k)
     return RateMatcher(spec=PolarCodeSpec(n=n, k=k, info_set=info, split=split),
-                       sequence=sequence, modulation=modulation, shift_cc_bicm=shift_cc_bicm)
+                       sequence=sequence, modulation=modulation)

@@ -40,6 +40,7 @@ __all__ = [
 
 RESULT_COLUMNS = ("snr_db", "blocks", "bit_errors", "block_errors",
                   "ber", "bler", "t_bar", "throughput")
+STOP_CHECK_BLOCKS = 2048   # a sweep checks its stop rule on these block boundaries
 
 
 def throughput(rate: float, order: int, bler: float, t_bar: float) -> float:
@@ -157,7 +158,6 @@ class SweepConfig:
     max_blocks: int = 100_000
     target_block_errors: int = 100
     batch_size: int = 512
-    stop_check_blocks: int = 2048  # stopping rule evaluated on these boundaries
     workers: int = 1
 
     def __post_init__(self):
@@ -193,11 +193,11 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
 
     Each point runs whole batches of ``batch_size`` blocks and checks the stop
     rule (``target_block_errors`` reached or ``max_blocks`` simulated) only on
-    ``stop_check_blocks`` boundaries, so the set of simulated batches does not
+    ``STOP_CHECK_BLOCKS`` boundaries, so the set of simulated batches does not
     depend on the worker count.
     """
     results = []
-    batches_per_round = max(1, cfg.stop_check_blocks // cfg.batch_size)
+    batches_per_round = max(1, STOP_CHECK_BLOCKS // cfg.batch_size)
     pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
     try:
         for pi in range(len(cfg.snr_grid)):

@@ -15,10 +15,10 @@ enter the decoder's LLR accumulator.
 Incremental-redundancy retransmissions move the start column and rotate the
 class assignment with it; Chase retransmissions reuse transmission 1 exactly.
 
-``build_tx_map`` is the single cached map of one transmission: for each
-transmitted bit it names the codeword position the bit carries and the
-symbol-bit slot it rides.  The sender, ``de_rate_match`` and the BICM design
-means all read it.
+``build_tx_map`` is the single cached map of one transmission: the codeword
+position, reliability class and symbol-bit slot of each transmitted bit (BPSK
+is one class, one bit a symbol).  ``de_rate_match`` folds per-bit values onto
+the N codeword positions, for the receiver and the BICM design means alike.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "TxPlan",
     "TxMap",
     "de_rate_match",
-    "assign_bicm_columns",
     "build_tx_map",
     "transmit_codeword_llrs",
 ]
@@ -84,56 +83,36 @@ class RateMatcher:
         """Physical column of each reading slot: reverse puncturing order."""
         return tuple(reversed(self.sequence.order))
 
-    def start_column(self, plan: TxPlan) -> int:
-        """0-based reading slot where transmission r starts."""
-        if plan.mode == "cc" or plan.r == 1:
-            return 0
+    def _rotation(self, plan: TxPlan) -> int:
+        """Reading slots by which transmission r of t moves: (r-1) 2^p / t."""
         p, _ = self.spec.split
         return ((plan.r - 1) * (1 << p)) // plan.t
 
+    def start_column(self, plan: TxPlan) -> int:
+        """0-based reading slot where transmission r starts."""
+        return 0 if plan.mode == "cc" else self._rotation(plan)
+
     def bicm_shift(self, plan: TxPlan) -> int:
-        """Slots by which the class assignment rotates for this transmission."""
-        p, _ = self.spec.split
-        if plan.mode == "ir":
-            return 0  # the shift is already carried by the start column
-        if self.shift_cc_bicm:
-            return ((plan.r - 1) * (1 << p)) // plan.t
-        return 0
+        """Slots by which the class assignment rotates for this transmission;
+        under IR the start column already carries the rotation."""
+        return self._rotation(plan) if plan.mode == "cc" and self.shift_cc_bicm else 0
 
 
-def de_rate_match(llrs, rm: RateMatcher, plan: TxPlan, accumulator) -> np.ndarray:
-    """Add received LLRs into their codeword positions inside ``accumulator``.
+def de_rate_match(values, rm: RateMatcher, plan: TxPlan) -> np.ndarray:
+    """Fold per-bit values of one transmission (``(..., L)``) onto the N
+    codeword positions (``(..., N)``).
 
-    Repeated bits and retransmissions accumulate; positions never transmitted
-    stay exactly 0.  The accumulator is modified in place and returned.
+    Repeated bits add in stream order; positions never transmitted stay
+    exactly 0.
     """
-    llrs = np.asarray(llrs, dtype=float)
-    acc = accumulator
-    if llrs.shape[-1] != plan.L:
-        raise ValueError(f"LLR length {llrs.shape[-1]} does not match L = {plan.L}")
-    if acc.shape[:-1] != llrs.shape[:-1] or acc.shape[-1] != rm.spec.N:
-        raise ValueError("accumulator shape does not match LLR batch and N")
+    values = np.asarray(values, dtype=float)
+    if values.shape[-1] != plan.L:
+        raise ValueError(f"LLR length {values.shape[-1]} does not match L = {plan.L}")
     idx = build_tx_map(rm, plan).emit_idx
-    flat_acc = acc.reshape(-1, rm.spec.N)
-    flat_llr = llrs.reshape(-1, plan.L)
-    np.add.at(flat_acc, (np.arange(flat_acc.shape[0])[:, None], idx[None, :]), flat_llr)
-    return acc
-
-
-def assign_bicm_columns(rm: RateMatcher, plan: TxPlan) -> np.ndarray:
-    """Reliability class of each touched column slot, in reading order.
-
-    The slots split into consecutive groups, one per class, as equal as
-    possible with earlier groups larger; the assignment then rotates by
-    ``bicm_shift``.
-    """
-    _, q = rm.spec.split
-    n_touched = -(-plan.L // (1 << q))
-    n_classes = rm.modulation.bits_per_dim
-    sizes = np.full(n_classes, n_touched // n_classes)
-    sizes[: n_touched % n_classes] += 1
-    classes = np.repeat(np.arange(n_classes, dtype=np.int64), sizes)
-    return np.roll(classes, rm.bicm_shift(plan))
+    flat = values.reshape(-1, plan.L)
+    out = np.zeros((flat.shape[0], rm.spec.N))
+    np.add.at(out, (np.arange(flat.shape[0])[:, None], idx[None, :]), flat)
+    return out.reshape(values.shape[:-1] + (rm.spec.N,))
 
 
 @dataclass(frozen=True)
@@ -141,18 +120,21 @@ class TxMap:
     """Precomputed index maps for one (rate matcher, plan) pair.
 
     ``emit_idx``: codeword position of each stream bit.
+    ``bit_class``: reliability class of each stream bit.
     ``stream_to_symbit``: flat symbol-bit slot of each stream bit; slots not
     hit are padding (zero bits, skipped at the receiver).
     """
 
     emit_idx: np.ndarray
+    bit_class: np.ndarray
     stream_to_symbit: np.ndarray
     n_symbols: int
 
 
 @lru_cache(maxsize=512)
 def build_tx_map(rm: RateMatcher, plan: TxPlan) -> TxMap:
-    """Codeword position and symbol-bit slot of each of the L transmitted bits."""
+    """Codeword position, class and symbol-bit slot of each of the L transmitted
+    bits; the class assignment rotates by ``bicm_shift``."""
     _, q = rm.spec.split
     rows = 1 << q
     cols = np.asarray(rm.read_columns, dtype=np.int64)
@@ -160,22 +142,23 @@ def build_tx_map(rm: RateMatcher, plan: TxPlan) -> TxMap:
     slot = k // rows  # bit k is row k % 2^q of the slot-th column read, circularly
     idx = (k % rows) * len(cols) + cols[(rm.start_column(plan) + slot) % len(cols)]
     mod = rm.modulation
-    if not mod.is_qam:
-        s2s, n_sym = k, plan.L
-    else:
-        B = mod.bits_per_symbol
-        cls_of_bit = assign_bicm_columns(rm, plan)[slot]
-        bpc = B // mod.bits_per_dim
-        counts = np.bincount(cls_of_bit, minlength=mod.bits_per_dim)
-        n_sym = int(max(-(-c // bpc) for c in counts))
-        s2s = np.empty(plan.L, dtype=np.int64)
-        for c in range(mod.bits_per_dim):
-            pos = np.nonzero(cls_of_bit == c)[0]
-            j = np.arange(len(pos), dtype=np.int64)
-            s2s[pos] = (j // bpc) * B + c * bpc + (j % bpc)
-    idx.setflags(write=False)
-    s2s.setflags(write=False)
-    return TxMap(emit_idx=idx, stream_to_symbit=s2s, n_symbols=n_sym)
+    n_classes, n_touched = mod.bits_per_dim, -(-plan.L // rows)
+    sizes = np.full(n_classes, n_touched // n_classes)
+    sizes[: n_touched % n_classes] += 1
+    slot_class = np.roll(np.repeat(np.arange(n_classes, dtype=np.int64), sizes),
+                         rm.bicm_shift(plan))
+    cls_of_bit = slot_class[slot]
+    B = mod.bits_per_symbol
+    bpc = B // n_classes
+    n_sym = -(-int(np.bincount(cls_of_bit).max()) // bpc)
+    s2s = np.empty(plan.L, dtype=np.int64)
+    for c in range(n_classes):
+        pos = np.nonzero(cls_of_bit == c)[0]
+        j = np.arange(len(pos), dtype=np.int64)
+        s2s[pos] = (j // bpc) * B + c * bpc + (j % bpc)
+    for a in (idx, cls_of_bit, s2s):
+        a.setflags(write=False)
+    return TxMap(emit_idx=idx, bit_class=cls_of_bit, stream_to_symbit=s2s, n_symbols=n_sym)
 
 
 def transmit_codeword_llrs(codeword, rm: RateMatcher, plan: TxPlan, chan: ChannelSpec,
@@ -198,4 +181,4 @@ def transmit_codeword_llrs(codeword, rm: RateMatcher, plan: TxPlan, chan: Channe
     syms = modulate(sym_bits, mod)
     y, amp = transmit(syms, chan, mod, rng)
     llr_stream = demodulate(y, amp, chan, mod)[..., tm.stream_to_symbit]
-    return de_rate_match(llr_stream, rm, plan, np.zeros(cw.shape[:-1] + (rm.spec.N,)))
+    return de_rate_match(llr_stream, rm, plan)

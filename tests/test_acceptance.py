@@ -114,7 +114,7 @@ def test_criterion_4_construction_cross_validation():
     sigma2 = 10.0 ** (-0.35)
     prof_ga = ga_evolve(spec, np.full(64, 2.0 / sigma2))
     chan = ChannelSpec(kind="awgn", snr_db=3.5)
-    prof_mc = genie_monte_carlo(spec, chan, BPSK, trials=100_000, seed=20)
+    prof_mc = genie_monte_carlo(spec, chan, trials=100_000, seed=20)
     testable = prof_mc.error_prob > 1e-3
     ratio = prof_ga.error_prob[testable] / prof_mc.error_prob[testable]
     ok = bool(np.all(ratio <= 2.0) and np.all(ratio >= 0.5))
@@ -149,7 +149,7 @@ def test_criterion_5_structural_identities():
     llrs = rng.normal(size=256)
     plan_full = TxPlan(L=256, t=1, r=1, mode="cc")
     stream = llrs[build_tx_map(rm, plan_full).emit_idx]
-    acc = de_rate_match(stream, rm, plan_full, np.zeros(256))
+    acc = de_rate_match(stream, rm, plan_full)
     assert np.allclose(acc, llrs)
     for m in range(33):
         L = 256 - m * 8

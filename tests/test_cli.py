@@ -155,6 +155,28 @@ class TestConstruct:
                      "--out", str(out)]) == 0
         assert len(ReliabilityProfile.from_csv(out)) == 8
 
+    def test_mc_on_bec_records_erasure_rate(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert main(["construct", "--n", "3", "--method", "mc", "--channel", "bec",
+                     "--epsilon", "0.3", "--trials", "100", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert "# method=monte_carlo design=0.3 n_positions=8\n" in out.read_text()
+
+    # QAM needs the rate matcher's BICM mapping, and the erasure channel
+    # carries BPSK only
+    @pytest.mark.parametrize("args", [
+        "--n 1 --method mc --modulation 16 --snr-db 3",
+        "--n 3 --method mc --channel bec --epsilon 0.3 --modulation 16",
+        "--n 5 --method mc --channel bec --epsilon 0.3 --modulation 16 --sequence reference32",
+        "--n 8 --method bec --epsilon 0.5 --modulation 16 --sequence reference32"
+        " --select-length 98",
+    ])
+    def test_qam_without_sequence_or_on_bec_names_modulation(self, tmp_path, capsys, args):
+        rc = main(["construct", *args.split(), "--trials", "10", "--seed", "1",
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "'modulation'" in capsys.readouterr().err
+
     def test_mc_select_length_without_sequence_names_sequence(self, tmp_path, capsys):
         rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
                    "--trials", "10", "--seed", "3", "--select-length", "12",

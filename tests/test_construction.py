@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcpolar import construction
-from rcpolar.channel import BPSK, ChannelSpec
+from rcpolar.channel import ChannelSpec
 from rcpolar.construction import (
     ReliabilityProfile,
     _distinct_values,
@@ -235,7 +235,7 @@ class TestGaEvolve:
         sigma2 = 10.0 ** (-0.35)
         prof_ga = ga_evolve(spec, np.full(16, 2.0 / sigma2))
         chan = ChannelSpec(kind="awgn", snr_db=3.5)
-        prof_mc = genie_monte_carlo(spec, chan, BPSK, trials=40_000, seed=11)
+        prof_mc = genie_monte_carlo(spec, chan, trials=40_000, seed=11)
         testable = prof_mc.error_prob > 1e-3
         assert testable.sum() >= 4
         ratio = prof_ga.error_prob[testable] / prof_mc.error_prob[testable]
@@ -421,21 +421,21 @@ class TestGenieMonteCarlo:
     def test_noiseless(self):
         spec = full_rate_spec(3)
         chan = ChannelSpec(kind="awgn", snr_db=60.0)
-        prof = genie_monte_carlo(spec, chan, BPSK, trials=2000, seed=1)
+        prof = genie_monte_carlo(spec, chan, trials=2000, seed=1)
         assert np.all(prof.error_prob == 0.0)
 
     def test_determinism(self):
         spec = full_rate_spec(3)
         chan = ChannelSpec(kind="awgn", snr_db=1.0)
-        a = genie_monte_carlo(spec, chan, BPSK, trials=5000, seed=9)
-        b = genie_monte_carlo(spec, chan, BPSK, trials=5000, seed=9)
+        a = genie_monte_carlo(spec, chan, trials=5000, seed=9)
+        b = genie_monte_carlo(spec, chan, trials=5000, seed=9)
         assert np.array_equal(a.error_prob, b.error_prob)
 
     def test_bec_half_erasure_rates(self):
         spec = full_rate_spec(2)
         chan = ChannelSpec(kind="bec", epsilon=0.5)
         trials = 100_000
-        prof = genie_monte_carlo(spec, chan, BPSK, trials=trials, seed=4)
+        prof = genie_monte_carlo(spec, chan, trials=trials, seed=4)
         z = np.array([0.9375, 0.5625, 0.4375, 0.0625])
         target = z / 2.0  # an erased decision guesses 0; half the data disagrees
         sigma = np.sqrt(target * (1 - target) / trials)

@@ -175,7 +175,7 @@ def genie_mc_plain_txt() -> bytes:
     values = []
     for chan, seed in ((ChannelSpec("bec", epsilon=0.4), 2),
                        (ChannelSpec("fading", snr_db=3.0), 4)):
-        values += map(float, genie_monte_carlo(spec, chan, BPSK, trials=4000, seed=seed).error_prob)
+        values += map(float, genie_monte_carlo(spec, chan, trials=4000, seed=seed).error_prob)
     return "".join(f"{v!r}\n" for v in values).encode()
 
 

@@ -204,11 +204,13 @@ class TestEarlyTermination:
 
 class TestSweep:
     def make_cfg(self, mode="cc", workers=1, t=2, seed=99):
+        # 5000 blocks in batches of 512 span three stop-check rounds of
+        # STOP_CHECK_BLOCKS, the last one partial
         _, rm = make_code()
         return SweepConfig(rate_matcher=rm, channel_kind="awgn",
                            snr_grid=(1.0, 4.0), L=32, t=t, mode=mode, seed=seed,
-                           max_blocks=600, target_block_errors=50,
-                           batch_size=100, stop_check_blocks=200, workers=workers)
+                           max_blocks=5000, target_block_errors=50,
+                           batch_size=512, workers=workers)
 
     def test_t1_accounting(self):
         _, rm = make_code()

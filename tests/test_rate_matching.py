@@ -4,6 +4,8 @@ Every emission order is read from ``build_tx_map(rm, plan).emit_idx``: the
 codeword position carried by each transmitted bit.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from rcpolar.puncturing import PuncturingSequence, expand_regular, reference_bas
 from rcpolar.rate_matching import (
     RateMatcher,
     TxPlan,
-    assign_bicm_columns,
     build_tx_map,
     de_rate_match,
     transmit_codeword_llrs,
@@ -40,6 +41,12 @@ def big_rm(mod=BPSK, split=(5, 7), **kw):
 def emit(rm, L):
     """Codeword position of each bit of a first transmission of L bits."""
     return build_tx_map(rm, TxPlan(L=L, t=1, r=1, mode="cc")).emit_idx
+
+
+def assign_bicm_columns(rm, plan):
+    """Reliability class of each touched column slot, in reading order."""
+    _, q = rm.spec.split
+    return build_tx_map(rm, plan).bit_class[:: 1 << q]
 
 
 def reference_emission(rm, plan):
@@ -96,7 +103,7 @@ class TestArrange:
     def test_length_mismatch(self):
         rm = simple_rm()
         with pytest.raises(ValueError):
-            de_rate_match(np.ones(16), rm, TxPlan(L=16, t=1, r=1, mode="cc"), np.zeros(15))
+            de_rate_match(np.ones((2, 15)), rm, TxPlan(L=16, t=1, r=1, mode="cc"))
 
     @given(matcher_and_plan())
     @settings(max_examples=300, deadline=None)
@@ -104,7 +111,7 @@ class TestArrange:
         rm, plan = case
         want = reference_emission(rm, plan)
         assert np.array_equal(build_tx_map(rm, plan).emit_idx, want)
-        acc = de_rate_match(np.ones(plan.L), rm, plan, np.zeros(rm.spec.N))
+        acc = de_rate_match(np.ones(plan.L), rm, plan)
         counts = np.bincount(want, minlength=rm.spec.N)
         assert np.array_equal(acc, counts)
         never_read = counts == 0
@@ -176,14 +183,14 @@ class TestDeRateMatch:
         plan = TxPlan(L=16, t=1, r=1, mode="cc")
         llrs = np.random.default_rng(0).normal(size=16)
         stream = llrs[build_tx_map(rm, plan).emit_idx]
-        acc = de_rate_match(stream, rm, plan, np.zeros(16))
+        acc = de_rate_match(stream, rm, plan)
         assert np.allclose(acc, llrs)
 
     def test_wrapped_column_sums(self):
         rm = simple_rm()
         plan = TxPlan(L=20, t=1, r=1, mode="cc")
         stream = np.ones(20)
-        acc = de_rate_match(stream, rm, plan, np.zeros(16))
+        acc = de_rate_match(stream, rm, plan)
         first_col = rm.read_columns[0]
         doubled = [r * 4 + first_col for r in range(4)]
         expect = np.ones(16)
@@ -193,17 +200,16 @@ class TestDeRateMatch:
     def test_additivity_two_passes(self):
         rm = simple_rm()
         plan = TxPlan(L=12, t=2, r=1, mode="cc")
-        stream = np.random.default_rng(1).normal(size=12)
-        acc = np.zeros(16)
-        de_rate_match(stream, rm, plan, acc)
-        once = acc.copy()
-        de_rate_match(stream, rm, plan, acc)
-        assert np.allclose(acc, 2.0 * once)
+        s1, s2 = np.random.default_rng(1).normal(size=(2, 12))
+        once = de_rate_match(s1, rm, plan)
+        # each call folds into a fresh zeroed array, so folds add
+        assert np.allclose(once + de_rate_match(s2, rm, plan), de_rate_match(s1 + s2, rm, plan))
+        assert np.array_equal(de_rate_match(s1, rm, plan), once)
 
     def test_untouched_positions_stay_zero(self):
         rm = simple_rm()
         plan = TxPlan(L=12, t=1, r=1, mode="cc")
-        acc = de_rate_match(np.ones(12), rm, plan, np.zeros(16))
+        acc = de_rate_match(np.ones(12), rm, plan)
         assert np.all(acc[[0, 4, 8, 12]] == 0.0)
 
     def test_batched(self):
@@ -211,14 +217,33 @@ class TestDeRateMatch:
         plan = TxPlan(L=16, t=1, r=1, mode="cc")
         llrs = np.random.default_rng(2).normal(size=(5, 16))
         stream = llrs[:, build_tx_map(rm, plan).emit_idx]
-        acc = de_rate_match(stream, rm, plan, np.zeros((5, 16)))
+        acc = de_rate_match(stream, rm, plan)
+        assert acc.shape == (5, 16)
         assert np.allclose(acc, llrs)
+
+    @given(matcher_and_plan(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_fold_bits_match_scatter_of_each_row(self, case, seed):
+        # each position adds its terms in stream order onto +0.0, signed zeros included
+        rm, plan = case
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(3, plan.L))
+        values[rng.random(values.shape) < 0.2] = -0.0
+        values[rng.random(values.shape) < 0.1] = 0.0
+        idx = build_tx_map(rm, plan).emit_idx
+        got = de_rate_match(values, rm, plan)
+        for row, v in zip(got, values):
+            want = np.zeros(rm.spec.N)
+            np.add.at(want, idx, v)
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
+        assert np.array_equal(de_rate_match(values[1], rm, plan).view(np.int64),
+                              got[1].view(np.int64))
 
     def test_length_mismatch(self):
         rm = simple_rm()
         plan = TxPlan(L=12, t=1, r=1, mode="cc")
         with pytest.raises(ValueError):
-            de_rate_match(np.ones(11), rm, plan, np.zeros(16))
+            de_rate_match(np.ones(11), rm, plan)
 
 
 class TestTransmitCodewordLlrs:
@@ -286,6 +311,14 @@ class TestTxMap:
         tm = build_tx_map(rm, TxPlan(L=16, t=1, r=1, mode="cc"))
         assert np.array_equal(tm.stream_to_symbit, np.arange(16))
         assert tm.n_symbols == 16
+
+    @given(matcher_and_plan())
+    @settings(max_examples=100, deadline=None)
+    def test_bpsk_is_one_class_one_bit_a_symbol(self, case):
+        rm, plan = case
+        tm = build_tx_map(dataclasses.replace(rm, modulation=BPSK), plan)
+        assert np.array_equal(tm.stream_to_symbit, np.arange(plan.L))
+        assert tm.n_symbols == plan.L and not tm.bit_class.any()
 
     def test_qam16_full_length_no_padding(self):
         rm = big_rm(mod=QAM16)

@@ -36,16 +36,18 @@ def test_script_runs(script, tmp_path):
 
 
 def test_bench_layers_only():
-    # times this checkout's sc_decode and HARQ batch and prints the entries;
-    # writes nothing
+    # times this checkout's sc_decode, encode, tx chain and HARQ batch and
+    # prints the entries; writes nothing
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--layers-only"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     entries = json.loads(proc.stdout)
-    assert sorted(entries) == (["harq batch N=1024 B=64", "harq batch N=256 B=256"]
-                               + [f"sc_decode N={N} B={B}" for N in (1024, 256) for B in (1, 512)])
+    assert sorted(entries) == sorted(
+        [f"{layer} N=1024 B=64" for layer in ("encode", "harq batch", "tx chain")]
+        + [f"{layer} N=256 B=256" for layer in ("encode", "harq batch", "tx chain")]
+        + [f"sc_decode N={N} B={B}" for N in (1024, 256) for B in (1, 512)])
     for e in entries.values():
         assert e["cpu_s_median_raw"] > 0 and e["slowdown"] > 0
         assert e["cpu_s_median"] == e["cpu_s_median_raw"] / e["slowdown"] ** e["beta"]
