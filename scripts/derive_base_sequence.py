@@ -19,7 +19,8 @@ def main():
 
     design = GaussianDesign.from_snr_db(args.design_snr_db)
     seq = ppa(base_code(args.base_len.bit_length() - 1, args.k, design), design)
-    seq.save(args.out)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(seq.to_text())
     print(f"derived order -> {args.out}")
     print(",".join(map(str, seq.order)))
     for step, tied in seq.stats.ties:

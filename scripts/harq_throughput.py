@@ -12,7 +12,7 @@ import numpy as np
 
 from rcpolar.channel import ModulationSpec
 from rcpolar.construction import design_code
-from rcpolar.harq import SweepConfig, sweep, write_results_csv
+from rcpolar.harq import SweepConfig, results_csv, sweep
 from rcpolar.puncturing import reference_base32_sequence
 
 
@@ -59,11 +59,12 @@ def main():
                           workers=args.workers)
         res = sweep(cfg)
         out = f"{args.prefix}_{mode}_{args.channel}.csv"
-        write_results_csv(res, out, header_comments=(
-            f"seed={args.seed}",
-            f"n={args.n} k={args.k} L={args.L} t={args.t} mode={mode} "
-            f"modulation={args.modulation} channel={args.channel}",
-        ))
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(results_csv(res, header_comments=(
+                f"seed={args.seed}",
+                f"n={args.n} k={args.k} L={args.L} t={args.t} mode={mode} "
+                f"modulation={args.modulation} channel={args.channel}",
+            )))
         halves[mode] = half_plateau_snr(grid, [r.throughput for r in res])
         print(f"{mode}: half-plateau at {halves[mode]:.2f} dB -> {out}")
     print(f"gap (cc - ir): {halves['cc'] - halves['ir']:.2f} dB")

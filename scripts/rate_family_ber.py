@@ -12,7 +12,7 @@ import numpy as np
 
 from rcpolar.channel import BPSK
 from rcpolar.construction import design_code
-from rcpolar.harq import SweepConfig, sweep, write_results_csv
+from rcpolar.harq import SweepConfig, results_csv, sweep
 from rcpolar.puncturing import reference_base32_sequence
 
 
@@ -49,10 +49,11 @@ def main():
                           batch_size=1000)
         res = sweep(cfg)
         out = f"{args.prefix}_L{L}_{args.channel}.csv"
-        write_results_csv(res, out, header_comments=(
-            f"seed={args.seed}",
-            f"n={args.n} k={args.k} L={L} rate={args.k/L:.4f} channel={args.channel}",
-        ))
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(results_csv(res, header_comments=(
+                f"seed={args.seed}",
+                f"n={args.n} k={args.k} L={L} rate={args.k/L:.4f} channel={args.channel}",
+            )))
         print(f"L={L} (rate {args.k/L:.3f}) -> {out}")
 
 

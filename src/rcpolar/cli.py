@@ -14,7 +14,6 @@ import math
 import os
 import secrets
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -114,14 +113,29 @@ def _convert(fieldname: str, kind, val):
     return val
 
 
+def _read(fieldname: str, path: str) -> str:
+    """The file at ``path`` read as UTF-8 text; a failure is a bad ``fieldname``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(fieldname, f"cannot read {path}: {e}") from None
+
+
+def _write(out: str, text: str) -> None:
+    """Write ``text`` to the ``out`` file as UTF-8; a failed write is a bad ``out``."""
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise ConfigError("out", f"cannot write {out}: {e}") from None
+
+
 def load_config(path: str | None, overrides: dict) -> dict:
     cfg = {}
     if path:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError("config", f"file not found: {path}") from None
+            cfg = json.loads(_read("config", path))
         except json.JSONDecodeError as e:
             raise ConfigError("config", f"invalid JSON: {e}") from None
         if not isinstance(cfg, dict):
@@ -147,9 +161,10 @@ def _load_sequence(name: str, p: int) -> PuncturingSequence:
     if name == "reference32":
         seq = reference_base32_sequence()
     else:
+        text = _read("sequence", name)
         try:
-            seq = PuncturingSequence.load(name)
-        except (OSError, ValueError) as e:
+            seq = PuncturingSequence.from_text(text)
+        except ValueError as e:
             raise ConfigError("sequence", f"cannot read {name}: {e}") from None
     if seq.base_len != 1 << p:
         raise ConfigError("sequence", f"{name} has base length {seq.base_len}, "
@@ -166,15 +181,6 @@ def _output_path(cfg: dict) -> str:
     if os.path.isdir(out):
         raise ConfigError("out", f"{out} is a directory")
     return out
-
-
-@contextmanager
-def _writing(out: str):
-    """Report a failed write of the output file as a bad ``out`` field."""
-    try:
-        yield
-    except OSError as e:
-        raise ConfigError("out", f"cannot write {out}: {e}") from None
 
 
 def _split(cfg: dict, n: int) -> tuple[int, int]:
@@ -202,17 +208,17 @@ def cmd_construct(cfg: dict) -> int:
     # full rate, so profiles and genie runs cover every input position
     spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
     seq_name = _get(cfg, "sequence", None)
-    select_len = _get(cfg, "select_length", None)
     mod = ModulationSpec(_get(cfg, "modulation", 2))
     if mod.is_qam and seq_name is None:
         raise ConfigError("modulation", "must be 2 without a puncturing sequence")
     kind = _get(cfg, "channel", "awgn")
     if mod.is_qam and "bec" in (method, kind):
         raise ConfigError("modulation", "must be 2 on the erasure channel")
-    rm = None
-    if seq_name is not None:
+    rm = select_len = None
+    if seq_name is not None:   # a sequence sends N bits unless told otherwise
         rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p), modulation=mod)
-    elif select_len is not None:
+        select_len = _get(cfg, "select_length", N)
+    elif _get(cfg, "select_length", None) is not None:
         raise ConfigError("sequence", "select_length needs a puncturing sequence")
     seed = None
     if method == "ga":
@@ -236,10 +242,7 @@ def cmd_construct(cfg: dict) -> int:
         profile = cons.genie_monte_carlo(spec, chan, rate_matcher=rm,
                                          trials=_get(cfg, "trials", 100_000), seed=seed,
                                          tx_length=select_len)
-    with _writing(out), open(out, "w", encoding="utf-8") as fh:
-        if seed is not None:
-            fh.write(f"# seed={seed}\n")
-        profile.to_csv(fh)
+    _write(out, ("" if seed is None else f"# seed={seed}\n") + profile.to_csv())
     return 0
 
 
@@ -256,8 +259,7 @@ def cmd_puncture(cfg: dict) -> int:
     seq = ppa(base_code(p, k, design), design)
     for step, tied in seq.stats.ties:
         print(f"tie at step {step}: candidates {tied}", file=sys.stderr)
-    with _writing(out):
-        seq.save(out)
+    _write(out, seq.to_text())
     return 0
 
 
@@ -293,9 +295,10 @@ def cmd_simulate(cfg: dict) -> int:
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _get(cfg, "profile", None)
     if profile_path is not None:
+        text = _read("profile", profile_path)
         try:
-            profile = cons.ReliabilityProfile.from_csv(profile_path)
-        except (OSError, ValueError) as e:
+            profile = cons.ReliabilityProfile.from_csv(text)
+        except ValueError as e:
             raise ConfigError("profile", f"cannot read {profile_path}: {e}") from None
         if len(profile) != (1 << n):
             raise ConfigError("profile", f"profile has {len(profile)} rows, need {1 << n}")
@@ -316,12 +319,10 @@ def cmd_simulate(cfg: dict) -> int:
         workers=_get(cfg, "workers", 1),
     )
     results = harq.sweep(sweep_cfg)
-    with _writing(out):
-        harq.write_results_csv(results, out, header_comments=(
-            f"seed={seed}",
-            f"n={n} k={k} p={p} q={q} L={L} t={t} mode={mode} "
-            f"modulation={mod.order} channel={kind}",
-        ))
+    _write(out, harq.results_csv(results, header_comments=(
+        f"seed={seed}",
+        f"n={n} k={k} p={p} q={q} L={L} t={t} mode={mode} modulation={mod.order} channel={kind}",
+    )))
     return 0
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import erfc
 
-from ._textio import open_text
 from .channel import BPSK, _pam_bit_llrs, demodulate, modulate, pam_demap_table, transmit
 from .decoder import genie_sc_decode
 from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly, encode
@@ -331,19 +330,16 @@ class ReliabilityProfile:
     def __len__(self) -> int:
         return len(self.error_prob)
 
-    def to_csv(self, path_or_file) -> None:
-        """Write rows ``index,mean_llr,error_prob`` with 1-based indices."""
-        with open_text(path_or_file, "w") as fh:
-            fh.write(f"# method={self.method} design={self.design_param!r} n_positions={len(self)}\n")
-            fh.write("index,mean_llr,error_prob\n")
-            for i in range(len(self)):
-                ml = "" if math.isnan(self.mean_llr[i]) else repr(float(self.mean_llr[i]))
-                fh.write(f"{i + 1},{ml},{float(self.error_prob[i])!r}\n")
+    def to_csv(self) -> str:
+        """CSV text: rows ``index,mean_llr,error_prob``, 1-based, NaN written empty."""
+        rows = "".join(f"{i},{'' if math.isnan(ml) else repr(ml)},{ep!r}\n" for i, (ml, ep)
+                       in enumerate(zip(self.mean_llr.tolist(), self.error_prob.tolist()), 1))
+        return (f"# method={self.method} design={self.design_param!r} n_positions={len(self)}\n"
+                "index,mean_llr,error_prob\n" + rows)
 
     @classmethod
-    def from_csv(cls, path_or_file) -> "ReliabilityProfile":
-        with open_text(path_or_file) as fh:
-            text = fh.read()
+    def from_csv(cls, text: str) -> "ReliabilityProfile":
+        """Parse the text ``to_csv`` writes."""
         method, design = "unknown", float("nan")
         eps, mls = [], []
         for ln in text.split("\n"):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import open_text
 from .channel import ChannelSpec
 from .decoder import sc_decode
 from .polar import PolarCodeSpec, encode
@@ -34,7 +33,7 @@ __all__ = [
     "throughput",
     "run_blocks_batch",
     "sweep",
-    "write_results_csv",
+    "results_csv",
     "RESULT_COLUMNS",
 ]
 
@@ -234,12 +233,9 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
     return results
 
 
-def write_results_csv(results, path_or_file, header_comments: tuple[str, ...] = ()) -> None:
-    """Write one row per SNR point in the stable column order."""
-    with open_text(path_or_file, "w", newline="") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for r in results:
-            row = r.row()
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+def results_csv(results, header_comments: tuple[str, ...] = ()) -> str:
+    """The sweep as CSV text: one ``# `` line per header comment, then one row
+    per SNR point in the stable column order."""
+    rows = [",".join(RESULT_COLUMNS)] + [
+        ",".join(repr(v) if isinstance(v, float) else str(v) for v in r.row()) for r in results]
+    return "".join(f"# {c}\n" for c in header_comments) + "".join(f"{row}\n" for row in rows)

@@ -180,15 +180,6 @@ class PuncturingSequence:
         entries = [int(t) for t in text.strip().split(",")]
         return cls(base_len=len(entries), order=tuple(entries))
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path) -> "PuncturingSequence":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
 
 def reference_base32_sequence() -> PuncturingSequence:
     """The bundled length-32 puncturing order (3.5 dB design, rate 11/32)."""

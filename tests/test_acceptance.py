@@ -5,7 +5,6 @@ lines.  Criterion 7 (HARQ throughput comparison) is the long-running one and
 carries the ``extended`` marker; everything else finishes in a few minutes.
 """
 
-import io
 import itertools
 
 import numpy as np
@@ -14,7 +13,7 @@ import pytest
 from rcpolar.channel import BPSK, ChannelSpec, ModulationSpec
 from rcpolar.cli import main
 from rcpolar.construction import design_code, ga_evolve, genie_monte_carlo
-from rcpolar.harq import SweepConfig, sweep, write_results_csv
+from rcpolar.harq import SweepConfig, results_csv, sweep
 from rcpolar.polar import PolarCodeSpec, encode, encode_two_stage
 from rcpolar.puncturing import (
     GaussianDesign,
@@ -48,7 +47,7 @@ def test_criterion_1_reference_sequence_reproduction(tmp_path):
     rc = main(["puncture", "--base-len", "32", "--k", "11",
                "--design-snr-db", "3.5", "--out", str(out)])
     assert rc == 0
-    got = PuncturingSequence.load(out)
+    got = PuncturingSequence.from_text(out.read_text(encoding="utf-8"))
     ref = reference_base32_sequence()
 
     design = GaussianDesign.from_snr_db(3.5)
@@ -254,9 +253,7 @@ def test_criterion_8_determinism(tmp_path):
                           max_blocks=2000, target_block_errors=10**9,
                           batch_size=500, workers=workers)
         res = sweep(cfg)
-        buf = io.StringIO()
-        write_results_csv(res, buf, header_comments=("seed=31",))
-        payloads.append(buf.getvalue().encode())
+        payloads.append(results_csv(res, header_comments=("seed=31",)).encode())
     same_sweep = payloads[0] == payloads[1]
     report(8, same_seq and same_sweep,
            f"puncture byte-identical: {same_seq}; sweep identical across "

@@ -37,6 +37,16 @@ class TestConfigHandling:
     def test_missing_config_file(self):
         assert main(["construct", "--config", "/nonexistent.json"]) == 2
 
+    def test_config_directory_names_config(self, tmp_path, capsys):
+        assert main(["construct", "--config", str(tmp_path)]) == 2
+        assert "'config'" in capsys.readouterr().err
+
+    def test_config_not_utf8_names_config(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["construct", "--config", str(path)]) == 2
+        assert "'config'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, cfg, field", [
         ("construct", {"n": 3.7, "method": "ga", "design_snr_db": 3.5}, "n"),
         ("construct", {"n": True, "method": "ga", "design_snr_db": 3.5}, "n"),
@@ -71,7 +81,7 @@ class TestConstruct:
         rc = main(["construct", "--n", "8", "--method", "ga",
                    "--design-snr-db", "3.5", "--out", str(out)])
         assert rc == 0
-        prof = ReliabilityProfile.from_csv(out)
+        prof = ReliabilityProfile.from_csv(out.read_text(encoding="utf-8"))
         assert len(prof) == 256
         lines = out.read_text().strip().split("\n")
         # GA draws no random numbers, so no seed line heads the profile
@@ -92,7 +102,7 @@ class TestConstruct:
         rc = main(["construct", "--n", "2", "--method", "bec",
                    "--epsilon", "0.5", "--out", str(out)])
         assert rc == 0
-        prof = ReliabilityProfile.from_csv(out)
+        prof = ReliabilityProfile.from_csv(out.read_text(encoding="utf-8"))
         assert np.allclose(prof.error_prob, [0.9375, 0.5625, 0.4375, 0.0625])
 
     def test_bec_select_length_counts_repetitions(self, tmp_path):
@@ -125,13 +135,6 @@ class TestConstruct:
             assert rc == 2
             assert "'out'" in capsys.readouterr().err
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_failed_write_names_out(self, capsys):
-        rc = main(["construct", "--n", "4", "--method", "ga", "--design-snr-db", "3.5",
-                   "--out", "/dev/full"])
-        assert rc == 2
-        assert "'out'" in capsys.readouterr().err
-
     @pytest.mark.parametrize("snr", ["nan", "inf", "-inf"])
     def test_non_finite_design_snr_names_field(self, tmp_path, capsys, snr):
         rc = main(["construct", "--n", "4", "--method", "ga", f"--design-snr-db={snr}",
@@ -139,12 +142,23 @@ class TestConstruct:
         assert rc == 2
         assert "'design_snr_db'" in capsys.readouterr().err
 
+    def test_sequence_without_select_length_sends_n_bits(self, tmp_path):
+        # with a sequence, the select length defaults to N: 16-QAM classes
+        # shape the GA profile as they do at --select-length 256
+        base = "--n 8 --method ga --sequence reference32 --modulation 16 --design-snr-db 3"
+        a, b, plain = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "plain.csv"
+        assert main(["construct", *base.split(), "--out", str(a)]) == 0
+        assert main(["construct", *base.split(), "--select-length", "256", "--out", str(b)]) == 0
+        assert main(["construct", "--n", "8", "--method", "ga", "--design-snr-db", "3",
+                     "--out", str(plain)]) == 0
+        assert a.read_bytes() == b.read_bytes() != plain.read_bytes()
+
     def test_mc_profile(self, tmp_path):
         out = tmp_path / "mc.csv"
         rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
                    "--trials", "2000", "--seed", "3", "--out", str(out)])
         assert rc == 0
-        prof = ReliabilityProfile.from_csv(out)
+        prof = ReliabilityProfile.from_csv(out.read_text(encoding="utf-8"))
         assert len(prof) == 16
         assert prof.method == "monte_carlo"
 
@@ -153,7 +167,7 @@ class TestConstruct:
         assert main(["construct", "--n", "3", "--method", "mc", "--channel", "bec",
                      "--epsilon", "0.3", "--trials", "100", "--seed", "1",
                      "--out", str(out)]) == 0
-        assert len(ReliabilityProfile.from_csv(out)) == 8
+        assert len(ReliabilityProfile.from_csv(out.read_text(encoding="utf-8"))) == 8
 
     def test_mc_on_bec_records_erasure_rate(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -197,7 +211,7 @@ class TestPuncture:
         rc = main(["puncture", "--base-len", "32", "--k", "11",
                    "--design-snr-db", "3.5", "--out", str(out)])
         assert rc == 0
-        got = PuncturingSequence.load(out)
+        got = PuncturingSequence.from_text(out.read_text(encoding="utf-8"))
         assert got.order == reference_base32_sequence().order
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -212,7 +226,7 @@ class TestPuncture:
         rc = main(["puncture", "--base-len", "4", "--k", "2",
                    "--epsilon", "0.5", "--out", str(out)])
         assert rc == 0
-        seq = PuncturingSequence.load(out)
+        seq = PuncturingSequence.from_text(out.read_text(encoding="utf-8"))
         design = ErasureDesign(epsilon=0.5)
         spec1 = PolarCodeSpec(n=2, k=4, info_set=(1, 2, 3, 4), split=(2, 0))
         from rcpolar.construction import bhattacharyya_bec, select_information_set
@@ -393,3 +407,20 @@ class TestSimulate:
                    "--out", str(tmp_path / "res.csv")])
         assert rc == 2
         assert f"'{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
+
+
+# one valid run of each subcommand, cheap enough to reach its write
+_RUNS = {
+    "construct": "--n 4 --method ga --design-snr-db 3.5",
+    "puncture": "--base-len 8 --k 4 --design-snr-db 3.5",
+    "simulate": "--n 5 --k 11 --L 32 --snr-start 3 --snr-stop 3 --snr-step 1"
+                " --design-snr-db 3.5 --seed 1 --max-blocks 50 --batch-size 50",
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_failed_write_names_out(capsys, command):
+    rc = main([command, *_RUNS[command].split(), "--out", "/dev/full"])
+    assert rc == 2
+    assert "'out'" in capsys.readouterr().err

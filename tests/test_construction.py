@@ -1,6 +1,5 @@
 """Reliability estimation: phi machinery, GA, exact BEC recursion, genie MC."""
 
-import io
 import itertools
 import math
 import sys
@@ -478,9 +477,7 @@ class TestProfileCsv:
     def test_round_trip(self):
         spec = full_rate_spec(3)
         prof = ga_evolve(spec, np.full(8, design_mean_llr(1.5)))
-        buf = io.StringIO()
-        prof.to_csv(buf)
-        back = ReliabilityProfile.from_csv(io.StringIO(buf.getvalue()))
+        back = ReliabilityProfile.from_csv(prof.to_csv())
         assert back.method == "ga"
         assert np.allclose(back.error_prob, prof.error_prob, rtol=0, atol=0)
         assert np.allclose(back.mean_llr, prof.mean_llr, rtol=0, atol=0)
@@ -488,9 +485,7 @@ class TestProfileCsv:
     def test_nan_mean_round_trip(self):
         spec = full_rate_spec(2)
         prof = bhattacharyya_bec(spec, np.full(4, 0.25))
-        buf = io.StringIO()
-        prof.to_csv(buf)
-        back = ReliabilityProfile.from_csv(io.StringIO(buf.getvalue()))
+        back = ReliabilityProfile.from_csv(prof.to_csv())
         assert np.all(np.isnan(back.mean_llr))
         assert np.array_equal(back.error_prob, prof.error_prob)
 

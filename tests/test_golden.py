@@ -26,7 +26,7 @@ from rcpolar.channel import BPSK, ChannelSpec, ModulationSpec, pam_demap_table
 from rcpolar.cli import main
 from rcpolar.construction import (bhattacharyya_bec, build_bicm_ga_means, design_code,
                                   ga_evolve, genie_monte_carlo)
-from rcpolar.harq import SweepConfig, sweep, write_results_csv
+from rcpolar.harq import SweepConfig, results_csv, sweep
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import (ErasureDesign, GaussianDesign, base_code, evaluate_patterns,
                                 exhaustive_search, ppa, reference_base32_sequence)
@@ -196,15 +196,11 @@ def cli_outputs_txt(runs=CLI_RUNS) -> bytes:
 
 
 def _profile_csv(profile) -> bytes:
-    buf = io.StringIO()
-    profile.to_csv(buf)
-    return buf.getvalue().encode()
+    return profile.to_csv().encode()
 
 
 def _csv(results, *comments) -> bytes:
-    buf = io.StringIO()
-    write_results_csv(results, buf, header_comments=comments)
-    return buf.getvalue().encode()
+    return results_csv(results, header_comments=comments).encode()
 
 
 FIXTURES = {

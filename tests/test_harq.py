@@ -1,7 +1,5 @@
 """HARQ block runs, throughput, sweep determinism and stopping."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -10,10 +8,10 @@ from rcpolar.construction import bhattacharyya_bec, design_code, select_informat
 from rcpolar.decoder import sc_decode
 from rcpolar.harq import (
     SweepConfig,
+    results_csv,
     run_blocks_batch,
     sweep,
     throughput,
-    write_results_csv,
 )
 from rcpolar.polar import PolarCodeSpec, encode
 from rcpolar.puncturing import PuncturingSequence, reference_base32_sequence
@@ -236,9 +234,7 @@ class TestSweep:
         rows = {}
         for workers in (1, 2):
             res = sweep(self.make_cfg(workers=workers))
-            buf = io.StringIO()
-            write_results_csv(res, buf, header_comments=("seed=99",))
-            rows[workers] = buf.getvalue()
+            rows[workers] = results_csv(res, header_comments=("seed=99",))
         assert rows[1] == rows[2]
 
     def test_repeat_run_identical(self):
@@ -256,9 +252,7 @@ class TestSweep:
 
     def test_csv_schema(self):
         res = sweep(self.make_cfg())
-        buf = io.StringIO()
-        write_results_csv(res, buf, header_comments=("seed=99",))
-        lines = buf.getvalue().strip().split("\n")
+        lines = results_csv(res, header_comments=("seed=99",)).strip().split("\n")
         assert lines[0] == "# seed=99"
         assert lines[1] == "snr_db,blocks,bit_errors,block_errors,ber,bler,t_bar,throughput"
         assert len(lines) == 2 + 2

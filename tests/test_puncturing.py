@@ -260,12 +260,6 @@ class TestSequenceFormat:
         seq = PuncturingSequence(base_len=4, order=(2, 0, 3, 1))
         assert PuncturingSequence.from_text(seq.to_text()).order == seq.order
 
-    def test_file_round_trip(self, tmp_path):
-        seq = reference_base32_sequence()
-        path = tmp_path / "seq.txt"
-        seq.save(path)
-        assert PuncturingSequence.load(path).order == seq.order
-
     def test_not_a_permutation(self):
         with pytest.raises(ValueError):
             PuncturingSequence(base_len=4, order=(0, 1, 1, 3))
