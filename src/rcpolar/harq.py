@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -164,27 +166,28 @@ class SweepConfig:
             raise ValueError(f"unknown HARQ mode {self.mode!r}")
         if self.channel_kind not in ("awgn", "fading"):
             raise ValueError(f"unsupported channel kind {self.channel_kind!r} for sweeps")
-        if min(self.L, self.t, self.max_blocks, self.target_block_errors, self.batch_size) < 1:
-            raise ValueError("L, t, max_blocks, target_block_errors, batch_size must be positive")
+        if min(self.L, self.t, self.max_blocks, self.target_block_errors, self.batch_size,
+               self.workers) < 1:
+            raise ValueError(
+                "L, t, max_blocks, target_block_errors, batch_size, workers must be positive")
 
     @property
     def rate(self) -> float:
         return self.rate_matcher.spec.k / self.L
 
 
-def _point_batch(cfg: SweepConfig, point_idx: int, batch_idx: int, n_blocks: int):
-    """Simulate one fixed batch; independent of scheduling by construction."""
+def _point_batch(cfg: SweepConfig, point_idx: int, batch_idx: int, n_blocks: int) -> np.ndarray:
+    """Simulate one fixed batch; independent of scheduling by construction.
+
+    Returns its counters: blocks, bit errors, block errors, transmissions.
+    """
     chan = ChannelSpec(kind=cfg.channel_kind, snr_db=cfg.snr_grid[point_idx])
     rng = np.random.default_rng(
         np.random.SeedSequence((int(cfg.seed), int(point_idx), int(batch_idx))))
     messages = rng.integers(0, 2, size=(n_blocks, cfg.rate_matcher.spec.k), dtype=np.uint8)
     success, tx_used, bit_errs = run_blocks_batch(
         cfg.rate_matcher.spec, cfg.rate_matcher, chan, cfg.L, cfg.t, cfg.mode, messages, rng)
-    return (int(n_blocks), int(bit_errs.sum()), int((~success).sum()), int(tx_used.sum()))
-
-
-def _point_batch_star(args):
-    return _point_batch(*args)
+    return np.array([n_blocks, bit_errs.sum(), (~success).sum(), tx_used.sum()], dtype=np.int64)
 
 
 def sweep(cfg: SweepConfig) -> list[SimResult]:
@@ -193,43 +196,29 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
     Each point runs whole batches of ``batch_size`` blocks and checks the stop
     rule (``target_block_errors`` reached or ``max_blocks`` simulated) only on
     ``STOP_CHECK_BLOCKS`` boundaries, so the set of simulated batches does not
-    depend on the worker count.
+    depend on the worker count.  At most one round of batches runs at once,
+    so the pool holds no more workers than a round has batches.
     """
     results = []
-    batches_per_round = max(1, STOP_CHECK_BLOCKS // cfg.batch_size)
-    pool = ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for pi in range(len(cfg.snr_grid)):
-            blocks = bit_errors = block_errors = tx_total = 0
-            next_batch = 0
-            while blocks < cfg.max_blocks and block_errors < cfg.target_block_errors:
-                todo = []
-                planned = blocks
-                for _ in range(batches_per_round):
-                    if planned >= cfg.max_blocks:
-                        break
-                    nb = min(cfg.batch_size, cfg.max_blocks - planned)
-                    todo.append((cfg, pi, next_batch, nb))
-                    next_batch += 1
-                    planned += nb
-                if pool is not None:
-                    outs = list(pool.map(_point_batch_star, todo))
-                else:
-                    outs = [_point_batch_star(a) for a in todo]
-                for nb, be, ble, txs in outs:
-                    blocks += nb
-                    bit_errors += be
-                    block_errors += ble
-                    tx_total += txs
+    bs = cfg.batch_size
+    per_round = max(1, STOP_CHECK_BLOCKS // bs)
+    workers = min(cfg.workers, per_round)
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        run = map if pool is None else pool.map
+        for pi, snr_db in enumerate(cfg.snr_grid):
+            counts = np.zeros(4, dtype=np.int64)
+            while counts[0] < cfg.max_blocks and counts[2] < cfg.target_block_errors:
+                # every batch before the last is full, so a batch's index is its start // bs
+                starts = range(counts[0], min(cfg.max_blocks, counts[0] + per_round * bs), bs)
+                counts += sum(run(_point_batch, repeat(cfg), repeat(pi), [s // bs for s in starts],
+                                  [min(bs, cfg.max_blocks - s) for s in starts]))
+            blocks, bit_errors, block_errors, tx_total = (int(c) for c in counts)
             results.append(SimResult(
-                snr_db=cfg.snr_grid[pi], blocks=blocks, bit_errors=bit_errors,
+                snr_db=snr_db, blocks=blocks, bit_errors=bit_errors,
                 block_errors=block_errors, tx_total=tx_total, mode=cfg.mode,
                 rate=cfg.rate, order=cfg.rate_matcher.modulation.order,
                 t=cfg.t, k=cfg.rate_matcher.spec.k,
             ))
-    finally:
-        if pool is not None:
-            pool.shutdown()
     return results
 
 

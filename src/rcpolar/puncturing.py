@@ -250,39 +250,25 @@ def exhaustive_search(
     if m == 0:
         return ()
     total = comb(N, m)
-    best_met = np.inf
-    best_pat: tuple[int, ...] | None = None
-
-    def consider(pats: np.ndarray):
-        nonlocal best_met, best_pat
-        # the public call's pattern checks are skipped: pats are valid by construction
-        met = _union_bound(_pattern_error_probs(design, N, pats), base_spec.info_zero_based)
-        i = int(np.lexsort((np.arange(len(met)), met))[0])
-        if met[i] < best_met:
-            best_met = float(met[i])
-            best_pat = tuple(int(c) for c in np.sort(pats[i]))
-
     if total <= budget:
         it = combinations(range(N), m)
-        while True:
-            chunk = list(islice(it, batch))
-            if not chunk:
-                break
-            consider(np.array(chunk, dtype=np.int64))
+        stream = (np.array(c, dtype=np.int64) for c in iter(lambda: list(islice(it, batch)), []))
+    elif n_samples is None:
+        raise EnumerationBudgetError(
+            f"C({N},{m}) = {total} patterns exceed the enumeration budget "
+            f"{budget}; pass n_samples to run a sampled search")
     else:
-        if n_samples is None:
-            raise EnumerationBudgetError(
-                f"C({N},{m}) = {total} patterns exceed the enumeration budget "
-                f"{budget}; pass n_samples to run a sampled search")
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), N, m)))
-        remaining = n_samples
-        while remaining > 0:
-            b = min(batch, remaining)
-            pats = np.argsort(rng.random((b, N)), axis=1)[:, :m].astype(np.int64)
-            consider(pats)
-            remaining -= b
-    assert best_pat is not None
-    return best_pat
+        stream = (np.argsort(rng.random((min(batch, n_samples - s), N)), axis=1)[:, :m]
+                  for s in range(0, n_samples, batch))
+    best_met, best_pat = np.inf, None
+    for pats in stream:
+        # the public call's pattern checks are skipped: pats are valid by construction
+        met = _union_bound(_pattern_error_probs(design, N, pats), base_spec.info_zero_based)
+        i = int(np.argmin(met))
+        if met[i] < best_met:
+            best_met, best_pat = met[i], pats[i]
+    return tuple(int(c) for c in np.sort(best_pat))
 
 
 @dataclass(frozen=True)

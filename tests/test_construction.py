@@ -131,6 +131,21 @@ class TestPhi:
         assert np.all(np.isfinite(x)) and np.all(x > 0)
         assert np.max(np.abs(log_phi(x) - ly)) < 1e-13
 
+    def test_tail_inverse_matches_sixty_steps(self):
+        # beyond the table the inverse iterates the matched tail to its fixed
+        # point; it must give the bits of 60 steps for x from 200 to 1e300
+        t = _phi_table()
+        rng = np.random.default_rng(11)
+        x = np.exp(rng.uniform(math.log(200.0), math.log(1e300), 1_200_000))
+        ly = log_phi(x)
+        ly = np.concatenate([ly[ly < t.l_lo], [np.nextafter(t.l_lo, -np.inf)]])
+        assert len(ly) > 10**6
+        target = ly - t.l_lo + construction._log_phi_tail(construction._GRID_HI)
+        want = np.full(target.shape, 2.0 * construction._GRID_HI)
+        for _ in range(60):
+            want = -4.0 * (target - 0.5 * np.log(np.pi / want) - np.log1p(-10.0 / (7.0 * want)))
+        assert same_bits(_phi_inverse_log(ly), want)
+
     def test_shipped_knots_match_quadrature(self):
         # every shipped knot is the quadrature's value, bit for bit (about 2.3 s)
         assert same_bits(_phi_table().log_phi_knots, _quad_log_phi(_knot_x()))

@@ -1,8 +1,11 @@
 """HARQ block runs, throughput, sweep determinism and stopping."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rcpolar import harq
 from rcpolar.channel import BPSK, QAM16, ChannelSpec
 from rcpolar.construction import bhattacharyya_bec, design_code, select_information_set
 from rcpolar.decoder import sc_decode
@@ -237,6 +240,34 @@ class TestSweep:
             rows[workers] = results_csv(res, header_comments=("seed=99",))
         assert rows[1] == rows[2]
 
+    @pytest.mark.parametrize("workers,batch_size,pool_size", [
+        (64, 512, 4), (3, 512, 3), (64, 1024, 2), (64, 2048, None), (64, 4096, None),
+    ])
+    def test_pool_holds_one_round_of_batches(self, monkeypatch, workers, batch_size,
+                                             pool_size):
+        # a forked pool starts all its workers at the first submit, but at
+        # most STOP_CHECK_BLOCKS // batch_size batches run at once; the fake
+        # pool runs them in this process and records the size asked for
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(harq, "ProcessPoolExecutor", FakePool)
+        cfg = replace(self.make_cfg(workers=workers), batch_size=batch_size)
+        got = sweep(cfg)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert [r.row() for r in got] == [r.row() for r in sweep(replace(cfg, workers=1))]
+
     def test_repeat_run_identical(self):
         a = sweep(self.make_cfg())
         b = sweep(self.make_cfg())
@@ -273,6 +304,14 @@ class TestSweep:
             SweepConfig(rate_matcher=rm, channel_kind="awgn",
                         snr_grid=(1.0,), L=32, t=1, mode="cc", seed=0,
                         target_block_errors=0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_nonpositive_workers_rejected(self, workers):
+        # a worker count below 1 ran the sweep serially without a word
+        _, rm = make_code()
+        with pytest.raises(ValueError, match="workers"):
+            SweepConfig(rate_matcher=rm, channel_kind="awgn",
+                        snr_grid=(1.0,), L=32, t=1, mode="cc", seed=0, workers=workers)
 
     def test_invalid_mode(self):
         _, rm = make_code()

@@ -1,6 +1,7 @@
 """Progressive puncturing, exhaustive oracle, pattern expansion, sum capacity."""
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ class TestExhaustive:
         spec = base_code(5, 16, design)
         with pytest.raises(ValueError, match=field):
             exhaustive_search(spec, design, m, **kwargs)
+
+    @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
+                                        ErasureDesign(epsilon=0.4)])
+    def test_same_pattern_for_any_batch(self, design):
+        # at m=3 on base 16, 64 (GA) and 320 (BEC) of the 560 patterns tie
+        # for the best metric, so the first of them in the stream must win
+        # however the stream is cut into batches
+        spec = base_code(4, 8, design)
+        enumerated = {exhaustive_search(spec, design, 3, batch=b) for b in (1, 7, comb(16, 3))}
+        assert len(enumerated) == 1
+        sampled = {exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=b)
+                   for b in (1, 64, 300, 1000)}
+        assert len(sampled) == 1
 
     def test_sampled_search_deterministic(self):
         design = GaussianDesign.from_snr_db(3.0)
