@@ -21,7 +21,6 @@ from .puncturing import (
     ErasureDesign,
     GaussianDesign,
     PuncturingSequence,
-    RegularPattern,
     base_code,
     exhaustive_search,
     expand_regular,

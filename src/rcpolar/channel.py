@@ -199,34 +199,22 @@ def pam_demap_table(bits_per_dim: int) -> tuple[np.ndarray, tuple[tuple[tuple[in
 def _log_sum_exp(metric: list, idx: tuple[int, ...]) -> np.ndarray:
     """log sum_l exp(metric[l]) over the levels ``idx``, elementwise.
 
-    This is the arithmetic of scipy's ``logsumexp`` over a length-2^m last
-    axis whose other entries are -inf: the maxima are taken out of the sum
-    and counted, the rest add up in numpy's reduction order over the 2^m
-    entries (in sequence below 8, an 8-way tree at 8, the most that 64-QAM
-    needs), and ``log1p(s / count) + log(count)`` restores them.  Matching
-    that arithmetic keeps the LLRs' last bits.
+    The maximum is taken out and its occurrences counted, the other terms
+    ``exp(metric[l] - max)`` add pairwise in level order, and
+    ``log1p(s / count) + log(count)`` restores the maxima.  This is the
+    arithmetic of scipy's ``logsumexp`` over a length-2^m axis whose other
+    entries are -inf: numpy adds that axis in sequence below 8 entries and as
+    an 8-way tree at 8, and on every Gray label set (two members for 16-QAM,
+    four for 64-QAM) either order is the pairwise sum, so the LLRs keep their
+    last bits.
     """
     a_max = reduce(np.maximum, [metric[l] for l in idx])  # exact in any order
-    is_max = {l: metric[l] == a_max for l in idx}
-    cnt = sum(is_max.values())
-    terms = [np.where(is_max[l], 0.0, np.exp(metric[l] - a_max)) if l in is_max else None
-             for l in range(len(metric))]
-    if len(terms) == 8:
-        for _ in range(3):
-            terms = [_add(terms[i], terms[i + 1]) for i in range(0, len(terms), 2)]
-    s = None
-    for t in terms:
-        s = _add(s, t)
-    s = np.zeros_like(a_max) if s is None else s
-    s = np.where(s == 0, s, s / cnt)
-    return np.log1p(s) + np.log(cnt) + a_max
-
-
-def _add(x, y):
-    """x + y, where None stands for an exact zero term."""
-    if x is None:
-        return y
-    return x if y is None else x + y
+    is_max = [metric[l] == a_max for l in idx]
+    cnt = sum(is_max)
+    terms = [np.where(hit, 0.0, np.exp(metric[l] - a_max)) for l, hit in zip(idx, is_max)]
+    while len(terms) > 1:
+        terms = [terms[i] + terms[i + 1] for i in range(0, len(terms), 2)]
+    return np.log1p(terms[0] / cnt) + np.log(cnt) + a_max
 
 
 def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int) -> np.ndarray:

@@ -361,9 +361,14 @@ def main(argv=None) -> int:
     ap = build_parser()
     ns = ap.parse_args(argv)
     overrides = {k: v for k, v in vars(ns).items() if k not in ("command", "config")}
+    cmd, _, fields = _COMMANDS[ns.command]
+    accepted = {"seed", "out", *fields.split()} | ({"snrs"} if ns.command == "simulate" else set())
     try:
         cfg = load_config(ns.config, overrides)
-        code = _COMMANDS[ns.command][0](cfg)
+        for key in cfg:
+            if key not in accepted:
+                raise ConfigError(key, f"is not taken by {ns.command}")
+        code = cmd(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

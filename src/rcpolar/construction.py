@@ -486,15 +486,12 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
         m = mod.bits_per_dim
         lv, members = pam_demap_table(m)
         nodes, weights = np.polynomial.hermite_e.hermegauss(255)
+        z = lv[:, None] + np.sqrt(sigma2) * nodes
+        llr = _pam_bit_llrs(z, np.ones_like(z), sigma2, m)   # (level, node, bit)
         class_mean = np.zeros(m)
-        for b in range(m):
-            idx0 = members[b][0]
-            acc = 0.0
+        for b, (idx0, _) in enumerate(members):
             for l in idx0:
-                z = lv[l] + np.sqrt(sigma2) * nodes
-                llr = _pam_bit_llrs(z, np.ones_like(z), sigma2, m)[:, b]
-                acc += float(np.sum(weights * llr)) / np.sqrt(2.0 * np.pi) / len(idx0)
-            class_mean[b] = acc
+                class_mean[b] += np.sum(weights * llr[l, :, b]) / np.sqrt(2.0 * np.pi) / len(idx0)
     return de_rate_match(class_mean[build_tx_map(rm, plan).bit_class], rm, plan)
 
 

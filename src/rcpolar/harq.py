@@ -118,10 +118,8 @@ class SimResult:
     bit_errors: int
     block_errors: int
     tx_total: int
-    mode: str
     rate: float
     order: int
-    t: int
     k: int
 
     @property
@@ -215,9 +213,8 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
             blocks, bit_errors, block_errors, tx_total = (int(c) for c in counts)
             results.append(SimResult(
                 snr_db=snr_db, blocks=blocks, bit_errors=bit_errors,
-                block_errors=block_errors, tx_total=tx_total, mode=cfg.mode,
-                rate=cfg.rate, order=cfg.rate_matcher.modulation.order,
-                t=cfg.t, k=cfg.rate_matcher.spec.k,
+                block_errors=block_errors, tx_total=tx_total, rate=cfg.rate,
+                order=cfg.rate_matcher.modulation.order, k=cfg.rate_matcher.spec.k,
             ))
     return results
 

@@ -35,7 +35,6 @@ from .polar import PolarCodeSpec
 
 __all__ = [
     "PuncturingSequence",
-    "RegularPattern",
     "GaussianDesign",
     "ErasureDesign",
     "PpaStats",
@@ -247,8 +246,6 @@ def exhaustive_search(
         raise ValueError(f"n_samples = {n_samples} must be >= 1")
     if batch < 1:
         raise ValueError(f"batch = {batch} must be >= 1")
-    if m == 0:
-        return ()
     total = comb(N, m)
     if total <= budget:
         it = combinations(range(N), m)
@@ -271,25 +268,12 @@ def exhaustive_search(
     return tuple(int(c) for c in np.sort(best_pat))
 
 
-@dataclass(frozen=True)
-class RegularPattern:
-    """Long-code pattern: the same base positions punctured in every row.
+def expand_regular(seq: PuncturingSequence, spec: PolarCodeSpec, m: int) -> tuple[int, ...]:
+    """First m base positions punctured at the output of every length-2^p row.
 
-    ``positions`` are 0-based flat codeword indices under the row-major
+    Returns the sorted 0-based flat codeword indices under the row-major
     2^q x 2^p arrangement; they always form whole columns.
     """
-
-    mother_len: int
-    m: int
-    positions: tuple[int, ...]
-
-    @property
-    def one_based(self) -> tuple[int, ...]:
-        return tuple(p + 1 for p in self.positions)
-
-
-def expand_regular(seq: PuncturingSequence, spec: PolarCodeSpec, m: int) -> RegularPattern:
-    """First m base positions punctured at the output of every length-2^p row."""
     p, q = spec.split
     if seq.base_len != (1 << p):
         raise ValueError(
@@ -299,7 +283,7 @@ def expand_regular(seq: PuncturingSequence, spec: PolarCodeSpec, m: int) -> Regu
     cols = seq.pattern(m)
     rows = np.arange(1 << q, dtype=np.int64)
     flat = (rows[:, None] * (1 << p) + np.array(cols, dtype=np.int64)[None, :]).ravel()
-    return RegularPattern(mother_len=spec.N, m=m, positions=tuple(sorted(int(i) for i in flat)))
+    return tuple(sorted(int(i) for i in flat))
 
 
 def sum_capacity_check(base_len: int, pattern, channel: ChannelSpec) -> tuple[float, float]:

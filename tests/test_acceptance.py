@@ -155,7 +155,7 @@ def test_criterion_5_structural_identities():
         if L == 0:
             continue
         emitted = set(build_tx_map(rm, TxPlan(L=L, t=1, r=1, mode="cc")).emit_idx.tolist())
-        assert set(range(256)) - emitted == set(expand_regular(seq, spec, m).positions)
+        assert set(range(256)) - emitted == set(expand_regular(seq, spec, m))
     report(5, True,
            "involution + stage equivalence (exhaustive N<=16, random "
            "N=256/1024/4096) and rate-matching identities for all m at (5,3)")

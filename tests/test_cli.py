@@ -64,6 +64,22 @@ class TestConfigHandling:
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("simulate", {"n": 5, "k": 11, "L": 32, "snrs": [1], "seed": 1, "design_snr_db": 3,
+                      "bogus": 1}, "bogus"),
+        ("simulate", {"n": 5, "k": 11, "L": 32, "snrs": [1], "seed": 1, "design_snr_db": 3,
+                      "max_block": 10}, "max_block"),
+        ("construct", {"n": 3, "method": "ga", "design_snr_db": 3.5, "snrs": [1.0]}, "snrs"),
+        ("puncture", {"base_len": 8, "k": 4, "design_snr_db": 3.5, "L": 8}, "L"),
+    ])
+    def test_unknown_key_names_field(self, tmp_path, capsys, command, cfg, field):
+        out = tmp_path / "out.txt"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "out": str(out)}))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_whole_float_is_an_integer(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         path = tmp_path / "c.json"

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rcpolar import construction
-from rcpolar.channel import ChannelSpec
+from rcpolar.channel import ChannelSpec, ModulationSpec, _pam_bit_llrs, pam_demap_table
 from rcpolar.construction import (
     ReliabilityProfile,
     _distinct_values,
@@ -24,6 +24,7 @@ from rcpolar.construction import (
     bec_leaf_erasures,
     bhattacharyya_bec,
     bit_error_prob,
+    build_bicm_ga_means,
     design_mean_llr,
     ga_check_mean,
     ga_evolve,
@@ -36,6 +37,8 @@ from rcpolar.construction import (
 )
 from rcpolar.decoder import _genie_leaf_llrs
 from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation
+from rcpolar.puncturing import reference_base32_sequence
+from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map, de_rate_match
 
 # adaptive quadrature of E[2/(1+e^U)], U ~ N(1, 2), via mpmath at 30 digits
 PHI_AT_1 = 0.649886595324869
@@ -393,6 +396,41 @@ class TestDenseDistinct:
         with mock.patch.object(construction, "_DENSE_CAP", 0):
             want = ga_leaf_means(means)
         assert same_bits(got, want)
+
+
+def reference_bicm_ga_means(rm, L, design_snr_db):
+    """QAM design means that demap every (class, level) pair on its own."""
+    sigma2 = 0.5 * 10.0 ** (-design_snr_db / 10.0)
+    m = rm.modulation.bits_per_dim
+    lv, members = pam_demap_table(m)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(255)
+    class_mean = np.zeros(m)
+    for b in range(m):
+        idx0 = members[b][0]
+        acc = 0.0
+        for l in idx0:
+            z = lv[l] + np.sqrt(sigma2) * nodes
+            llr = _pam_bit_llrs(z, np.ones_like(z), sigma2, m)[:, b]
+            acc += float(np.sum(weights * llr)) / np.sqrt(2.0 * np.pi) / len(idx0)
+        class_mean[b] = acc
+    plan = TxPlan(L=L, t=1, r=1, mode="cc")
+    return de_rate_match(class_mean[build_tx_map(rm, plan).bit_class], rm, plan)
+
+
+class TestBicmGaMeans:
+    """QAM design means, each level demapped once, against a demapping per
+    (class, level) pair, compared through an int64 view."""
+
+    @pytest.mark.parametrize("order", [16, 64])
+    @pytest.mark.parametrize("L", [48, 96, 192])
+    def test_matches_per_class_demapping(self, order, L):
+        spec = full_rate_spec(7)
+        rm = RateMatcher(spec=spec, sequence=reference_base32_sequence(),
+                         modulation=ModulationSpec(order))
+        for snr in (-6.0, 0.0, 3.5, 9.0, 17.0, 30.0):
+            got = build_bicm_ga_means(spec, rm, L, snr)
+            want = reference_bicm_ga_means(rm, L, snr)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), snr
 
 
 class TestBecRecursion:

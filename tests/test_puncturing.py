@@ -220,6 +220,7 @@ class TestExhaustive:
         design = ErasureDesign(epsilon=0.3)
         spec = base_code(3, 4, design)
         assert exhaustive_search(spec, design, 0) == ()
+        assert exhaustive_search(spec, design, 0, budget=0, n_samples=5) == ()
 
     def test_n8_bec_brute_force(self):
         design = ErasureDesign(epsilon=0.4)
@@ -289,25 +290,24 @@ class TestExpandRegular:
     def test_m0(self):
         spec = PolarCodeSpec(n=4, k=16, info_set=tuple(range(1, 17)), split=(2, 2))
         seq = PuncturingSequence(base_len=4, order=(0, 2, 1, 3))
-        assert expand_regular(seq, spec, 0).positions == ()
+        assert expand_regular(seq, spec, 0) == ()
 
     def test_small_example(self):
         spec = PolarCodeSpec(n=4, k=16, info_set=tuple(range(1, 17)), split=(2, 2))
         seq = PuncturingSequence(base_len=4, order=(0, 2, 1, 3))
-        pat = expand_regular(seq, spec, 1)
-        assert pat.one_based == (1, 5, 9, 13)
+        assert expand_regular(seq, spec, 1) == (0, 4, 8, 12)
 
     def test_large_column(self):
         spec = PolarCodeSpec(n=12, k=1, info_set=(4096,), split=(5, 7))
         pat = expand_regular(reference_base32_sequence(), spec, 1)
-        assert len(pat.positions) == 128
-        assert all(p % 32 == 0 for p in pat.positions)
+        assert len(pat) == 128
+        assert all(p % 32 == 0 for p in pat)
 
     def test_row_translation_invariance(self):
         spec = PolarCodeSpec(n=8, k=1, info_set=(256,), split=(5, 3))
         seq = reference_base32_sequence()
         for m in (1, 3, 7):
-            pat = set(expand_regular(seq, spec, m).positions)
+            pat = set(expand_regular(seq, spec, m))
             shifted = {(p + 32) % 256 for p in pat}
             assert shifted == pat
 

@@ -165,7 +165,7 @@ class TestRateMatch:
         if L == 0:
             return
         emitted = set(emit(rm, L).tolist())
-        expected = set(expand_regular(rm.sequence, rm.spec, m).positions)
+        expected = set(expand_regular(rm.sequence, rm.spec, m))
         assert set(range(N)) - emitted == expected
 
     def test_column_integrity(self):
