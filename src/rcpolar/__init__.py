@@ -14,7 +14,7 @@ from .construction import (
     phi_inverse,
     select_information_set,
 )
-from .decoder import DecodeResult, genie_sc_decode, sc_decode
+from .decoder import genie_sc_decode, sc_decode
 from .harq import SimResult, SweepConfig, sweep, throughput
 from .polar import PolarCodeSpec, bit_reversal, encode, encode_two_stage
 from .puncturing import (

@@ -286,7 +286,8 @@ def cmd_simulate(cfg: dict) -> int:
         step = _get(cfg, "snr_step")
         if stop < start:
             raise ConfigError("snr_stop", f"must be >= snr_start = {start}")
-        count = int(round((stop - start) / step)) + 1
+        # every whole step up to the stop, allowing for rounding in the quotient
+        count = math.floor((stop - start) / step + 1e-9) + 1
         snrs = [start + i * step for i in range(count)]
     if not isinstance(snrs, (list, tuple)) or not snrs:
         raise ConfigError("snrs", "must be a non-empty list of SNR values")

@@ -342,24 +342,22 @@ class ReliabilityProfile:
 
     @classmethod
     def from_csv(cls, text: str) -> "ReliabilityProfile":
-        """Parse the text ``to_csv`` writes."""
-        method, design = "unknown", float("nan")
-        eps, mls = [], []
+        """Parse the text ``to_csv`` writes; the rows must be indexed 1 to N in order."""
+        meta, eps, mls = {}, [], []
         for ln in text.split("\n"):
             ln = ln.strip()
             if ln.startswith("#"):
-                for tok in ln[1:].split():
-                    if tok.startswith("method="):
-                        method = tok.split("=", 1)[1]
-                    elif tok.startswith("design="):
-                        design = float(tok.split("=", 1)[1])
+                meta.update(tok.split("=", 1) for tok in ln[1:].split() if "=" in tok)
                 continue
             if not ln or ln.startswith("index,"):
                 continue
-            _, ml, ep = ln.split(",")
+            i, ml, ep = ln.split(",")
+            if int(i) != len(eps) + 1:
+                raise ValueError(f"row {len(eps) + 1} has index {i}; rows run 1 to N in order")
             mls.append(float(ml) if ml else float("nan"))
             eps.append(float(ep))
-        return cls(method=method, design_param=design,
+        return cls(method=meta.get("method", "unknown"),
+                   design_param=float(meta.get("design", "nan")),
                    error_prob=np.array(eps), mean_llr=np.array(mls))
 
 
@@ -467,6 +465,15 @@ def genie_monte_carlo(
     )
 
 
+@lru_cache(maxsize=None)
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 255-point Gauss-Hermite rule for weight exp(-x^2/2), read-only."""
+    rule = np.polynomial.hermite_e.hermegauss(255)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
 def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
                         design_snr_db: float) -> np.ndarray:
     """Per-coded-position design LLR means under the transmission mapping.
@@ -485,7 +492,7 @@ def build_bicm_ga_means(spec: PolarCodeSpec, rm: RateMatcher, L: int,
         sigma2 = 0.5 * 10.0 ** (-design_snr_db / 10.0)
         m = mod.bits_per_dim
         lv, members = pam_demap_table(m)
-        nodes, weights = np.polynomial.hermite_e.hermegauss(255)
+        nodes, weights = _hermite_rule()
         z = lv[:, None] + np.sqrt(sigma2) * nodes
         llr = _pam_bit_llrs(z, np.ones_like(z), sigma2, m)   # (level, node, bit)
         class_mean = np.zeros(m)

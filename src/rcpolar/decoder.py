@@ -36,7 +36,7 @@ import numpy as np
 
 from .polar import PolarCodeSpec, bit_reversal_permutation, polar_transform
 
-__all__ = ["DecodeResult", "check_llr", "var_llr", "sc_decode", "genie_sc_decode"]
+__all__ = ["check_llr", "var_llr", "sc_decode", "genie_sc_decode"]
 
 
 def check_llr(a, b) -> np.ndarray:
@@ -52,14 +52,6 @@ def var_llr(a, b, u_hat) -> np.ndarray:
     return np.asarray(b, dtype=float) + (1.0 - 2.0 * np.asarray(u_hat)) * np.asarray(a, dtype=float)
 
 
-@dataclass
-class DecodeResult:
-    """Decided input block and its information bits (batch leading axes)."""
-
-    u: np.ndarray
-    info_bits: np.ndarray
-
-
 RATE0, REP, RATE1, SPLIT = "rate0", "rep", "rate1", "split"
 LEFT0 = "left0"  # a split whose left child is rate-0: no check node
 # Early termination checks a left child of at least this many inputs only.
@@ -71,11 +63,10 @@ EARLY_STOP_MIN_HALF = 32
 
 @dataclass(frozen=True)
 class _Node:
-    """Subtree over inputs ``start .. start+size-1``; rate-1 nodes of size > 1
-    keep their halves as children for rows that fail the hard-decision guard."""
+    """Subtree over ``size`` consecutive inputs; rate-1 nodes of size > 1 keep
+    their halves as children for rows that fail the hard-decision guard."""
 
     kind: str
-    start: int
     size: int
     left: _Node | None = None
     right: _Node | None = None
@@ -89,18 +80,18 @@ def _node_plan(info_set: tuple[int, ...], n: int, pruned: bool) -> _Node:
     def build(start: int, size: int) -> _Node:
         f = frozen[start : start + size]
         if size == 1:
-            return _Node(RATE0 if f[0] else RATE1, start, 1)
+            return _Node(RATE0 if f[0] else RATE1, 1)
         h = size // 2
         if pruned:
             if f.all():
-                return _Node(RATE0, start, size)
+                return _Node(RATE0, size)
             if f[:-1].all():
-                return _Node(REP, start, size)
+                return _Node(REP, size)
             if not f.any():
-                return _Node(RATE1, start, size, build(start, h), build(start + h, h))
+                return _Node(RATE1, size, build(start, h), build(start + h, h))
         left = build(start, h)
         kind = LEFT0 if pruned and left.kind == RATE0 else SPLIT
-        return _Node(kind, start, size, left, build(start + h, h))
+        return _Node(kind, size, left, build(start + h, h))
 
     return build(0, 1 << n)
 
@@ -165,12 +156,12 @@ def _split(node: _Node, v: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     return np.concatenate([xl ^ xr, xr], axis=1)
 
 
-def _as_batch(llrs, N: int):
+def _as_batch(llrs, N: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """LLRs of shape (..., N) as a (rows, N) float array, and their shape."""
     llrs = np.asarray(llrs, dtype=float)
     if llrs.shape[-1] != N:
         raise ValueError(f"LLR length {llrs.shape[-1]} does not match N = {N}")
-    squeeze = llrs.ndim == 1
-    return (llrs[None, :] if squeeze else llrs.reshape(-1, N)), squeeze, llrs.shape[:-1]
+    return llrs.reshape(-1, N), llrs.shape
 
 
 def _truth(bits, N: int, rows: int, name: str) -> np.ndarray:
@@ -192,22 +183,18 @@ def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True,
     return polar_transform(x)
 
 
-def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> DecodeResult:
-    """Decode codeword-aligned LLRs; accepts (N,) or any (..., N) batch.
+def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> np.ndarray:
+    """Decided input blocks (uint8, natural input order) of codeword-aligned
+    LLRs, in the shape of ``llrs``: (N,) or any (..., N) batch.
 
     With ``x_true``, the transmitted codeword of each row, a row stops at its
-    first wrong decision; its ``u`` then differs from the true input block
+    first wrong decision; its block then differs from the true input block
     but is otherwise arbitrary, frozen bits included.
     """
-    batch, squeeze, lead = _as_batch(llrs, spec.N)
+    batch, shape = _as_batch(llrs, spec.N)
     if x_true is not None:
         x_true = _truth(x_true, spec.N, batch.shape[0], "x_true")
-    dec = _decode_batch(batch, spec, x_true=x_true)
-    info = dec[:, spec.info_zero_based]
-    if squeeze:
-        return DecodeResult(u=dec[0], info_bits=info[0])
-    return DecodeResult(u=dec.reshape(lead + (spec.N,)),
-                        info_bits=info.reshape(lead + (spec.k,)))
+    return _decode_batch(batch, spec, x_true=x_true).reshape(shape)
 
 
 def _genie_leaf_llrs(batch: np.ndarray, spec: PolarCodeSpec, tu: np.ndarray) -> np.ndarray:
@@ -233,9 +220,8 @@ def genie_sc_decode(llrs, spec: PolarCodeSpec, true_u) -> np.ndarray:
     """Per-position first-decision error flags under genie-aided decoding.
 
     Each fresh decision is compared with the truth, then decoding continues
-    from the true bit.
+    from the true bit; the flags take the shape of ``llrs``.
     """
-    batch, squeeze, lead = _as_batch(llrs, spec.N)
+    batch, shape = _as_batch(llrs, spec.N)
     tu = _truth(true_u, spec.N, batch.shape[0], "true_u")
-    flags = ((_genie_leaf_llrs(batch, spec, tu) < 0) & ~spec.frozen_mask) != tu
-    return flags[0] if squeeze else flags.reshape(lead + (spec.N,))
+    return (((_genie_leaf_llrs(batch, spec, tu) < 0) & ~spec.frozen_mask) != tu).reshape(shape)

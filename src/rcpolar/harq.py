@@ -93,11 +93,11 @@ def run_blocks_batch(
         delta = transmit_codeword_llrs(x[active], rm, plan, chan, rng)
         acc[active] += delta
         tx_used[active] = r
-        res = sc_decode(acc[active], spec, x_true=None if r == t else x[active])
-        ok = (res.u == u[active]).all(axis=1)
+        dec = sc_decode(acc[active], spec, x_true=None if r == t else x[active])
+        ok = (dec == u[active]).all(axis=1)
         success[active[ok]] = True
         if r == t:
-            bit_errs[active] = (res.info_bits != messages[active]).sum(axis=1)
+            bit_errs[active] = (dec[:, spec.info_zero_based] != messages[active]).sum(axis=1)
         active = active[~ok]
         if active.size == 0:
             break

@@ -103,21 +103,27 @@ def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
     raise TypeError(f"unsupported design channel {design!r}")
 
 
+def _checked_patterns(patterns, N: int) -> np.ndarray:
+    """One pattern (1-D, possibly empty) or a (B, m) batch as a (B, m) int64
+    batch; every row must hold distinct integer positions in [0, N)."""
+    patterns = np.atleast_2d(np.asarray(patterns))
+    if patterns.ndim != 2:
+        raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
+    s = np.sort(patterns, axis=1)
+    if patterns.size and (patterns.dtype.kind not in "iuf" or np.any(s != np.floor(s))
+                          or s[:, 0].min() < 0 or s[:, -1].max() >= N
+                          or np.any(s[:, 1:] == s[:, :-1])):
+        raise ValueError(f"patterns must hold distinct integer positions in [0, {N})")
+    return patterns.astype(np.int64, copy=False)
+
+
 def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
     """Union-bound metric of each puncturing pattern.
 
     ``patterns`` is one pattern (1-D, possibly empty) or a (B, m) batch of
     distinct positions in [0, N); the result holds one metric per pattern.
     """
-    patterns = np.atleast_2d(np.asarray(patterns))
-    if patterns.ndim != 2:
-        raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
-    s = np.sort(patterns, axis=1)
-    if patterns.size and (patterns.dtype.kind not in "iuf" or np.any(s != np.floor(s))
-                          or s[:, 0].min() < 0 or s[:, -1].max() >= base_spec.N
-                          or np.any(s[:, 1:] == s[:, :-1])):
-        raise ValueError(f"patterns must hold distinct integer positions in [0, {base_spec.N})")
-    ep = _pattern_error_probs(design, base_spec.N, patterns.astype(np.int64, copy=False))
+    ep = _pattern_error_probs(design, base_spec.N, _checked_patterns(patterns, base_spec.N))
     return _union_bound(ep, base_spec.info_zero_based)
 
 
@@ -278,8 +284,6 @@ def expand_regular(seq: PuncturingSequence, spec: PolarCodeSpec, m: int) -> tupl
     if seq.base_len != (1 << p):
         raise ValueError(
             f"sequence base length {seq.base_len} does not match 2^p = {1 << p}")
-    if not 0 <= m <= (1 << p):
-        raise ValueError(f"m = {m} out of range [0, {1 << p}]")
     cols = seq.pattern(m)
     rows = np.arange(1 << q, dtype=np.int64)
     flat = (rows[:, None] * (1 << p) + np.array(cols, dtype=np.int64)[None, :]).ravel()
@@ -289,21 +293,13 @@ def expand_regular(seq: PuncturingSequence, spec: PolarCodeSpec, m: int) -> tupl
 def sum_capacity_check(base_len: int, pattern, channel: ChannelSpec) -> tuple[float, float]:
     """Conservation of total synthesized capacity under erasure puncturing.
 
-    Returns (sum of synthesized channel capacities, (N - m) * C(W)); the two
-    agree to float precision on the BEC, for every pattern.  Only erasure
-    channels are supported because the computation must be exact.
+    Returns (sum of synthesized channel capacities, (N - m) * C(W)) for one
+    pattern, with the leaf erasures PPA scores on the BEC; the two agree to
+    float precision, for every pattern.  Only erasure channels are supported
+    because the computation must be exact.
     """
     if channel.kind != "bec":
         raise ValueError("sum-capacity check requires an erasure channel")
-    eps = float(channel.epsilon)
-    pattern = tuple(sorted(int(c) for c in pattern))
-    if len(set(pattern)) != len(pattern):
-        raise ValueError("pattern has repeated positions")
-    if pattern and (pattern[0] < 0 or pattern[-1] >= base_len):
-        raise ValueError("pattern position out of range")
-    z = np.full(base_len, eps)
-    z[list(pattern)] = 1.0
-    leaf = bec_leaf_erasures(z)
-    lhs = float(np.sum(1.0 - leaf))
-    rhs = (base_len - len(pattern)) * (1.0 - eps)
-    return lhs, rhs
+    pats = _checked_patterns([pattern], base_len)
+    leaf = _pattern_error_probs(ErasureDesign(channel.epsilon), base_len, pats)[0]
+    return float(np.sum(1.0 - leaf)), (base_len - pats.shape[1]) * (1.0 - channel.epsilon)

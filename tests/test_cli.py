@@ -328,6 +328,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "'snr_stop'" in err and "snr_start" in err
 
+    @pytest.mark.parametrize("start, stop, step, want", [
+        ("0", "1", "0.6", [0.0, 0.6]),   # once rounded up to a third point, 1.2
+        ("0", "0.3", "0.1", [0.0, 0.1, 0.2, 0.30000000000000004]),
+    ])
+    def test_snr_grid_ends_at_stop(self, tmp_path, start, stop, step, want):
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                     "--snr-start", start, "--snr-stop", stop, "--snr-step", step,
+                     "--design-snr-db", "3.5", "--seed", "1", "--max-blocks", "50",
+                     "--batch-size", "50", "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[3:]   # under the seed, run and column lines
+        assert [float(r.split(",")[0]) for r in rows] == want
+
     def test_profile_input(self, tmp_path):
         prof_path = tmp_path / "prof.csv"
         assert main(["construct", "--n", "5", "--method", "ga",
@@ -376,6 +389,26 @@ class TestSimulate:
                    "--profile", str(prof_path),
                    "--snr-start", "3.0", "--snr-stop", "3.0", "--snr-step", "1.0",
                    "--seed", "2", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'profile'" in err and str(prof_path) in err
+
+    @pytest.mark.parametrize("edit", ["reverse", "renumber"])
+    def test_profile_rows_out_of_order_name_profile(self, tmp_path, capsys, edit):
+        # rows were read in file order whatever their index: reversed rows
+        # reversed the information set, and index 33 of 32 was accepted
+        prof_path = tmp_path / "prof.csv"
+        assert main(["construct", "--n", "5", "--method", "ga",
+                     "--design-snr-db", "3.5", "--out", str(prof_path)]) == 0
+        lines = prof_path.read_text().splitlines(keepends=True)
+        head, rows = lines[:2], lines[2:]
+        rows = rows[::-1] if edit == "reverse" else rows[:-1] + ["33" + rows[-1][2:]]
+        prof_path.write_text("".join(head + rows))
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--profile", str(prof_path),
+                   "--snr-start", "3.0", "--snr-stop", "3.0", "--snr-step", "1.0",
+                   "--seed", "2", "--max-blocks", "50", "--batch-size", "50",
+                   "--out", str(tmp_path / "res.csv")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "'profile'" in err and str(prof_path) in err

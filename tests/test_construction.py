@@ -542,6 +542,11 @@ class TestProfileCsv:
         assert np.all(np.isnan(back.mean_llr))
         assert np.array_equal(back.error_prob, prof.error_prob)
 
+    def test_index_column_must_count_up(self):
+        text = bhattacharyya_bec(full_rate_spec(2), np.full(4, 0.25)).to_csv()
+        with pytest.raises(ValueError, match="row 3 has index 9"):
+            ReliabilityProfile.from_csv(text.replace("\n3,", "\n9,"))
+
 
 if __name__ == "__main__":
     # writes the shipped knots only if they are missing: like the golden

@@ -63,21 +63,20 @@ class TestNodeFunctions:
 class TestScDecode:
     def test_noiseless_all_zero(self):
         spec = make_spec(3, 4)
-        res = sc_decode(np.full(8, INF), spec)
-        assert np.all(res.u == 0)
-        assert np.all(res.info_bits == 0)
+        u = sc_decode(np.full(8, INF), spec)
+        assert np.all(u == 0)
+        assert np.all(u[spec.info_zero_based] == 0)
 
     def test_tie_decides_zero(self):
         spec = make_spec(3, 8, eps=0.0)
-        res = sc_decode(np.zeros(8), spec)
-        assert np.all(res.u == 0)
+        assert np.all(sc_decode(np.zeros(8), spec) == 0)
 
     def test_frozen_forced_zero(self):
         spec = make_spec(3, 2)
         # adversarial LLRs favoring 1 everywhere: frozen stay 0
-        res = sc_decode(np.full(8, -INF), spec)
+        u = sc_decode(np.full(8, -INF), spec)
         frozen = np.setdiff1d(np.arange(8), spec.info_zero_based)
-        assert np.all(res.u[frozen] == 0)
+        assert np.all(u[frozen] == 0)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
     def test_recovers_exact_llr_image(self, n):
@@ -87,8 +86,7 @@ class TestScDecode:
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(20, spec.k))
         x = encode(u, spec)
         llr = INF * (1.0 - 2.0 * x)
-        res = sc_decode(llr, spec)
-        assert np.array_equal(res.u, u)
+        assert np.array_equal(sc_decode(llr, spec), u)
 
     def test_batch_matches_single(self):
         spec = make_spec(4, 8)
@@ -97,7 +95,23 @@ class TestScDecode:
         batch = sc_decode(llr, spec)
         for i in range(6):
             single = sc_decode(llr[i], spec)
-            assert np.array_equal(single.u, batch.u[i])
+            assert np.array_equal(single, batch[i])
+
+    @pytest.mark.parametrize("lead", [(), (6,), (2, 3)])
+    def test_results_keep_the_llr_shape(self, lead):
+        # both decoders return one entry per LLR, row for row as on (rows, N)
+        spec = make_spec(4, 8)
+        rng = np.random.default_rng(7)
+        llr = rng.normal(size=lead + (16,)) * 3
+        true_u = np.zeros(llr.shape, dtype=np.uint8)
+        true_u[..., spec.info_zero_based] = rng.integers(0, 2, size=lead + (8,))
+        u = sc_decode(llr, spec)
+        flags = genie_sc_decode(llr, spec, true_u)
+        assert u.shape == flags.shape == llr.shape and u.dtype == np.uint8
+        rows = llr.reshape(-1, 16)
+        assert np.array_equal(u.reshape(-1, 16), sc_decode(rows, spec))
+        assert np.array_equal(flags.reshape(-1, 16),
+                              genie_sc_decode(rows, spec, true_u.reshape(-1, 16)))
 
     def test_length_mismatch(self):
         spec = make_spec(3, 4)
@@ -123,7 +137,7 @@ class TestScDecode:
                        axis=1)
             ]
             dec = sc_decode(llr, spec)
-            re_enc = encode(dec.u, spec)
+            re_enc = encode(dec, spec)
             assert any(np.array_equal(re_enc, c) for c in consistent)
             if len(consistent) == 1:
                 assert np.array_equal(re_enc, cw)
@@ -140,7 +154,7 @@ class TestScDecode:
             llr = rng.normal(size=spec.N) * 2
             corr = (1.0 - 2.0 * codebook) @ llr
             dec = sc_decode(llr, spec)
-            sc_corr = (1.0 - 2.0 * encode(dec.u, spec)) @ llr
+            sc_corr = (1.0 - 2.0 * encode(dec, spec)) @ llr
             assert corr.max() >= sc_corr - 1e-9
 
 
@@ -396,14 +410,14 @@ class TestEarlyTermination:
     def test_matches_full_decoding(self, case):
         spec, llr, rng, min_half = case
         with np.errstate(invalid="ignore"):   # inf - inf in the check node
-            full = sc_decode(llr, spec).u
+            full = sc_decode(llr, spec)
         # the decoder's own codeword on the first half, one bit off it on the
         # second: the first half succeeds, the second fails
         x_true = encode(full, spec)
         x_true[np.arange(8, 16), rng.integers(0, spec.N, size=8)] ^= 1
         with pytest.MonkeyPatch.context() as m, np.errstate(invalid="ignore"):
             m.setattr(decoder, "EARLY_STOP_MIN_HALF", min_half)
-            early = sc_decode(llr, spec, x_true=x_true).u
+            early = sc_decode(llr, spec, x_true=x_true)
         u_true = encode(x_true, spec)
         ok = (full == u_true).all(axis=1)
         assert ok.tolist() == [True] * 8 + [False] * 8
@@ -415,7 +429,7 @@ class TestEarlyTermination:
         # long before the end
         spec = _ir_code()
         llr = _noiseless_llrs(spec)
-        u = sc_decode(llr, spec).u
+        u = sc_decode(llr, spec)
         wrong = u.copy()
         wrong[:, spec.info_zero_based[0]] ^= 1
         calls = []

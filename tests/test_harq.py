@@ -151,8 +151,8 @@ def full_decoding_loop(spec, rm, chan, L, t, mode, messages, rng):
         delta = transmit_codeword_llrs(x[active], rm, TxPlan(L=L, t=t, r=r, mode=mode), chan, rng)
         acc[active] += delta
         tx_used[active] = r
-        res = sc_decode(acc[active], spec)
-        errs = (res.info_bits != messages[active]).sum(axis=1)
+        dec = sc_decode(acc[active], spec)
+        errs = (dec[:, spec.info_zero_based] != messages[active]).sum(axis=1)
         ok = errs == 0
         success[active[ok]] = True
         bit_errs[active] = errs

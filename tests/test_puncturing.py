@@ -346,6 +346,12 @@ class TestSumCapacity:
         with pytest.raises(ValueError):
             sum_capacity_check(4, (0,), ChannelSpec(kind="awgn", snr_db=1.0))
 
+    @pytest.mark.parametrize("bad", [[1.5, 2.9], [True], [-1], [4], [2, 2], [[0, 1]]])
+    def test_bad_positions_name_patterns(self, bad):
+        # [1.5, 2.9] was checked as (1, 2) and [True] as (1,)
+        with pytest.raises(ValueError, match="patterns"):
+            sum_capacity_check(4, bad, ChannelSpec(kind="bec", epsilon=0.3))
+
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("Np", [2, 4, 8])
     def test_exact_for_all_patterns(self, Np, eps):
