@@ -101,6 +101,7 @@ def _label_points(mod: ModulationSpec) -> np.ndarray:
 
 
 LLR_INF = 300.0   # finite LLR of a bit the erasure channel did not erase
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -160,18 +161,18 @@ def transmit(symbols, chan: ChannelSpec, mod: ModulationSpec, rng) -> tuple[np.n
         if chan.kind == "fading":
             g = rng.standard_normal(symbols.shape + (2,))
             amp = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2) / math.sqrt(2.0)
-        else:
-            amp = np.ones(symbols.shape)
-        y = amp * symbols + sigma * rng.standard_normal(symbols.shape)
-        return y, amp
+            faded = amp * symbols
+        else:   # amplitude 1: 1.0 * x is x, so the multiply is skipped
+            amp, faded = np.ones(symbols.shape), symbols
+        return faded + sigma * rng.standard_normal(symbols.shape), amp
     if chan.kind == "fading":
         g = rng.standard_normal(symbols.shape + (2,))
         coef = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+        faded = coef * symbols
     else:
-        coef = np.ones(symbols.shape, dtype=complex)
+        coef, faded = np.ones(symbols.shape, dtype=complex), symbols
     noise = rng.standard_normal(symbols.shape + (2,))
-    y = coef * symbols + sigma * (noise[..., 0] + 1j * noise[..., 1])
-    return y, coef
+    return faded + sigma * (noise[..., 0] + 1j * noise[..., 1]), coef
 
 
 @lru_cache(maxsize=None)
@@ -199,15 +200,29 @@ def pam_demap_table(bits_per_dim: int) -> tuple[np.ndarray, tuple[tuple[tuple[in
 def _log_sum_exp(metric: list, idx: tuple[int, ...]) -> np.ndarray:
     """log sum_l exp(metric[l]) over the levels ``idx``, elementwise.
 
-    The maximum is taken out and its occurrences counted, the other terms
-    ``exp(metric[l] - max)`` add pairwise in level order, and
-    ``log1p(s / count) + log(count)`` restores the maxima.  This is the
+    The general rule takes the maximum out and counts its occurrences, adds
+    the other terms ``exp(metric[l] - max)`` pairwise in level order, and
+    restores the maxima with ``log1p(s / count) + log(count)``.  This is the
     arithmetic of scipy's ``logsumexp`` over a length-2^m axis whose other
     entries are -inf: numpy adds that axis in sequence below 8 entries and as
     an 8-way tree at 8, and on every Gray label set (two members for 16-QAM,
     four for 64-QAM) either order is the pairwise sum, so the LLRs keep their
     last bits.
+
+    A two-member set (a, b) takes one ``exp``: the general rule's sum is
+    ``exp(min - max)`` over a count of 1 when a != b, and 0 over a count of
+    2 when a == b, so ``log1p(exp(min - max))``, or ``log(2)`` on ties, plus
+    the maximum gives the same bits.
     """
+    if len(idx) == 2:
+        a, b = metric[idx[0]], metric[idx[1]]
+        hi = np.maximum(a, b)
+        s = np.minimum(a, b, out=np.empty_like(hi))   # an array, also for 0-d inputs
+        s -= hi
+        np.log1p(np.exp(s, out=s), out=s)
+        np.copyto(s, _LOG2, where=a == b)
+        s += hi
+        return s
     a_max = reduce(np.maximum, [metric[l] for l in idx])  # exact in any order
     is_max = [metric[l] == a_max for l in idx]
     cnt = sum(is_max)
@@ -225,8 +240,8 @@ def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int) -> np.n
     """
     lv, members = pam_demap_table(m)
     # np.square, not **: on a 0-d input ** takes the scalar pow(), whose
-    # last bit can differ from the array square
-    metric = [-np.square(z - amp * lv[l]) / (2.0 * sigma2) for l in range(lv.size)]
+    # last bit can differ from the array square; x / -c is -x / c bit for bit
+    metric = [np.square(z - amp * lv[l]) / (-2.0 * sigma2) for l in range(lv.size)]
     out = np.empty(np.shape(z) + (m,))
     for b, (idx0, idx1) in enumerate(members):
         out[..., b] = _log_sum_exp(metric, idx0) - _log_sum_exp(metric, idx1)

@@ -263,6 +263,23 @@ def cmd_puncture(cfg: dict) -> int:
     return 0
 
 
+SNR_POINTS_MAX = 10_000   # points in one simulate SNR grid
+
+
+def _snr_grid(start: float, stop: float, step: float) -> list[float]:
+    """``start + i * step`` for every whole step that does not pass ``stop``;
+    more than ``SNR_POINTS_MAX`` points are refused before any is made."""
+    if stop < start:
+        raise ConfigError("snr_stop", f"must be >= snr_start = {start}")
+    # whole steps to the stop, allowing for rounding in the quotient; a range
+    # too wide for a float gives inf, which the cap also refuses
+    steps = (stop - start) / step + 1e-9
+    if not steps < SNR_POINTS_MAX:
+        raise ConfigError("snr_step", f"gives more than {SNR_POINTS_MAX} SNR points "
+                                      f"from {start} to {stop}")
+    return [start + i * step for i in range(math.floor(steps) + 1)]
+
+
 def cmd_simulate(cfg: dict) -> int:
     n = _get(cfg, "n")
     k = _get(cfg, "k")
@@ -281,14 +298,7 @@ def cmd_simulate(cfg: dict) -> int:
     seed = _resolve_seed(cfg)
     snrs = cfg.get("snrs")
     if snrs is None:
-        start = _get(cfg, "snr_start")
-        stop = _get(cfg, "snr_stop")
-        step = _get(cfg, "snr_step")
-        if stop < start:
-            raise ConfigError("snr_stop", f"must be >= snr_start = {start}")
-        # every whole step up to the stop, allowing for rounding in the quotient
-        count = math.floor((stop - start) / step + 1e-9) + 1
-        snrs = [start + i * step for i in range(count)]
+        snrs = _snr_grid(_get(cfg, "snr_start"), _get(cfg, "snr_stop"), _get(cfg, "snr_step"))
     if not isinstance(snrs, (list, tuple)) or not snrs:
         raise ConfigError("snrs", "must be a non-empty list of SNR values")
     snrs = tuple(_convert("snrs", float, s) for s in snrs)

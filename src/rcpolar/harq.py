@@ -90,14 +90,15 @@ def run_blocks_batch(
     bit_errs = np.zeros(B, dtype=np.int64)
     for r in range(1, t + 1):
         plan = TxPlan(L=L, t=t, r=r, mode=mode)
-        delta = transmit_codeword_llrs(x[active], rm, plan, chan, rng)
-        acc[active] += delta
-        tx_used[active] = r
-        dec = sc_decode(acc[active], spec, x_true=None if r == t else x[active])
-        ok = (dec == u[active]).all(axis=1)
+        rows = slice(None) if active.size == B else active   # a view while every row is live
+        xa = x[rows]
+        acc[rows] += transmit_codeword_llrs(xa, rm, plan, chan, rng)
+        tx_used[rows] = r
+        dec = sc_decode(acc[rows], spec, x_true=None if r == t else xa)
+        ok = (dec == u[rows]).all(axis=1)
         success[active[ok]] = True
         if r == t:
-            bit_errs[active] = (dec[:, spec.info_zero_based] != messages[active]).sum(axis=1)
+            bit_errs[rows] = (dec[:, spec.info_zero_based] != messages[rows]).sum(axis=1)
         active = active[~ok]
         if active.size == 0:
             break

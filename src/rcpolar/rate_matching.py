@@ -108,11 +108,23 @@ def de_rate_match(values, rm: RateMatcher, plan: TxPlan) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape[-1] != plan.L:
         raise ValueError(f"LLR length {values.shape[-1]} does not match L = {plan.L}")
-    idx = build_tx_map(rm, plan).emit_idx
-    flat = values.reshape(-1, plan.L)
-    out = np.zeros((flat.shape[0], rm.spec.N))
-    np.add.at(out, (np.arange(flat.shape[0])[:, None], idx[None, :]), flat)
-    return out.reshape(values.shape[:-1] + (rm.spec.N,))
+    flat = _fold(values.reshape(-1, plan.L), build_tx_map(rm, plan).emit_idx, rm.spec.N)
+    return flat.reshape(values.shape[:-1] + (rm.spec.N,))
+
+
+def _fold(values: np.ndarray, idx: np.ndarray, N: int) -> np.ndarray:
+    """Rows of ``values`` (B, L) added onto N positions: ``out[r, idx[k]]``
+    sums ``values[r, k]`` over k.
+
+    ``np.bincount`` gives each (row, position) pair one bin and adds the
+    weights into their bins in input order onto +0.0, which is
+    ``np.add.at``'s arithmetic (-0.0 folds to +0.0) in one pass, without
+    its per-element indexing.
+    """
+    B = values.shape[0]
+    bins = (np.arange(0, B * N, N)[:, None] + idx).ravel()
+    out = np.bincount(bins, weights=values.ravel(), minlength=B * N)
+    return out.astype(float, copy=False).reshape(B, N)   # an empty count is int
 
 
 @dataclass(frozen=True)

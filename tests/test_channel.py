@@ -16,6 +16,7 @@ from rcpolar.channel import (
     QAM64,
     ChannelSpec,
     ModulationSpec,
+    _log_sum_exp,
     _pam_bit_llrs,
     demodulate,
     modulate,
@@ -101,6 +102,26 @@ class TestTransmit:
         y1, _ = transmit(s, chan, BPSK, np.random.default_rng(33))
         y2, _ = transmit(s, chan, BPSK, np.random.default_rng(33))
         assert np.array_equal(y1, y2)
+
+    @pytest.mark.parametrize("mod", [BPSK, QAM16, QAM64])
+    def test_awgn_equals_unit_amplitude_multiply(self, mod):
+        # AWGN skips the multiply by its all-ones amplitude; the bits, the
+        # amplitude and the draws stay those of ones * symbols + noise
+        chan = ChannelSpec(kind="awgn", snr_db=4.0)
+        s = modulate(np.random.default_rng(2).integers(0, 2, size=(3, 24), dtype=np.uint8), mod)
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        y, amp = transmit(s, chan, mod, rng)
+        sigma = math.sqrt(chan.noise_sigma2(mod))
+        if mod.is_qam:
+            ones = np.ones(s.shape, dtype=complex)
+            noise = ref.standard_normal(s.shape + (2,))
+            want = ones * s + sigma * (noise[..., 0] + 1j * noise[..., 1])
+        else:
+            ones = np.ones(s.shape)
+            want = ones * s + sigma * ref.standard_normal(s.shape)
+        assert np.array_equal(y.view(np.int64), want.view(np.int64))
+        assert amp.dtype == ones.dtype and np.array_equal(amp, ones)
+        assert rng.random() == ref.random()
 
     def test_noise_variance(self):
         chan = ChannelSpec(kind="awgn", snr_db=3.0)
@@ -262,6 +283,67 @@ class TestPamBitLlrs:
         want = reference_pam_bit_llrs(z, amp, sigma2, m)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def general_log_sum_exp(metric, idx):
+    """The log-sum-exp rule of every label set size: the maximum out and its
+    occurrences counted, the other terms added pairwise in level order."""
+    a_max = metric[idx[0]]
+    for l in idx[1:]:
+        a_max = np.maximum(a_max, metric[l])
+    is_max = [metric[l] == a_max for l in idx]
+    cnt = sum(is_max)
+    terms = [np.where(hit, 0.0, np.exp(metric[l] - a_max)) for l, hit in zip(idx, is_max)]
+    while len(terms) > 1:
+        terms = [terms[i] + terms[i + 1] for i in range(0, len(terms), 2)]
+    return np.log1p(terms[0] / cnt) + np.log(cnt) + a_max
+
+
+def _metric_pair(draw, shape):
+    """Two metric arrays: equal, of very different sizes, or drawn freely."""
+    free = st.floats(-1e300, 1e300)   # differences stay finite
+    kind = draw(st.sampled_from(["tie", "scaled", "free"]))
+    if kind == "scaled":
+        a = draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+        return a, a * 10.0 ** draw(st.integers(-300, 300))
+    a = draw(arrays(np.float64, shape, elements=free))
+    if kind == "tie":
+        return a, a.copy()
+    b = draw(arrays(np.float64, shape, elements=st.one_of(free, st.sampled_from([0.0, -0.0]))))
+    return a, b
+
+
+class TestTwoMemberLogSumExp:
+    """The one-exp rule of two-member Gray label sets against the general
+    rule, through an int64 view so that the sign of zero counts too."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_general_rule(self, data):
+        shape = tuple(data.draw(st.lists(st.integers(1, 5), max_size=2)))
+        a, b = _metric_pair(data.draw, shape)
+        for metric in ([a, b], [b, a]):
+            got = np.asarray(_log_sum_exp(metric, (0, 1)))
+            want = np.asarray(general_log_sum_exp(metric, (0, 1)))
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=200, deadline=None)
+    @given(demap_inputs())
+    # zero amplitude: every level's metric is -0.0, so both members tie
+    @example((np.zeros(3), np.zeros(3), 0.5, 2))
+    # exact hits of the four 16-QAM levels and of the decision midpoints
+    @example((np.array([-3.0, -1.0, 1.0, 3.0, -2.0, 0.0, 2.0]) / math.sqrt(10.0),
+              np.ones(7), 0.01, 2))
+    def test_matches_general_rule_on_demap_metrics(self, inputs):
+        z, amp, sigma2, _ = inputs
+        lv, members = pam_demap_table(2)
+        metric = [np.square(z - amp * lv[l]) / (-2.0 * sigma2) for l in range(lv.size)]
+        for label_sets in members:
+            for idx in label_sets:
+                got = np.asarray(_log_sum_exp(metric, idx))
+                want = np.asarray(general_log_sum_exp(metric, idx))
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestChannelSpecValidation:

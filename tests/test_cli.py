@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rcpolar.cli import dump_config, load_config, main
+from rcpolar.cli import SNR_POINTS_MAX, ConfigError, _snr_grid, dump_config, load_config, main
 from rcpolar.construction import ReliabilityProfile
 from rcpolar.puncturing import (
     ErasureDesign,
@@ -340,6 +340,24 @@ class TestSimulate:
                      "--batch-size", "50", "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[3:]   # under the seed, run and column lines
         assert [float(r.split(",")[0]) for r in rows] == want
+
+    def test_snr_grid_cap(self):
+        # the largest grid allowed is built; one point more is refused
+        assert _snr_grid(0.0, SNR_POINTS_MAX - 1.0, 1.0) == [float(i) for i in range(SNR_POINTS_MAX)]
+        for args in [(0.0, float(SNR_POINTS_MAX), 1.0),
+                     (0.0, 100.0, 1e-9),            # 10^11 points
+                     (-1e308, 1e308, 1.0)]:         # a range beyond the largest float
+            with pytest.raises(ConfigError) as err:
+                _snr_grid(*args)
+            assert err.value.fieldname == "snr_step"
+
+    def test_snr_grid_over_cap_names_snr_step(self, tmp_path, capsys):
+        rc = main(["simulate", "--n", "5", "--k", "11", "--L", "32",
+                   "--snr-start", "0", "--snr-stop", "100", "--snr-step", "1e-9",
+                   "--design-snr-db", "3.5", "--out", str(tmp_path / "res.csv")])
+        assert rc == 2
+        assert "'snr_step'" in capsys.readouterr().err
+        assert not (tmp_path / "res.csv").exists()
 
     def test_profile_input(self, tmp_path):
         prof_path = tmp_path / "prof.csv"

@@ -18,7 +18,7 @@ from rcpolar.construction import (
     select_information_set,
 )
 from rcpolar.decoder import _decode_batch, check_llr, genie_sc_decode, sc_decode, var_llr
-from rcpolar.polar import PolarCodeSpec, encode
+from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation, encode, polar_transform
 from rcpolar.puncturing import reference_base32_sequence
 
 INF = 300.0
@@ -343,6 +343,41 @@ def _check_elements(monkeypatch, spec, llr, pruned):
         m.setattr(decoder, "check_llr", counting)
         _decode_batch(llr, spec, pruned=pruned)
     return sizes
+
+
+class TestBitReversal:
+    """The decoder bit-reverses its LLRs and true codewords with ``take``:
+    the rate-1 guard sees the row sums, and the walk takes the decisions, of
+    a walk over fancy-indexed inputs, through an int64 view."""
+
+    @pytest.mark.parametrize("with_truth", [False, True])
+    def test_take_equals_fancy_indexing(self, monkeypatch, with_truth):
+        spec = _ir_code()
+        llr = _noisy_llrs(spec, 512, seed=4)
+        x_true = None
+        if with_truth:   # half the rows stop at a wrong bit
+            with np.errstate(invalid="ignore"):
+                x_true = encode(sc_decode(llr, spec), spec)
+            x_true[::2, np.random.default_rng(5).integers(0, spec.N, size=256)] ^= 1
+        sums = []
+        guard = decoder._hard_decisions_are_sc
+
+        def recording(v):
+            sums.append(np.abs(v).sum(axis=1))
+            return guard(v)
+
+        monkeypatch.setattr(decoder, "_hard_decisions_are_sc", recording)
+        perm = bit_reversal_permutation(spec.n)
+        with np.errstate(invalid="ignore"):   # inf - inf in the check node
+            got = sc_decode(llr, spec, x_true=x_true)
+            got_sums, sums[:] = sums[:], []
+            want = polar_transform(decoder._walk(
+                decoder._node_plan(spec.info_set, spec.n, True), llr[:, perm],
+                None if x_true is None else x_true[:, perm]))
+        assert np.array_equal(got, want)
+        assert len(got_sums) == len(sums) > 0
+        for g, w in zip(got_sums, sums):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
 class TestRate0LeftSkip:

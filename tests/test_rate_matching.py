@@ -17,6 +17,7 @@ from rcpolar.puncturing import PuncturingSequence, expand_regular, reference_bas
 from rcpolar.rate_matching import (
     RateMatcher,
     TxPlan,
+    _fold,
     build_tx_map,
     de_rate_match,
     transmit_codeword_llrs,
@@ -177,6 +178,14 @@ class TestRateMatch:
             assert len(cols) == 1
 
 
+def signed_zero_values(rng, shape):
+    """Normal values with about a fifth -0.0 and a tenth +0.0."""
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < 0.2] = -0.0
+    values[rng.random(shape) < 0.1] = 0.0
+    return values
+
+
 class TestDeRateMatch:
     def test_round_trip_identity(self):
         rm = simple_rm()
@@ -226,10 +235,7 @@ class TestDeRateMatch:
     def test_fold_bits_match_scatter_of_each_row(self, case, seed):
         # each position adds its terms in stream order onto +0.0, signed zeros included
         rm, plan = case
-        rng = np.random.default_rng(seed)
-        values = rng.normal(size=(3, plan.L))
-        values[rng.random(values.shape) < 0.2] = -0.0
-        values[rng.random(values.shape) < 0.1] = 0.0
+        values = signed_zero_values(np.random.default_rng(seed), (3, plan.L))
         idx = build_tx_map(rm, plan).emit_idx
         got = de_rate_match(values, rm, plan)
         for row, v in zip(got, values):
@@ -238,6 +244,42 @@ class TestDeRateMatch:
             assert np.array_equal(row.view(np.int64), want.view(np.int64))
         assert np.array_equal(de_rate_match(values[1], rm, plan).view(np.int64),
                               got[1].view(np.int64))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fold_of_random_maps_equals_add_at(self, data):
+        # any map, repeats in any order included, against np.add.at's sum
+        N = data.draw(st.integers(1, 64))
+        L = data.draw(st.integers(1, 3 * N))
+        B = data.draw(st.sampled_from([1, 7]))
+        idx = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=L, max_size=L)))
+        values = signed_zero_values(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                                    (B, L))
+        want = np.zeros((B, N))
+        np.add.at(want, (np.arange(B)[:, None], idx[None, :]), values)
+        got = _fold(values, idx, N)
+        assert got.shape == (B, N) and got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("mode", ["cc", "ir"])
+    @pytest.mark.parametrize("shift", [False, True])
+    @pytest.mark.parametrize("L", [384, 1024, 1500, 3072])
+    def test_fold_of_tx_maps_equals_add_at(self, B, mode, shift, L):
+        rm = big_rm(mod=QAM16, split=(5, 5), shift_cc_bicm=shift)
+        values = signed_zero_values(np.random.default_rng(L + B), (B, L))
+        for r in (1, 2, 3):
+            plan = TxPlan(L=L, t=3, r=r, mode=mode)
+            want = np.zeros((B, rm.spec.N))
+            np.add.at(want, (np.arange(B)[:, None], build_tx_map(rm, plan).emit_idx[None, :]),
+                      values)
+            got = de_rate_match(values, rm, plan)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_batch(self):
+        rm = simple_rm()
+        got = de_rate_match(np.ones((0, 20)), rm, TxPlan(L=20, t=1, r=1, mode="cc"))
+        assert got.shape == (0, 16) and got.dtype == np.float64
 
     def test_length_mismatch(self):
         rm = simple_rm()
