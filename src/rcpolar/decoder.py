@@ -179,7 +179,9 @@ def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True,
     """Decided input blocks (B, N); ``pruned=False`` walks every leaf."""
     plan = _node_plan(spec.info_set, spec.n, pruned)
     perm = bit_reversal_permutation(spec.n)
-    # take copies whole columns; fancy indexing gives the same C-ordered array slower
+    # take returns a C-ordered copy, fancy indexing an F-ordered one several
+    # times slower; only the rate-1 guard's row sums see the order, in their
+    # last bits, far inside the guard's margin
     x = _walk(plan, batch.take(perm, axis=1), None if x_true is None else x_true.take(perm, axis=1))
     return polar_transform(x)
 

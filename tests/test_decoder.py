@@ -346,38 +346,57 @@ def _check_elements(monkeypatch, spec, llr, pruned):
 
 
 class TestBitReversal:
-    """The decoder bit-reverses its LLRs and true codewords with ``take``:
-    the rate-1 guard sees the row sums, and the walk takes the decisions, of
-    a walk over fancy-indexed inputs, through an int64 view."""
+    """The decoder bit-reverses its LLRs and true codewords with ``take``,
+    which returns a C-ordered copy where fancy indexing returned an
+    F-ordered one.  Every elementwise value is the same; only the rate-1
+    guard's row sums see the order, since numpy adds a C-ordered row
+    pairwise and an F-ordered one in sequence.  The guard's choice on every
+    row and the decisions must stay those of a walk over fancy-indexed
+    inputs."""
 
+    CODES = {
+        "ir": _ir_code,
+        # the root is rate-1: the guard reads the bit-reversed LLRs themselves
+        "rate1": lambda: PolarCodeSpec(n=10, k=1024, info_set=tuple(range(1, 1025)),
+                                       split=(10, 0)),
+        # the root's right half is rate-1 and reads b + a of the reversed LLRs
+        "upper half": lambda: PolarCodeSpec(n=10, k=512, info_set=tuple(range(513, 1025)),
+                                            split=(10, 0)),
+    }
+
+    @pytest.mark.parametrize("code", sorted(CODES))
     @pytest.mark.parametrize("with_truth", [False, True])
-    def test_take_equals_fancy_indexing(self, monkeypatch, with_truth):
-        spec = _ir_code()
+    def test_take_equals_fancy_indexing(self, monkeypatch, code, with_truth):
+        spec = self.CODES[code]()
         llr = _noisy_llrs(spec, 512, seed=4)
         x_true = None
         if with_truth:   # half the rows stop at a wrong bit
             with np.errstate(invalid="ignore"):
                 x_true = encode(sc_decode(llr, spec), spec)
             x_true[::2, np.random.default_rng(5).integers(0, spec.N, size=256)] ^= 1
-        sums = []
+        calls = []
         guard = decoder._hard_decisions_are_sc
 
         def recording(v):
-            sums.append(np.abs(v).sum(axis=1))
-            return guard(v)
+            keep = guard(v)
+            calls.append((np.abs(v).sum(axis=1), keep))
+            return keep
 
         monkeypatch.setattr(decoder, "_hard_decisions_are_sc", recording)
         perm = bit_reversal_permutation(spec.n)
         with np.errstate(invalid="ignore"):   # inf - inf in the check node
             got = sc_decode(llr, spec, x_true=x_true)
-            got_sums, sums[:] = sums[:], []
+            got_calls, calls[:] = calls[:], []
             want = polar_transform(decoder._walk(
                 decoder._node_plan(spec.info_set, spec.n, True), llr[:, perm],
                 None if x_true is None else x_true[:, perm]))
         assert np.array_equal(got, want)
-        assert len(got_sums) == len(sums) > 0
-        for g, w in zip(got_sums, sums):
-            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        assert len(got_calls) == len(calls) > 0
+        for (sums, keep), (want_sums, want_keep) in zip(got_calls, calls):
+            assert np.array_equal(keep, want_keep)
+            # a reordered sum of n terms moves by at most about n ulp
+            assert np.allclose(sums, want_sums, rtol=spec.N * np.finfo(float).eps, atol=0.0,
+                               equal_nan=True)   # inf - inf makes NaN LLRs
 
 
 class TestRate0LeftSkip:
