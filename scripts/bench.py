@@ -121,7 +121,7 @@ def layers(root: Path) -> dict:
 
     out = {}
     for case in sorted(HARQ_CASES, key=lambda c: c.n):
-        rm = design_code(case.n, case.k, case.split, reference_base32_sequence(),
+        rm = design_code(case.n, case.k, reference_base32_sequence(),
                          ModulationSpec(case.order), case.select_L, case.select_snr_db)
         spec = rm.spec
         snr_db, L = case.points[0]

@@ -44,8 +44,7 @@ def main():
     ap.add_argument("--prefix", default="harq_throughput")
     args = ap.parse_args()
 
-    p = min(5, args.n)
-    rm = design_code(args.n, args.k, (p, args.n - p), reference_base32_sequence(),
+    rm = design_code(args.n, args.k, reference_base32_sequence(),
                      ModulationSpec(args.modulation), args.L, args.select_snr_db)
 
     grid = tuple(float(np.round(g, 3)) for g in

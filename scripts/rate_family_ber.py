@@ -34,8 +34,7 @@ def main():
     ap.add_argument("--prefix", default="rate_family")
     args = ap.parse_args()
 
-    p = min(5, args.n)
-    rm = design_code(args.n, args.k, (p, args.n - p), reference_base32_sequence(), BPSK,
+    rm = design_code(args.n, args.k, reference_base32_sequence(), BPSK,
                      args.select_length, args.design_snr_db)
 
     grid = tuple(np.round(np.arange(args.snr_start, args.snr_stop + 1e-9,

@@ -43,6 +43,11 @@ class ConfigError(ValueError):
         self.fieldname = fieldname
 
 
+# upper bounds of the size fields, so that a typo can neither allocate arrays
+# of 2^n entries nor fork thousands of processes
+N_MAX = 16
+WORKERS_MAX = 64
+
 # Every config field: its type, then, unless any value of the type will do, a
 # condition on the value and the message that names its failure.  JSON and
 # flags feed the same fields; integers must be whole, and no field takes a
@@ -52,10 +57,8 @@ _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _FIELDS = {
     "out": (str,),
     "seed": (int, lambda v: v >= 0, "must be >= 0"),
-    "n": (int, lambda v: v >= 1, "must be an integer >= 1"),
+    "n": (int, lambda v: 1 <= v <= N_MAX, f"must be an integer in [1, {N_MAX}]"),
     "k": (int, *_AT_LEAST_1),
-    "p": (int, *_AT_LEAST_1),
-    "q": (int, lambda v: v >= 0, "must be >= 0"),
     "base_len": (int, lambda v: v >= 2 and (v & (v - 1)) == 0, "must be a power of two >= 2"),
     "method": (str, lambda v: v in ("ga", "bec", "mc"), "must be one of ga, bec, mc"),
     "design_snr_db": (float,),
@@ -76,7 +79,7 @@ _FIELDS = {
     "max_blocks": (int, *_AT_LEAST_1),
     "target_block_errors": (int, *_AT_LEAST_1),
     "batch_size": (int, *_AT_LEAST_1),
-    "workers": (int, *_AT_LEAST_1),
+    "workers": (int, lambda v: 1 <= v <= WORKERS_MAX, f"must lie in [1, {WORKERS_MAX}]"),
     "shift_cc_bicm": (int, lambda v: v in (0, 1), "must be 0 or 1"),
 }
 _REQUIRED = object()
@@ -146,18 +149,14 @@ def load_config(path: str | None, overrides: dict) -> dict:
     return cfg
 
 
-def dump_config(cfg: dict) -> str:
-    """Canonical serialization; parsing it back reproduces the dict."""
-    return json.dumps(cfg, sort_keys=True, indent=2) + "\n"
-
-
 def _resolve_seed(cfg: dict) -> int:
     seed = _get(cfg, "seed", None)
     return secrets.randbits(48) if seed is None else seed
 
 
-def _load_sequence(name: str, p: int) -> PuncturingSequence:
-    """The named puncturing order; its base length must be 2^p."""
+def _load_sequence(name: str, n: int) -> tuple[PuncturingSequence, tuple[int, int]]:
+    """The named puncturing order and the split of the length-2^n code that
+    its base length fixes."""
     if name == "reference32":
         seq = reference_base32_sequence()
     else:
@@ -166,10 +165,10 @@ def _load_sequence(name: str, p: int) -> PuncturingSequence:
             seq = PuncturingSequence.from_text(text)
         except ValueError as e:
             raise ConfigError("sequence", f"cannot read {name}: {e}") from None
-    if seq.base_len != 1 << p:
-        raise ConfigError("sequence", f"{name} has base length {seq.base_len}, "
-                          f"which does not match 2^p = {1 << p}")
-    return seq
+    try:
+        return seq, seq.split(n)
+    except ValueError as e:
+        raise ConfigError("sequence", f"{name}: {e}") from None
 
 
 def _output_path(cfg: dict) -> str:
@@ -183,17 +182,6 @@ def _output_path(cfg: dict) -> str:
     return out
 
 
-def _split(cfg: dict, n: int) -> tuple[int, int]:
-    p, q = _get(cfg, "p", None), _get(cfg, "q", None)
-    if p is None and q is None:
-        return min(5, n), n - min(5, n)
-    if p is None or q is None:
-        raise ConfigError("p", "p and q must be given together")
-    if p + q != n:
-        raise ConfigError("p", f"p + q must equal n = {n}")
-    return p, q
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -204,9 +192,6 @@ def cmd_construct(cfg: dict) -> int:
     method = _get(cfg, "method")
     out = _output_path(cfg)
     N = 1 << n
-    p, q = _split(cfg, n)
-    # full rate, so profiles and genie runs cover every input position
-    spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=(p, q))
     seq_name = _get(cfg, "sequence", None)
     mod = ModulationSpec(_get(cfg, "modulation", 2))
     if mod.is_qam and seq_name is None:
@@ -214,12 +199,16 @@ def cmd_construct(cfg: dict) -> int:
     kind = _get(cfg, "channel", "awgn")
     if mod.is_qam and "bec" in (method, kind):
         raise ConfigError("modulation", "must be 2 on the erasure channel")
-    rm = select_len = None
-    if seq_name is not None:   # a sequence sends N bits unless told otherwise
-        rm = RateMatcher(spec=spec, sequence=_load_sequence(seq_name, p), modulation=mod)
-        select_len = _get(cfg, "select_length", N)
-    elif _get(cfg, "select_length", None) is not None:
+    if seq_name is None and _get(cfg, "select_length", None) is not None:
         raise ConfigError("sequence", "select_length needs a puncturing sequence")
+    # a sequence fixes the split; without one, nothing reads it
+    seq, split = (None, (n, 0)) if seq_name is None else _load_sequence(seq_name, n)
+    # full rate, so profiles and genie runs cover every input position
+    spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=split)
+    rm = select_len = None
+    if seq is not None:   # a sequence sends N bits unless told otherwise
+        rm = RateMatcher(spec=spec, sequence=seq, modulation=mod)
+        select_len = _get(cfg, "select_length", N)
     seed = None
     if method == "ga":
         snr = _get(cfg, "design_snr_db")
@@ -286,8 +275,7 @@ def cmd_simulate(cfg: dict) -> int:
     if k > 1 << n:
         raise ConfigError("k", "must lie in [1, 2^n]")
     out = _output_path(cfg)
-    p, q = _split(cfg, n)
-    seq = _load_sequence(_get(cfg, "sequence", "reference32"), p)
+    seq, (p, q) = _load_sequence(_get(cfg, "sequence", "reference32"), n)
     mod = ModulationSpec(_get(cfg, "modulation", 2))
     kind = _get(cfg, "channel", "awgn")
     if kind == "bec":
@@ -316,7 +304,7 @@ def cmd_simulate(cfg: dict) -> int:
         spec = PolarCodeSpec(n=n, k=k, info_set=cons.select_information_set(profile, k),
                              split=(p, q))
     else:
-        spec = design_code(n, k, (p, q), seq, mod, _get(cfg, "select_length", L),
+        spec = design_code(n, k, seq, mod, _get(cfg, "select_length", L),
                            _get(cfg, "design_snr_db")).spec
     rm = RateMatcher(spec=spec, sequence=seq, modulation=mod,
                      shift_cc_bicm=_get(cfg, "shift_cc_bicm", 0) == 1)
@@ -345,12 +333,12 @@ def cmd_simulate(cfg: dict) -> int:
 # each subcommand's function, help and fields; every field is a --<name> flag
 _COMMANDS = {
     "construct": (cmd_construct, "write a bit-channel reliability profile CSV",
-                  "n method design_snr_db snr_db epsilon trials channel modulation p q"
-                  " sequence select_length"),
+                  "n method design_snr_db snr_db epsilon trials channel modulation sequence"
+                  " select_length"),
     "puncture": (cmd_puncture, "derive a progressive puncturing sequence",
                  "base_len k design_snr_db epsilon"),
     "simulate": (cmd_simulate, "run a BER/BLER/throughput sweep",
-                 "n k p q sequence modulation channel mode t L snr_start snr_stop snr_step"
+                 "n k sequence modulation channel mode t L snr_start snr_stop snr_step"
                  " design_snr_db select_length profile max_blocks target_block_errors"
                  " batch_size workers shift_cc_bicm"),
 }
@@ -361,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="rate-compatible polar codes and HARQ simulation")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, helptext, fields) in _COMMANDS.items():
-        sp = sub.add_parser(name, help=helptext)
+        # no abbreviated flags: a removed one, such as --p, must not match --profile
+        sp = sub.add_parser(name, help=helptext, allow_abbrev=False)
         sp.add_argument("--config", help="JSON config file; flags override its fields")
         for f in ("seed", "out", *fields.split()):
             sp.add_argument("--" + f.replace("_", "-"))

@@ -516,11 +516,13 @@ def select_information_set(profile: ReliabilityProfile, k: int) -> tuple[int, ..
     return tuple(sorted(int(i) + 1 for i in order[:k]))
 
 
-def design_code(n: int, k: int, split: tuple[int, int], sequence, modulation,
-                L: int, design_snr_db: float) -> RateMatcher:
+def design_code(n: int, k: int, sequence, modulation, L: int,
+                design_snr_db: float) -> RateMatcher:
     """Rate matcher of the length-2^n code whose k information positions are the
     most reliable by GA at ``design_snr_db`` under the rate matching and BICM
-    mapping of one length-L transmission; its ``spec`` is the designed code."""
+    mapping of one length-L transmission; its ``spec`` is the designed code,
+    with the split that the sequence's base length fixes."""
+    split = sequence.split(n)
     probe = PolarCodeSpec(n=n, k=1, info_set=(1,), split=split)  # the means read only N and split
     means = build_bicm_ga_means(
         probe, RateMatcher(spec=probe, sequence=sequence, modulation=modulation), L, design_snr_db)

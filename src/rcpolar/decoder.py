@@ -3,9 +3,9 @@
 The decoder walks a node plan of the code tree depth first, vectorized over a
 leading batch axis: decisions are data, not control flow, so a whole batch
 moves through the plan together.  The plan is built once per information set
-and cached.  Plain decoding uses a pruned plan whose subtrees are decided by
-the simplified-SC rules (Alamdar-Yazdi & Kschischang 2011; Sarkis et al. 2014)
-wherever those reach exactly SC's decisions:
+and cached.  It decides subtrees by the simplified-SC rules (Alamdar-Yazdi &
+Kschischang 2011; Sarkis et al. 2014) wherever those reach exactly SC's
+decisions:
 
 * rate-0 (all frozen): zeros;
 * repetition (all frozen but the last input): the sign of the LLR sum, taken
@@ -73,7 +73,7 @@ class _Node:
 
 
 @lru_cache(maxsize=64)
-def _node_plan(info_set: tuple[int, ...], n: int, pruned: bool) -> _Node:
+def _node_plan(info_set: tuple[int, ...], n: int) -> _Node:
     frozen = np.ones(1 << n, dtype=bool)
     frozen[np.asarray(info_set, dtype=np.int64) - 1] = False
 
@@ -82,16 +82,14 @@ def _node_plan(info_set: tuple[int, ...], n: int, pruned: bool) -> _Node:
         if size == 1:
             return _Node(RATE0 if f[0] else RATE1, 1)
         h = size // 2
-        if pruned:
-            if f.all():
-                return _Node(RATE0, size)
-            if f[:-1].all():
-                return _Node(REP, size)
-            if not f.any():
-                return _Node(RATE1, size, build(start, h), build(start + h, h))
+        if f.all():
+            return _Node(RATE0, size)
+        if f[:-1].all():
+            return _Node(REP, size)
+        if not f.any():
+            return _Node(RATE1, size, build(start, h), build(start + h, h))
         left = build(start, h)
-        kind = LEFT0 if pruned and left.kind == RATE0 else SPLIT
-        return _Node(kind, size, left, build(start + h, h))
+        return _Node(LEFT0 if left.kind == RATE0 else SPLIT, size, left, build(start + h, h))
 
     return build(0, 1 << n)
 
@@ -174,18 +172,6 @@ def _truth(bits, N: int, rows: int, name: str) -> np.ndarray:
     return bits.astype(np.uint8).reshape(rows, N)
 
 
-def _decode_batch(batch: np.ndarray, spec: PolarCodeSpec, pruned: bool = True,
-                  x_true: np.ndarray | None = None) -> np.ndarray:
-    """Decided input blocks (B, N); ``pruned=False`` walks every leaf."""
-    plan = _node_plan(spec.info_set, spec.n, pruned)
-    perm = bit_reversal_permutation(spec.n)
-    # take returns a C-ordered copy, fancy indexing an F-ordered one several
-    # times slower; only the rate-1 guard's row sums see the order, in their
-    # last bits, far inside the guard's margin
-    x = _walk(plan, batch.take(perm, axis=1), None if x_true is None else x_true.take(perm, axis=1))
-    return polar_transform(x)
-
-
 def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> np.ndarray:
     """Decided input blocks (uint8, natural input order) of codeword-aligned
     LLRs, in the shape of ``llrs``: (N,) or any (..., N) batch.
@@ -195,9 +181,14 @@ def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> np.ndarray:
     but is otherwise arbitrary, frozen bits included.
     """
     batch, shape = _as_batch(llrs, spec.N)
+    perm = bit_reversal_permutation(spec.n)
+    # take returns a C-ordered copy, fancy indexing an F-ordered one several
+    # times slower; only the rate-1 guard's row sums see the order, in their
+    # last bits, far inside the guard's margin
     if x_true is not None:
-        x_true = _truth(x_true, spec.N, batch.shape[0], "x_true")
-    return _decode_batch(batch, spec, x_true=x_true).reshape(shape)
+        x_true = _truth(x_true, spec.N, batch.shape[0], "x_true").take(perm, axis=1)
+    x = _walk(_node_plan(spec.info_set, spec.n), batch.take(perm, axis=1), x_true)
+    return polar_transform(x).reshape(shape)
 
 
 def _genie_leaf_llrs(batch: np.ndarray, spec: PolarCodeSpec, tu: np.ndarray) -> np.ndarray:

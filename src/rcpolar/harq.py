@@ -1,9 +1,11 @@
 """Link-level HARQ simulation: Chase combining, incremental redundancy, sweeps.
 
 A block is encoded once and sent up to t times.  Chase retransmissions repeat
-transmission 1 bit for bit; IR retransmissions start at a rotated column and
-rotate the symbol-mapping classes with it.  The receiver accumulates LLRs per
-codeword position across transmissions and attempts SC decoding after each.
+transmission 1 bit for bit, except that with ``shift_cc_bicm`` they send the
+same coded bits but rotate their class assignment; IR retransmissions start at
+a rotated column and rotate the symbol-mapping classes with it.  The receiver
+accumulates LLRs per codeword position across transmissions and attempts SC
+decoding after each.
 Acknowledgement is genie: decoded bits are compared to the truth (no CRC is
 attached, so code rates are exactly k/L).  So an attempt before the last
 transmission stops at its first wrong decision (``sc_decode``'s ``x_true``),
@@ -213,7 +215,7 @@ def sweep(cfg: SweepConfig) -> list[SimResult]:
                                   [min(bs, cfg.max_blocks - s) for s in starts]))
             blocks, bit_errors, block_errors, tx_total = (int(c) for c in counts)
             results.append(SimResult(
-                snr_db=snr_db, blocks=blocks, bit_errors=bit_errors,
+                snr_db=float(snr_db), blocks=blocks, bit_errors=bit_errors,
                 block_errors=block_errors, tx_total=tx_total, rate=cfg.rate,
                 order=cfg.rate_matcher.modulation.order, k=cfg.rate_matcher.spec.k,
             ))

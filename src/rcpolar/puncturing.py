@@ -177,6 +177,15 @@ class PuncturingSequence:
             raise ValueError(f"m = {m} out of range [0, {self.base_len}]")
         return self.order[:m]
 
+    def split(self, n: int) -> tuple[int, int]:
+        """The split (p, n - p) of the length-2^n code this order punctures:
+        its base length 2^p is the column count of the rate-matching matrix."""
+        p = self.base_len.bit_length() - 1
+        if self.base_len != 1 << p or not 1 <= p <= n:
+            raise ValueError(f"base length {self.base_len} is not a power of two "
+                             f"from 2 to 2^n = {1 << n}")
+        return p, n - p
+
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.order) + "\n"
 

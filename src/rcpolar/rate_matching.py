@@ -13,7 +13,9 @@ class substreams are padded with zero bits known to the receiver, which never
 enter the decoder's LLR accumulator.
 
 Incremental-redundancy retransmissions move the start column and rotate the
-class assignment with it; Chase retransmissions reuse transmission 1 exactly.
+class assignment with it; Chase retransmissions reuse transmission 1 exactly,
+except that with ``shift_cc_bicm`` they send the same coded bits but rotate
+their class assignment.
 
 ``build_tx_map`` is the single cached map of one transmission: the codeword
 position, reliability class and symbol-bit slot of each transmitted bit (BPSK

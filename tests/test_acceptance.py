@@ -163,7 +163,7 @@ def test_criterion_5_structural_identities():
 
 def _family_256() -> RateMatcher:
     """The N=256, k=88 BPSK family, designed at L=98 and 3.5 dB."""
-    return design_code(8, 88, (5, 3), reference_base32_sequence(), BPSK, 98, 3.5)
+    return design_code(8, 88, reference_base32_sequence(), BPSK, 98, 3.5)
 
 
 def test_criterion_6_rate_ordering():
@@ -199,7 +199,7 @@ def test_criterion_6_rate_ordering():
 
 def _family_1024() -> RateMatcher:
     """The N=1024, k=352 16-QAM family, designed at L=384 and 9 dB."""
-    return design_code(10, 352, (5, 5), reference_base32_sequence(), ModulationSpec(16),
+    return design_code(10, 352, reference_base32_sequence(), ModulationSpec(16),
                        384, 9.0)
 
 

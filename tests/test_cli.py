@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from rcpolar.cli import SNR_POINTS_MAX, ConfigError, _snr_grid, dump_config, load_config, main
+from rcpolar.cli import (N_MAX, SNR_POINTS_MAX, WORKERS_MAX, ConfigError, _get, _snr_grid,
+                         load_config, main)
 from rcpolar.construction import ReliabilityProfile
 from rcpolar.puncturing import (
     ErasureDesign,
@@ -18,16 +19,6 @@ from rcpolar.polar import PolarCodeSpec
 
 
 class TestConfigHandling:
-    def test_round_trip_identity(self, tmp_path):
-        cfg = {"n": 6, "method": "ga", "design_snr_db": 3.5, "out": "x.csv",
-               "snrs": [1.0, 2.0], "seed": 7}
-        text = dump_config(cfg)
-        path = tmp_path / "c.json"
-        path.write_text(text)
-        back = load_config(str(path), {})
-        assert back == cfg
-        assert dump_config(back) == text
-
     def test_flags_override_config(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"n": 4, "seed": 1}))
@@ -71,6 +62,10 @@ class TestConfigHandling:
                       "max_block": 10}, "max_block"),
         ("construct", {"n": 3, "method": "ga", "design_snr_db": 3.5, "snrs": [1.0]}, "snrs"),
         ("puncture", {"base_len": 8, "k": 4, "design_snr_db": 3.5, "L": 8}, "L"),
+        # the puncturing sequence fixes the split, which is no longer a field
+        ("simulate", {"n": 8, "k": 88, "L": 98, "snrs": [1], "seed": 1, "design_snr_db": 3,
+                      "p": 5, "q": 3}, "p"),
+        ("construct", {"n": 8, "method": "ga", "design_snr_db": 3.5, "q": 3}, "q"),
     ])
     def test_unknown_key_names_field(self, tmp_path, capsys, command, cfg, field):
         out = tmp_path / "out.txt"
@@ -79,6 +74,24 @@ class TestConfigHandling:
         assert main([command, "--config", str(path)]) == 2
         assert f"'{field}'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["construct", "simulate"])
+    def test_split_flags_are_gone(self, tmp_path, command, capsys):
+        # --p once set the split; it must not now abbreviate --profile
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--n", "8", "--p", "5", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--p" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, top", [("n", N_MAX), ("workers", WORKERS_MAX)])
+    def test_size_bound_names_field(self, field, top):
+        # the check alone: no command runs past a bound, so nothing of size
+        # 2^17 is allocated and no 65th process is forked
+        assert (N_MAX, WORKERS_MAX) == (16, 64)
+        assert _get({field: top}, field) == top
+        with pytest.raises(ConfigError) as err:
+            _get({field: top + 1}, field)
+        assert err.value.fieldname == field and str(top) in str(err.value)
 
     def test_whole_float_is_an_integer(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -211,6 +224,24 @@ class TestConstruct:
         rc = main(["construct", "--n", "4", "--method", "mc", "--snr-db", "3.0",
                    "--trials", "10", "--seed", "3", "--select-length", "12",
                    "--out", str(tmp_path / "mc.csv")])
+        assert rc == 2
+        assert "'sequence'" in capsys.readouterr().err
+
+    def test_short_code_with_reference32_names_sequence(self, tmp_path, capsys):
+        # the base length 32 of the sequence exceeds the code length 16
+        out = tmp_path / "p.csv"
+        rc = main(["construct", "--n", "4", "--method", "ga", "--sequence", "reference32",
+                   "--design-snr-db", "3.5", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "'sequence'" in err and "2^n = 16" in err
+        assert not out.exists()
+
+    def test_sequence_not_a_power_of_two_names_sequence(self, tmp_path, capsys):
+        seq = tmp_path / "seq.txt"
+        seq.write_text("0,2,1\n")
+        rc = main(["construct", "--n", "4", "--method", "ga", "--sequence", str(seq),
+                   "--design-snr-db", "3.5", "--out", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "'sequence'" in capsys.readouterr().err
 
@@ -464,7 +495,22 @@ class TestSimulate:
                    "--design-snr-db", "3.5", "--out", str(tmp_path / "res.csv")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "'sequence'" in err and "2^p = 16" in err
+        assert "'sequence'" in err and "2^n = 16" in err
+
+    def test_sequence_fixes_split(self, tmp_path):
+        # a base-8 order on a length-32 code: the header reports the split
+        # (3, 2) that the base length fixes, and the run is repeatable
+        seq = tmp_path / "seq8.txt"
+        assert main(["puncture", "--base-len", "8", "--k", "4", "--design-snr-db", "3.5",
+                     "--out", str(seq)]) == 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out in (a, b):
+            assert main(["simulate", "--n", "5", "--k", "11", "--L", "20", "--sequence", str(seq),
+                         "--snr-start", "3", "--snr-stop", "3", "--snr-step", "1",
+                         "--design-snr-db", "3.5", "--seed", "1", "--max-blocks", "50",
+                         "--batch-size", "50", "--out", str(out)]) == 0
+        assert "# n=5 k=11 p=3 q=2 L=20 " in a.read_text()
+        assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--shift-cc-bicm", "7")])
     def test_bad_seed_or_shift_names_field(self, tmp_path, capsys, flag, value):

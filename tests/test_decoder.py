@@ -17,7 +17,7 @@ from rcpolar.construction import (
     ga_evolve,
     select_information_set,
 )
-from rcpolar.decoder import _decode_batch, check_llr, genie_sc_decode, sc_decode, var_llr
+from rcpolar.decoder import check_llr, genie_sc_decode, sc_decode, var_llr
 from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation, encode, polar_transform
 from rcpolar.puncturing import reference_base32_sequence
 
@@ -217,6 +217,31 @@ def _ga_order(n):
     return select_information_set(ga_evolve(probe, np.full(N, design_mean_llr(2.0))), N)
 
 
+def _reference_sc(llr, spec):
+    """Decided input blocks (B, N) by plain recursive SC, with no node plan:
+    at every node the left half decodes from ``check_llr`` of the two halves,
+    then the right half from ``var_llr`` given the left half's partial sums;
+    an LLR of exactly 0 decides 0.  The check node is looked up on the
+    decoder module, so a test can count its calls."""
+    llr = np.atleast_2d(llr)
+    u = np.zeros(llr.shape, dtype=np.uint8)
+
+    def walk(v, start):
+        # decides inputs start, ..., start + size - 1; returns their partial sums
+        if v.shape[1] == 1:
+            if not spec.frozen_mask[start]:
+                u[:, start] = v[:, 0] < 0
+            return u[:, start : start + 1]
+        h = v.shape[1] // 2
+        a, b = v[:, :h], v[:, h:]
+        xl = walk(decoder.check_llr(a, b), start)
+        xr = walk(var_llr(a, b, xl), start + h)
+        return np.concatenate([xl ^ xr, xr], axis=1)
+
+    walk(llr[:, bit_reversal_permutation(spec.n)], 0)
+    return u
+
+
 # LLRs that replace some entries: punctured zeros, saturated values, and tiny
 # values that the check node can round to 0
 _SPECIAL = np.array([0.0, -0.0, 300.0, -300.0, 1e-12, -1e-12, 5e-324, -5e-324])
@@ -243,14 +268,13 @@ def _code_and_llrs(draw):
 
 
 class TestPrunedPlan:
-    """The pruned node plan decides exactly as the unpruned (full SC) plan."""
+    """The pruned node plan decides exactly as plain recursive SC."""
 
     @staticmethod
     def assert_same(llr, spec):
         llr = np.atleast_2d(llr)
-        pruned = _decode_batch(llr, spec)
-        full = _decode_batch(llr, spec, pruned=False)
-        assert np.array_equal(pruned, full)
+        pruned = sc_decode(llr, spec)
+        assert np.array_equal(pruned, _reference_sc(llr, spec))
         return pruned
 
     @given(_code_and_llrs())
@@ -288,7 +312,7 @@ class TestPrunedPlan:
 @lru_cache(maxsize=None)
 def _ir_code():
     """The code of the N=1024, k=352 16-QAM incremental-redundancy workload."""
-    return design_code(10, 352, (5, 5), reference_base32_sequence(), QAM16, 384, 9.0).spec
+    return design_code(10, 352, reference_base32_sequence(), QAM16, 384, 9.0).spec
 
 
 def _random_code():
@@ -331,8 +355,8 @@ def _noiseless_llrs(spec, rows=4):
     return 30.0 * (1.0 - 2.0 * encode(u, spec))
 
 
-def _check_elements(monkeypatch, spec, llr, pruned):
-    """Input size, per row, of every check node the walk computes."""
+def _check_elements(monkeypatch, decode, spec, llr):
+    """Input size, per row, of every check node ``decode`` computes."""
     sizes = []
 
     def counting(a, b):
@@ -341,7 +365,7 @@ def _check_elements(monkeypatch, spec, llr, pruned):
 
     with monkeypatch.context() as m:
         m.setattr(decoder, "check_llr", counting)
-        _decode_batch(llr, spec, pruned=pruned)
+        decode(llr, spec)
     return sizes
 
 
@@ -388,7 +412,7 @@ class TestBitReversal:
             got = sc_decode(llr, spec, x_true=x_true)
             got_calls, calls[:] = calls[:], []
             want = polar_transform(decoder._walk(
-                decoder._node_plan(spec.info_set, spec.n, True), llr[:, perm],
+                decoder._node_plan(spec.info_set, spec.n), llr[:, perm],
                 None if x_true is None else x_true[:, perm]))
         assert np.array_equal(got, want)
         assert len(got_calls) == len(calls) > 0
@@ -405,29 +429,28 @@ class TestRate0LeftSkip:
     @pytest.mark.parametrize("code", sorted(_SKIP_CODES))
     def test_matches_full_schedule(self, code):
         spec = _SKIP_CODES[code]()
-        assert decoder.LEFT0 in _plan_kinds(decoder._node_plan(spec.info_set, spec.n, True))
-        assert decoder.LEFT0 not in _plan_kinds(decoder._node_plan(spec.info_set, spec.n, False))
+        assert decoder.LEFT0 in _plan_kinds(decoder._node_plan(spec.info_set, spec.n))
         llr = _noisy_llrs(spec, 96, seed=spec.N + spec.k)
-        with np.errstate(invalid="ignore"):   # inf - inf in both schedules
-            pruned = _decode_batch(llr, spec)
-            full = _decode_batch(llr, spec, pruned=False)
-        assert np.array_equal(pruned, full)
+        with np.errstate(invalid="ignore"):   # inf - inf in both decoders
+            assert np.array_equal(sc_decode(llr, spec), _reference_sc(llr, spec))
 
     @pytest.mark.parametrize("code", sorted(_SKIP_CODES))
     def test_unpruned_computes_every_check_node(self, monkeypatch, code):
+        # the reference computes n check nodes of N / 2 elements each per row
         spec = _SKIP_CODES[code]()
-        sizes = _check_elements(monkeypatch, spec, _noiseless_llrs(spec), pruned=False)
+        sizes = _check_elements(monkeypatch, _reference_sc, spec, _noiseless_llrs(spec))
         assert sum(sizes) == spec.N // 2 * spec.n
 
     def test_root_over_rate0_half(self, monkeypatch):
         # only the right half's split over (frozen, info) computes a check node
-        assert _check_elements(monkeypatch, _tiny_code(), _noiseless_llrs(_tiny_code()), True) == [2]
+        spec = _tiny_code()
+        assert _check_elements(monkeypatch, sc_decode, spec, _noiseless_llrs(spec)) == [2]
 
     def test_ir_code_elements(self, monkeypatch):
-        # the pruned plan has 2,082 check-node elements per row, 654 of them
-        # over rate-0 left children
+        # the plan without the rate-0 skip would have 2,082 check-node
+        # elements per row, 654 of them over rate-0 left children
         spec = _ir_code()
-        assert sum(_check_elements(monkeypatch, spec, _noiseless_llrs(spec), True)) == 1428
+        assert sum(_check_elements(monkeypatch, sc_decode, spec, _noiseless_llrs(spec))) == 1428
 
 
 @st.composite
@@ -442,7 +465,7 @@ def _early_case(draw):
         k = draw(st.integers(N // 4, 3 * N // 4))
         info = tuple(sorted((rng.permutation(N)[:k] + 1).tolist()))
         spec = PolarCodeSpec(n=n, k=k, info_set=info, split=(n, 0))
-    kinds = set(_plan_kinds(decoder._node_plan(spec.info_set, spec.n, True)))
+    kinds = set(_plan_kinds(decoder._node_plan(spec.info_set, spec.n)))
     assume({decoder.REP, decoder.RATE1, decoder.LEFT0} <= kinds)
     u = np.zeros((16, spec.N), dtype=np.uint8)
     u[:, spec.info_zero_based] = rng.integers(0, 2, size=(16, spec.k))

@@ -58,7 +58,7 @@ def qam16_fading_ir_csv() -> bytes:
 def qam64_awgn_cc_csv() -> bytes:
     """N=256 under 64-QAM on AWGN, CC t=2, L=192, k=96 selected by GA at
     10 dB: 300 blocks at each of three SNR points, seed 7."""
-    rm = design_code(8, 96, (5, 3), reference_base32_sequence(), ModulationSpec(64), 192, 10.0)
+    rm = design_code(8, 96, reference_base32_sequence(), ModulationSpec(64), 192, 10.0)
     cfg = SweepConfig(rate_matcher=rm, channel_kind="awgn", snr_grid=(8.0, 10.0, 12.0), L=192, t=2, mode="cc",
                       seed=7, max_blocks=300, target_block_errors=10**9, batch_size=100)
     return _csv(sweep(cfg), "seed=7")

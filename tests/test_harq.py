@@ -186,19 +186,19 @@ class TestEarlyTermination:
     def test_ir_qam16_fading(self, t):
         # 0 dB: every block fails every round; 4-16 dB: blocks decode after
         # each of the four transmissions, and some fail all of them
-        rm = design_code(8, 88, (5, 3), reference_base32_sequence(), QAM16, 96, 9.0)
+        rm = design_code(8, 88, reference_base32_sequence(), QAM16, 96, 9.0)
         success, tx, _ = self.assert_same(rm, "fading", (0.0, 4.0, 8.0, 16.0), 96, t, "ir")
         assert set(tx[success].tolist()) == set(range(1, t + 1))
         assert (~success).sum() > 64
 
     def test_cc_bpsk_awgn(self):
-        rm = design_code(8, 88, (5, 3), reference_base32_sequence(), BPSK, 98, 3.5)
+        rm = design_code(8, 88, reference_base32_sequence(), BPSK, 98, 3.5)
         success, tx, _ = self.assert_same(rm, "awgn", (-6.0, 2.0, 4.0), 98, 2, "cc")
         assert set(tx[success].tolist()) == {1, 2} and (~success).sum() > 64
 
     @pytest.mark.parametrize("mode", ["cc", "ir"])
     def test_blocks_that_fail_every_round(self, mode):
-        rm = design_code(8, 88, (5, 3), reference_base32_sequence(), QAM16, 96, 9.0)
+        rm = design_code(8, 88, reference_base32_sequence(), QAM16, 96, 9.0)
         success, tx, errs = self.assert_same(rm, "fading", (-10.0,), 96, 3, mode)
         assert not success.any() and (tx == 3).all() and (errs > 0).all()
 
@@ -287,6 +287,17 @@ class TestSweep:
         assert lines[0] == "# seed=99"
         assert lines[1] == "snr_db,blocks,bit_errors,block_errors,ber,bler,t_bar,throughput"
         assert len(lines) == 2 + 2
+
+    def test_numpy_snr_points_written_as_numbers(self):
+        # a grid of np.float64 values, as np.arange makes, once wrote
+        # "np.float64(1.0)" into the snr_db column
+        cfg = replace(self.make_cfg(), snr_grid=tuple(np.arange(1.0, 2.5, 0.5)),
+                      max_blocks=100, batch_size=100)
+        lines = results_csv(sweep(cfg)).splitlines()
+        assert lines[0] == ",".join(harq.RESULT_COLUMNS)
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [row[0] for row in rows] == [1.0, 1.5, 2.0]
+        assert all(len(row) == len(harq.RESULT_COLUMNS) for row in rows)
 
     def test_fading_kind_accepted(self):
         _, rm = make_code(mod=QAM16)

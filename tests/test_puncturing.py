@@ -285,6 +285,14 @@ class TestSequenceFormat:
         assert sorted(seq.order) == list(range(32))
         assert seq.order[:4] == (0, 16, 8, 24)
 
+    def test_base_length_fixes_split(self):
+        seq = reference_base32_sequence()
+        assert [seq.split(n) for n in (5, 8, 10)] == [(5, 0), (5, 3), (5, 5)]
+        for bad, n in [(seq, 4), (PuncturingSequence(base_len=3, order=(2, 0, 1)), 4),
+                       (PuncturingSequence(base_len=1, order=(0,)), 4)]:
+            with pytest.raises(ValueError, match=r"not a power of two from 2 to 2\^n"):
+                bad.split(n)
+
 
 class TestExpandRegular:
     def test_m0(self):

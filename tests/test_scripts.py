@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from rcpolar.harq import RESULT_COLUMNS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 RUNS = {
@@ -19,6 +21,14 @@ RUNS = {
     "progressive_vs_exhaustive.py": ["--base-len", "8", "--k", "4", "--m", "2",
                                      "--samples", "10"],
     "derive_base_sequence.py": ["--base-len", "8", "--k", "4"],
+}
+# the column line of every CSV each script writes; derive_base_sequence.py
+# writes a puncturing order, not a CSV
+CSV_COLUMNS = {
+    "harq_throughput.py": RESULT_COLUMNS,
+    "rate_family_ber.py": RESULT_COLUMNS,
+    "progressive_vs_exhaustive.py": ("m", "progressive_union_bound", "best_union_bound",
+                                     "ratio"),
 }
 
 
@@ -33,6 +43,18 @@ def test_script_runs(script, tmp_path):
     assert proc.stdout.strip()
     written = list(tmp_path.iterdir())
     assert written and all(f.stat().st_size > 0 for f in written)
+    csvs = [f for f in written if f.suffix == ".csv"]
+    assert bool(csvs) == (script in CSV_COLUMNS)
+    for f in csvs:
+        # comment lines, the column line, then rows with a number in every field
+        lines = [l for l in f.read_text(encoding="utf-8").splitlines() if not l.startswith("#")]
+        assert tuple(lines[0].split(",")) == CSV_COLUMNS[script]
+        assert len(lines) > 1
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == len(CSV_COLUMNS[script]), line
+            for v in fields:
+                float(v)   # raises on anything but a number
 
 
 def test_bench_layers_only():
