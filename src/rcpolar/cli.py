@@ -47,6 +47,11 @@ class ConfigError(ValueError):
 # of 2^n entries nor fork thousands of processes
 N_MAX = 16
 WORKERS_MAX = 64
+L_MAX = 1 << 20             # bits in one transmission: L, select_length
+BASE_LEN_MAX = 1 << 10      # a PPA step builds about base_len^2 codes
+BATCH_CELLS_MAX = 1 << 25   # batch_size * max(2^n, L): one batch's (B, N) and (B, L) arrays
+MC_LEN_MAX = 1 << 12        # 2^n and select_length under mc: a genie batch has 8,192 rows
+DB_MAX = 300                # |SNR| in dB; 10^(x/10) overflows a float past 3,083 dB
 
 # Every config field: its type, then, unless any value of the type will do, a
 # condition on the value and the message that names its failure.  JSON and
@@ -54,27 +59,31 @@ WORKERS_MAX = 64
 # boolean.
 _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_DB = (lambda v: abs(v) <= DB_MAX, f"must lie in [-{DB_MAX}, {DB_MAX}] dB")
+_LENGTH = (lambda v: 1 <= v <= L_MAX, f"must be an integer in [1, {L_MAX}]")
 _FIELDS = {
     "out": (str,),
     "seed": (int, lambda v: v >= 0, "must be >= 0"),
     "n": (int, lambda v: 1 <= v <= N_MAX, f"must be an integer in [1, {N_MAX}]"),
     "k": (int, *_AT_LEAST_1),
-    "base_len": (int, lambda v: v >= 2 and (v & (v - 1)) == 0, "must be a power of two >= 2"),
+    "base_len": (int, lambda v: 2 <= v <= BASE_LEN_MAX and (v & (v - 1)) == 0,
+                 f"must be a power of two in [2, {BASE_LEN_MAX}]"),
     "method": (str, lambda v: v in ("ga", "bec", "mc"), "must be one of ga, bec, mc"),
-    "design_snr_db": (float,),
-    "snr_db": (float,),
+    "design_snr_db": (float, *_DB),
+    "snr_db": (float, *_DB),
     "epsilon": (float, *_UNIT),
     "trials": (int, *_AT_LEAST_1),
     "channel": (str, lambda v: v in ("awgn", "fading", "bec"), "must be awgn, fading, or bec"),
     "modulation": (int, lambda v: v in (2, 16, 64), "must be 2, 16, or 64"),
     "sequence": (str,),
-    "select_length": (int, *_AT_LEAST_1),
+    "select_length": (int, *_LENGTH),
     "profile": (str,),
     "mode": (str, lambda v: v in ("cc", "ir"), "must be cc or ir"),
     "t": (int, *_AT_LEAST_1),
-    "L": (int, *_AT_LEAST_1),
-    "snr_start": (float,),
-    "snr_stop": (float,),
+    "L": (int, *_LENGTH),
+    "snr_start": (float, *_DB),
+    "snr_stop": (float, *_DB),
+    "snrs": (float, *_DB),   # each entry of the list
     "snr_step": (float, lambda v: v > 0, "must be > 0"),
     "max_blocks": (int, *_AT_LEAST_1),
     "target_block_errors": (int, *_AT_LEAST_1),
@@ -93,19 +102,16 @@ def _get(cfg: dict, fieldname: str, default=_REQUIRED):
         if default is _REQUIRED:
             raise ConfigError(fieldname, "is required")
         return default
+    return _convert(fieldname, val)
+
+
+def _convert(fieldname: str, val):
+    """``val`` as the type of field ``fieldname``, checked: a whole number for
+    int, a finite one for float, text for str, and never a boolean."""
     kind, *check = _FIELDS[fieldname]
-    val = _convert(fieldname, kind, val)
-    if check and not check[0](val):
-        raise ConfigError(fieldname, check[1])
-    return val
-
-
-def _convert(fieldname: str, kind, val):
-    """``val`` as a ``kind``: a whole number for int, a finite one for float,
-    and never a boolean."""
     try:
-        if isinstance(val, bool) or (kind is int and isinstance(val, float)
-                                     and not val.is_integer()):
+        if (isinstance(val, bool) or (kind is str and not isinstance(val, str))
+                or (kind is int and isinstance(val, float) and not val.is_integer())):
             raise TypeError
         val = kind(val)
         if kind is float and not math.isfinite(val):
@@ -113,6 +119,8 @@ def _convert(fieldname: str, kind, val):
     except (TypeError, ValueError, OverflowError):
         expected = "a finite number" if kind is float else kind.__name__
         raise ConfigError(fieldname, f"must be {expected}") from None
+    if check and not check[0](val):
+        raise ConfigError(fieldname, check[1])
     return val
 
 
@@ -201,36 +209,28 @@ def cmd_construct(cfg: dict) -> int:
         raise ConfigError("modulation", "must be 2 on the erasure channel")
     if seq_name is None and _get(cfg, "select_length", None) is not None:
         raise ConfigError("sequence", "select_length needs a puncturing sequence")
-    # a sequence fixes the split; without one, nothing reads it
-    seq, split = (None, (n, 0)) if seq_name is None else _load_sequence(seq_name, n)
+    # without a sequence, the natural-order matcher: its map at L = N is the identity
+    seq, split = ((PuncturingSequence(base_len=N, order=range(N - 1, -1, -1)), (n, 0))
+                  if seq_name is None else _load_sequence(seq_name, n))
     # full rate, so profiles and genie runs cover every input position
     spec = PolarCodeSpec(n=n, k=N, info_set=tuple(range(1, N + 1)), split=split)
-    rm = select_len = None
-    if seq is not None:   # a sequence sends N bits unless told otherwise
-        rm = RateMatcher(spec=spec, sequence=seq, modulation=mod)
-        select_len = _get(cfg, "select_length", N)
+    rm = RateMatcher(spec=spec, sequence=seq, modulation=mod)
+    L = _get(cfg, "select_length", N)
+    if method == "mc" and max(N, L) > MC_LEN_MAX:
+        raise ConfigError("n" if N > MC_LEN_MAX else "select_length",
+                          f"2^n and select_length must be <= {MC_LEN_MAX} under method mc")
     seed = None
     if method == "ga":
-        snr = _get(cfg, "design_snr_db")
-        if select_len is not None:
-            means = build_bicm_ga_means(spec, rm, select_len, snr)
-        else:
-            means = np.full(N, cons.design_mean_llr(snr))
+        means = build_bicm_ga_means(spec, rm, L, _get(cfg, "design_snr_db"))
         profile = cons.ga_evolve(spec, means)
-    elif method == "bec":
-        eps = _get(cfg, "epsilon")
-        z = np.full(N, eps)
-        if select_len is not None:   # a bit sent r times is erased with eps^r
-            z = eps ** de_rate_match(np.ones(select_len), rm,
-                                     TxPlan(L=select_len, t=1, r=1, mode="cc"))
+    elif method == "bec":   # a bit sent r times is erased with eps^r
+        z = _get(cfg, "epsilon") ** de_rate_match(np.ones(L), rm, TxPlan(L=L, t=1, r=1, mode="cc"))
         profile = cons.bhattacharyya_bec(spec, z)
     else:
         seed = _resolve_seed(cfg)
         chan = (ChannelSpec(kind="bec", epsilon=_get(cfg, "epsilon")) if kind == "bec"
                 else ChannelSpec(kind=kind, snr_db=_get(cfg, "snr_db")))
-        profile = cons.genie_monte_carlo(spec, chan, rate_matcher=rm,
-                                         trials=_get(cfg, "trials", 100_000), seed=seed,
-                                         tx_length=select_len)
+        profile = cons.genie_monte_carlo(rm, chan, L, _get(cfg, "trials", 100_000), seed)
     _write(out, ("" if seed is None else f"# seed={seed}\n") + profile.to_csv())
     return 0
 
@@ -283,13 +283,16 @@ def cmd_simulate(cfg: dict) -> int:
     mode = _get(cfg, "mode", "cc")
     t = _get(cfg, "t", 1)
     L = _get(cfg, "L")
+    batch_size = _get(cfg, "batch_size", 512)
+    if batch_size * max(1 << n, L) > BATCH_CELLS_MAX:
+        raise ConfigError("batch_size", f"times max(2^n, L) must be <= {BATCH_CELLS_MAX}")
     seed = _resolve_seed(cfg)
     snrs = cfg.get("snrs")
     if snrs is None:
         snrs = _snr_grid(_get(cfg, "snr_start"), _get(cfg, "snr_stop"), _get(cfg, "snr_step"))
     if not isinstance(snrs, (list, tuple)) or not snrs:
         raise ConfigError("snrs", "must be a non-empty list of SNR values")
-    snrs = tuple(_convert("snrs", float, s) for s in snrs)
+    snrs = tuple(_convert("snrs", s) for s in snrs)
 
     # information set: explicit file, or designed at select_length/design SNR
     profile_path = _get(cfg, "profile", None)
@@ -314,7 +317,7 @@ def cmd_simulate(cfg: dict) -> int:
         L=L, t=t, mode=mode, seed=seed,
         max_blocks=_get(cfg, "max_blocks", 100_000),
         target_block_errors=_get(cfg, "target_block_errors", 100),
-        batch_size=_get(cfg, "batch_size", 512),
+        batch_size=batch_size,
         workers=_get(cfg, "workers", 1),
     )
     results = harq.sweep(sweep_cfg)

@@ -4,7 +4,8 @@ Three estimators populate a :class:`ReliabilityProfile`:
 
 * Gaussian-approximation density evolution over mean LLRs (``ga_evolve``),
 * the exact erasure-probability recursion on the BEC (``bhattacharyya_bec``),
-* genie-aided successive-cancellation Monte-Carlo (``genie_monte_carlo``).
+* genie-aided successive-cancellation Monte-Carlo through a rate matcher
+  (``genie_monte_carlo``).
 
 Punctured coded positions enter the GA with mean 0 (the receiver sees an LLR
 that is identically zero) and the BEC recursion with erasure probability 1.
@@ -32,7 +33,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import erfc
 
-from .channel import BPSK, _pam_bit_llrs, demodulate, modulate, pam_demap_table, transmit
+from .channel import _pam_bit_llrs, pam_demap_table
 from .decoder import genie_sc_decode
 from .polar import PolarCodeSpec, bit_reversal_permutation, butterfly, encode
 from .rate_matching import (RateMatcher, TxPlan, build_tx_map, de_rate_match,
@@ -422,25 +423,21 @@ def bhattacharyya_bec(spec: PolarCodeSpec, erasure_probs) -> ReliabilityProfile:
 _GENIE_BATCH = 8192   # trials per batch; the batch index keys the random draws
 
 
-def genie_monte_carlo(
-    spec: PolarCodeSpec,
-    chan,
-    rate_matcher=None,
-    trials: int = 100_000,
-    seed: int = 0,
-    tx_length: int | None = None,
-) -> ReliabilityProfile:
-    """Estimate per-position first-error rates with a genie-aided SC decoder.
+def genie_monte_carlo(rm: RateMatcher, chan, L: int, trials: int = 100_000,
+                      seed: int = 0) -> ReliabilityProfile:
+    """Per-position first-error rates of ``rm.spec`` under genie-aided SC decoding.
 
-    Random information blocks are encoded, sent through ``chan`` and decoded
-    with every previous decision forced correct.  A ``rate_matcher`` selects,
-    repeats and maps the coded bits onto its modulation; without one the
-    codeword goes out as plain BPSK.  Batches of ``_GENIE_BATCH`` trials
-    carry their own seeded random streams, so the result does not depend on
-    how the batches are scheduled.
+    Random information blocks are encoded, sent through ``rm`` as one
+    length-``L`` transmission over ``chan`` and decoded with every previous
+    decision forced correct.  A code sent without rate matching uses the
+    natural-order matcher: split (n, 0), sequence N-1, ..., 0 and L = N.
+    Batches of ``_GENIE_BATCH`` trials carry their own seeded random streams,
+    so the result does not depend on how the batches are scheduled.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    spec = rm.spec
+    plan = TxPlan(L=L, t=1, r=1, mode="cc")
     counts = np.zeros(spec.N, dtype=np.int64)
     n_batches = (trials + _GENIE_BATCH - 1) // _GENIE_BATCH
     for bi in range(n_batches):
@@ -448,15 +445,8 @@ def genie_monte_carlo(
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), 7, bi)))
         u = np.zeros((b, spec.N), dtype=np.uint8)
         u[:, spec.info_zero_based] = rng.integers(0, 2, size=(b, spec.k), dtype=np.uint8)
-        x = encode(u, spec)
-        if rate_matcher is not None:
-            plan = TxPlan(L=spec.N if tx_length is None else tx_length, t=1, r=1, mode="cc")
-            llrs = transmit_codeword_llrs(x, rate_matcher, plan, chan, rng)
-        else:
-            y, amp = transmit(modulate(x, BPSK), chan, BPSK, rng)
-            llrs = demodulate(y, amp, chan, BPSK)
-        flags = genie_sc_decode(llrs, spec, u)
-        counts += flags.sum(axis=0)
+        llrs = transmit_codeword_llrs(encode(u, spec), rm, plan, chan, rng)
+        counts += genie_sc_decode(llrs, spec, u).sum(axis=0)
     return ReliabilityProfile(
         method="monte_carlo",
         design_param=float(chan.epsilon if chan.kind == "bec" else chan.snr_db),

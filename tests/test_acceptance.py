@@ -27,6 +27,7 @@ from rcpolar.puncturing import (
     sum_capacity_check,
 )
 from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map, de_rate_match
+from test_rate_matching import natural_order_matcher
 
 
 def report(num: int, ok: bool, detail: str):
@@ -108,12 +109,11 @@ def test_criterion_3_sum_capacity_exactness():
 def test_criterion_4_construction_cross_validation():
     """GA vs genie-aided Monte-Carlo at N=64, BPSK 3.5 dB, 1e5 trials:
     factor-2 agreement wherever the Monte-Carlo estimate exceeds 1e-3."""
-    n = 6
-    spec = full_rate(n, (5, 1))
+    rm = natural_order_matcher(6)
     sigma2 = 10.0 ** (-0.35)
-    prof_ga = ga_evolve(spec, np.full(64, 2.0 / sigma2))
+    prof_ga = ga_evolve(rm.spec, np.full(64, 2.0 / sigma2))
     chan = ChannelSpec(kind="awgn", snr_db=3.5)
-    prof_mc = genie_monte_carlo(spec, chan, trials=100_000, seed=20)
+    prof_mc = genie_monte_carlo(rm, chan, 64, trials=100_000, seed=20)
     testable = prof_mc.error_prob > 1e-3
     ratio = prof_ga.error_prob[testable] / prof_mc.error_prob[testable]
     ok = bool(np.all(ratio <= 2.0) and np.all(ratio >= 0.5))

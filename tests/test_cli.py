@@ -1,13 +1,20 @@
 """Command-line interface: subcommands, config handling, exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rcpolar.cli import (N_MAX, SNR_POINTS_MAX, WORKERS_MAX, ConfigError, _get, _snr_grid,
-                         load_config, main)
+from rcpolar.cli import (BASE_LEN_MAX, BATCH_CELLS_MAX, DB_MAX, L_MAX, MC_LEN_MAX, N_MAX,
+                         SNR_POINTS_MAX, WORKERS_MAX, _COMMANDS, _FIELDS, ConfigError, _get,
+                         _snr_grid, load_config, main)
 from rcpolar.construction import ReliabilityProfile
 from rcpolar.puncturing import (
     ErasureDesign,
@@ -83,15 +90,80 @@ class TestConfigHandling:
         assert exc.value.code == 2
         assert "--p" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, top", [("n", N_MAX), ("workers", WORKERS_MAX)])
-    def test_size_bound_names_field(self, field, top):
+    @pytest.mark.parametrize("field, top, past", [
+        ("n", N_MAX, N_MAX + 1), ("workers", WORKERS_MAX, WORKERS_MAX + 1),
+        ("L", L_MAX, L_MAX + 1), ("select_length", L_MAX, L_MAX + 1),
+        ("base_len", BASE_LEN_MAX, 2 * BASE_LEN_MAX),
+    ])
+    def test_size_bound_names_field(self, field, top, past):
         # the check alone: no command runs past a bound, so nothing of size
         # 2^17 is allocated and no 65th process is forked
-        assert (N_MAX, WORKERS_MAX) == (16, 64)
+        assert (N_MAX, WORKERS_MAX, L_MAX, BASE_LEN_MAX) == (16, 64, 1 << 20, 1 << 10)
         assert _get({field: top}, field) == top
         with pytest.raises(ConfigError) as err:
-            _get({field: top + 1}, field)
+            _get({field: past}, field)
         assert err.value.fieldname == field and str(top) in str(err.value)
+
+    @pytest.mark.parametrize("field", ["design_snr_db", "snr_db", "snr_start", "snr_stop",
+                                       "snrs"])
+    def test_db_bound_names_field(self, field):
+        assert DB_MAX == 300
+        for v in (-DB_MAX, DB_MAX):
+            assert _get({field: v}, field) == v
+        for v in (-DB_MAX - 0.5, DB_MAX + 0.5, 3090, -1e308):
+            with pytest.raises(ConfigError) as err:
+                _get({field: v}, field)
+            assert err.value.fieldname == field and str(DB_MAX) in str(err.value)
+
+    # each overflowed 10^(x/10) in a Python float and exited 3
+    _SIM = {"n": 5, "k": 11, "L": 32, "design_snr_db": 3, "seed": 1, "max_blocks": 10}
+
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("construct", {"n": 3, "method": "ga", "design_snr_db": 3090}, "design_snr_db"),
+        ("construct", {"n": 3, "method": "mc", "snr_db": -3090, "trials": 5, "seed": 1},
+         "snr_db"),
+        ("puncture", {"base_len": 8, "k": 4, "design_snr_db": 3090}, "design_snr_db"),
+        ("simulate", {**_SIM, "snr_start": -3090, "snr_stop": -3090, "snr_step": 1},
+         "snr_start"),
+        ("simulate", {**_SIM, "snr_start": 1, "snr_stop": 3090, "snr_step": 1000}, "snr_stop"),
+        ("simulate", {**_SIM, "snrs": [1.0, -3090]}, "snrs"),
+    ])
+    def test_huge_db_value_names_field(self, tmp_path, capsys, command, cfg, field):
+        out = tmp_path / "out.txt"
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**cfg, "out": str(out)}))
+        assert main([command, "--config", str(path)]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    # cross-field size bounds, each checked before anything of that size is
+    # allocated: the GA design of a length-2^16 code never starts
+    _SWEEP = "--snr-start 1 --snr-stop 1 --snr-step 1 --design-snr-db 3 --seed 1"
+
+    @pytest.mark.parametrize("command, args, field", [
+        ("simulate", f"--n 16 --k 8 --L 16 --batch-size {(BATCH_CELLS_MAX >> 16) + 1} {_SWEEP}",
+         "batch_size"),
+        ("simulate", f"--n 5 --k 8 --L {L_MAX} --batch-size {BATCH_CELLS_MAX // L_MAX + 1}"
+                     f" {_SWEEP}", "batch_size"),
+        ("construct", "--n 13 --method mc --snr-db 3 --trials 5 --seed 1", "n"),
+        ("construct", "--n 5 --method mc --snr-db 3 --trials 5 --seed 1 --sequence reference32"
+                      f" --select-length {MC_LEN_MAX + 1}", "select_length"),
+    ])
+    def test_batch_and_genie_bounds_name_field(self, tmp_path, capsys, command, args, field):
+        assert (BATCH_CELLS_MAX, MC_LEN_MAX) == (1 << 25, 1 << 12)
+        assert main([command, *args.split(), "--out", str(tmp_path / "out.csv")]) == 2
+        assert f"'{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("out", 7), ("sequence", 32), ("method", ["ga"])])
+    def test_non_text_for_a_text_field_names_field(self, tmp_path, monkeypatch, capsys,
+                                                   field, value):
+        # str() of a JSON number must not become a path: "out": 7 would write ./7
+        monkeypatch.chdir(tmp_path)
+        cfg = {"n": 3, "method": "ga", "design_snr_db": 3.5, "out": "p.csv", field: value}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["construct", "--config", "c.json"]) == 2
+        assert f"config field '{field}': must be str" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["c.json"]
 
     def test_whole_float_is_an_integer(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -537,3 +609,113 @@ def test_failed_write_names_out(capsys, command):
     rc = main([command, *_RUNS[command].split(), "--out", "/dev/full"])
     assert rc == 2
     assert "'out'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every config that main() is given ends in exit 0 or in an exit 2 that names
+# a field: never in a runtime error
+# ---------------------------------------------------------------------------
+
+_DB_VALUES = st.floats(-5.0, 10.0)
+# values no field takes: wrong types, booleans, non-finite numbers; null
+# stands for an absent field
+_JUNK = [None, True, False, "x", "", [], {}, 2.5, -1, 0, -0.0, float("nan"), float("inf"),
+         float("-inf")]
+# huge values, refused by every field that has a bound; the fields without one
+# would take them and run for hours, so they draw only junk
+_HUGE = [2 ** 70, 1e308, -1e308, 3090, -3090, 300.5, -300.5, 1 << 21, 1 << 26, [1.0, 3090],
+         [-3090.0]]
+_UNBOUNDED = {"trials", "t", "max_blocks", "target_block_errors"}
+
+
+def _valid_config(draw, command):
+    """A small consistent config for ``command`` that runs to its write in
+    well under a second."""
+    maybe = lambda: draw(st.booleans())
+    if command == "puncture":
+        base_len = draw(st.sampled_from([2, 4, 8, 16]))
+        cfg = {"base_len": base_len, "k": draw(st.integers(1, base_len))}
+        if maybe():
+            cfg["epsilon"] = draw(st.floats(0.0, 1.0))
+        else:
+            cfg["design_snr_db"] = draw(_DB_VALUES)
+        return cfg
+    cfg = {"seed": draw(st.integers(0, 2 ** 64))} if maybe() else {}
+    if command == "construct":
+        method = draw(st.sampled_from(["ga", "bec", "mc"]))
+        cfg.update(n=draw(st.integers(1, 6)), method=method, trials=draw(st.integers(1, 40)))
+        kind = draw(st.sampled_from(["awgn", "fading", "bec"])) if method == "mc" else "awgn"
+        cfg["channel"] = kind
+        if kind == "bec" or method == "bec":
+            cfg["epsilon"] = draw(st.floats(0.0, 1.0))
+        cfg["design_snr_db" if method == "ga" else "snr_db"] = draw(_DB_VALUES)
+        if cfg["n"] >= 5 and maybe():
+            cfg.update(sequence="reference32", select_length=draw(st.integers(1, 160)))
+            if "bec" not in (method, kind):
+                cfg["modulation"] = draw(st.sampled_from([2, 16, 64]))
+        return cfg
+    n = draw(st.integers(5, 6))
+    cfg.update(n=n, k=draw(st.integers(1, 1 << n)), L=draw(st.integers(1, 160)),
+               design_snr_db=draw(_DB_VALUES), max_blocks=draw(st.integers(1, 24)),
+               target_block_errors=draw(st.integers(1, 24)), batch_size=draw(st.integers(1, 16)),
+               modulation=draw(st.sampled_from([2, 16, 64])),
+               channel=draw(st.sampled_from(["awgn", "fading"])),
+               mode=draw(st.sampled_from(["cc", "ir"])), t=draw(st.integers(1, 3)),
+               shift_cc_bicm=draw(st.sampled_from([0, 1])), workers=1)
+    if maybe():
+        cfg["select_length"] = draw(st.integers(1, 160))
+    if maybe():
+        cfg["snrs"] = draw(st.lists(_DB_VALUES, min_size=1, max_size=3))
+    else:
+        start = draw(st.floats(0.0, 4.0))
+        cfg.update(snr_start=start, snr_stop=start + draw(st.floats(0.0, 2.0)),
+                   snr_step=draw(st.floats(0.5, 3.0)))
+    return cfg
+
+
+@st.composite
+def cli_configs(draw):
+    """A subcommand and a config for it: a valid one, then up to two fields
+    set to a junk or huge value, and perhaps a key that no command takes."""
+    command = draw(st.sampled_from(["construct", "puncture", "simulate"]))
+    cfg = _valid_config(draw, command)
+    # mostly the command's own fields; "out" is left alone, since a junk
+    # string would be a path in the working directory
+    own = sorted(set(_COMMANDS[command][2].split()) | {"seed"})
+    others = sorted(set(_FIELDS) - set(own) - {"out"}) + ["bogus"]
+    target = st.one_of(st.sampled_from(own), st.sampled_from(own), st.sampled_from(others))
+    for f in draw(st.lists(target, max_size=2)):
+        cfg[f] = draw(st.sampled_from(_JUNK if f in _UNBOUNDED else _JUNK + _HUGE))
+    return command, cfg
+
+
+def _run(command, cfg):
+    """Exit code and stderr of ``main`` on ``cfg`` given as a --config file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**cfg, "out": os.path.join(tmp, "out.txt")}, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", path])
+    return code, err.getvalue()
+
+
+@given(cli_configs())
+@settings(max_examples=300, deadline=None)
+@example(("construct", {"n": 3, "method": "ga", "design_snr_db": 3090}))
+@example(("construct", {"n": 3, "method": "mc", "snr_db": -3090, "trials": 5, "seed": 1}))
+@example(("puncture", {"base_len": 8, "k": 4, "design_snr_db": 3090}))
+@example(("simulate", {"n": 5, "k": 11, "L": 32, "snr_start": -3090, "snr_stop": -3090,
+                       "snr_step": 1, "design_snr_db": 3, "seed": 1, "max_blocks": 4}))
+@example(("simulate", {"n": 5, "k": 11, "L": 32, "snrs": [3090], "design_snr_db": 3,
+                       "seed": 1, "max_blocks": 4}))
+@example(("construct", {"n": 5, "method": "mc", "snr_db": 3, "trials": 5, "seed": 1,
+                        "sequence": "reference32", "modulation": 16, "select_length": 7}))
+def test_any_config_exits_0_or_names_a_field(case):
+    command, cfg = case
+    code, err = _run(command, cfg)
+    assert code in (0, 2), err
+    if code == 2:
+        named = re.search(r"config field '(\w+)'", err)
+        assert named and named.group(1) in set(_FIELDS) | set(cfg) | {"config"}, err

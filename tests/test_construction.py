@@ -39,6 +39,7 @@ from rcpolar.decoder import _genie_leaf_llrs
 from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation
 from rcpolar.puncturing import reference_base32_sequence
 from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map, de_rate_match
+from test_rate_matching import natural_order_matcher
 
 # adaptive quadrature of E[2/(1+e^U)], U ~ N(1, 2), via mpmath at 30 digits
 PHI_AT_1 = 0.649886595324869
@@ -247,12 +248,11 @@ class TestGaEvolve:
                 assert np.all(pe_big >= pe_small - 1e-12)
 
     def test_matches_genie_monte_carlo_n16(self):
-        n = 4
-        spec = full_rate_spec(n)
+        rm = natural_order_matcher(4)
         sigma2 = 10.0 ** (-0.35)
-        prof_ga = ga_evolve(spec, np.full(16, 2.0 / sigma2))
+        prof_ga = ga_evolve(rm.spec, np.full(16, 2.0 / sigma2))
         chan = ChannelSpec(kind="awgn", snr_db=3.5)
-        prof_mc = genie_monte_carlo(spec, chan, trials=40_000, seed=11)
+        prof_mc = genie_monte_carlo(rm, chan, 16, trials=40_000, seed=11)
         testable = prof_mc.error_prob > 1e-3
         assert testable.sum() >= 4
         ratio = prof_ga.error_prob[testable] / prof_mc.error_prob[testable]
@@ -471,23 +471,21 @@ class TestBecRecursion:
 
 class TestGenieMonteCarlo:
     def test_noiseless(self):
-        spec = full_rate_spec(3)
         chan = ChannelSpec(kind="awgn", snr_db=60.0)
-        prof = genie_monte_carlo(spec, chan, trials=2000, seed=1)
+        prof = genie_monte_carlo(natural_order_matcher(3), chan, 8, trials=2000, seed=1)
         assert np.all(prof.error_prob == 0.0)
 
     def test_determinism(self):
-        spec = full_rate_spec(3)
+        rm = natural_order_matcher(3)
         chan = ChannelSpec(kind="awgn", snr_db=1.0)
-        a = genie_monte_carlo(spec, chan, trials=5000, seed=9)
-        b = genie_monte_carlo(spec, chan, trials=5000, seed=9)
+        a = genie_monte_carlo(rm, chan, 8, trials=5000, seed=9)
+        b = genie_monte_carlo(rm, chan, 8, trials=5000, seed=9)
         assert np.array_equal(a.error_prob, b.error_prob)
 
     def test_bec_half_erasure_rates(self):
-        spec = full_rate_spec(2)
         chan = ChannelSpec(kind="bec", epsilon=0.5)
         trials = 100_000
-        prof = genie_monte_carlo(spec, chan, trials=trials, seed=4)
+        prof = genie_monte_carlo(natural_order_matcher(2), chan, 4, trials=trials, seed=4)
         z = np.array([0.9375, 0.5625, 0.4375, 0.0625])
         target = z / 2.0  # an erased decision guesses 0; half the data disagrees
         sigma = np.sqrt(target * (1 - target) / trials)

@@ -31,6 +31,12 @@ def simple_rm(n=4, split=(2, 2), order=(0, 2, 1, 3), mod=BPSK, **kw):
     return RateMatcher(spec=spec, sequence=seq, modulation=mod, **kw)
 
 
+def natural_order_matcher(n):
+    """The full-rate length-2^n code sent without rate matching: split (n, 0)
+    and the sequence N-1, ..., 0, whose reverse reads column 0 first."""
+    return simple_rm(n=n, split=(n, 0), order=range((1 << n) - 1, -1, -1))
+
+
 def big_rm(mod=BPSK, split=(5, 7), **kw):
     n = split[0] + split[1]
     N = 1 << n
@@ -184,6 +190,28 @@ def signed_zero_values(rng, shape):
     values[rng.random(shape) < 0.2] = -0.0
     values[rng.random(shape) < 0.1] = 0.0
     return values
+
+
+class TestNaturalOrderMatcher:
+    """At L = N the natural-order matcher sends the codeword as it is."""
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_map_is_identity(self, n):
+        N = 1 << n
+        tm = build_tx_map(natural_order_matcher(n), TxPlan(L=N, t=1, r=1, mode="cc"))
+        assert np.array_equal(tm.emit_idx, np.arange(N))
+        assert np.array_equal(tm.stream_to_symbit, np.arange(N))
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_fold_returns_its_input_but_negative_zero(self, n):
+        N = 1 << n
+        values = signed_zero_values(np.random.default_rng(n), (4, N))
+        values[0, :2] = [-0.0, 5e-324]
+        values[1, :2] = [np.inf, -np.inf]
+        got = de_rate_match(values, natural_order_matcher(n), TxPlan(L=N, t=1, r=1, mode="cc"))
+        expect = np.where(values == 0.0, 0.0, values)   # -0.0 becomes +0.0
+        assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert got.view(np.int64)[0, 0] == 0
 
 
 class TestDeRateMatch:
