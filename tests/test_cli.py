@@ -91,9 +91,11 @@ class TestConfigHandling:
         assert "--p" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, top, past", [
-        ("n", N_MAX, N_MAX + 1), ("workers", WORKERS_MAX, WORKERS_MAX + 1),
-        ("L", L_MAX, L_MAX + 1), ("select_length", L_MAX, L_MAX + 1),
-        ("base_len", BASE_LEN_MAX, 2 * BASE_LEN_MAX),
+        pytest.param(f, t, p, id=f"{f}-{t}") for f, t, p in [
+            ("n", N_MAX, N_MAX + 1), ("workers", WORKERS_MAX, WORKERS_MAX + 1),
+            ("L", L_MAX, L_MAX + 1), ("select_length", L_MAX, L_MAX + 1),
+            ("base_len", BASE_LEN_MAX, 2 * BASE_LEN_MAX),
+        ]
     ])
     def test_size_bound_names_field(self, field, top, past):
         # the check alone: no command runs past a bound, so nothing of size
