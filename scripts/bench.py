@@ -16,7 +16,8 @@ rcbench does not time at a fixed size, on the code of each HARQ workload
 (N=256 and N=1024) at its first point:
 
 * one ``sc_decode`` call at B=1 and B=512 rows, on fixed-seed LLRs of one
-  transmission;
+  transmission, and for incremental redundancy also at B=512 on the sum of
+  all t transmissions, where every position is sent and no LLR is 0;
 * one ``encode`` call and one tx chain (``transmit_codeword_llrs``: rate
   matching, modulation, channel, demapping and the fold onto N positions) of
   the first transmission, on the workload's batch size of fixed-seed blocks;
@@ -27,8 +28,10 @@ Each layer records the median process CPU time of a call, raw
 (``cpu_s_median_raw``) and divided as rcbench divides its times
 (``cpu_s_median``): by the host's slowdown, measured with the kernel of
 ``rcbench/calibrate.py`` timed after every call, to the power of the
-workload's sensitivity ``beta``.  Run from the root of a checkout, after the
-rcbench runs:
+workload's sensitivity ``beta``.  Each layer also records the median count
+of minor page faults (``ru_minflt``) of a call, which shows how often the
+allocator hands back pages that must be faulted in again.  Run from the root
+of a checkout, after the rcbench runs:
 
     python3 rcbench/run.py --workload <name> --seed <s> --seconds 30 --trace 0
     python3 rcbench/run.py --workload <name> --seed 1 --seconds 30 --trace 1
@@ -46,6 +49,7 @@ import json
 import os
 import platform
 import re
+import resource
 import statistics
 import subprocess
 import sys
@@ -107,17 +111,20 @@ def layers(root: Path) -> dict:
     from workloads import HARQ_CASES, harq_messages
 
     def timed(call, calls: int, beta: float) -> dict:
-        """Median CPU time of ``call``, raw and divided by slowdown ** beta."""
+        """Median CPU time of ``call``, raw and divided by slowdown ** beta,
+        and the median number of minor page faults of a call."""
         call()   # first-call costs, such as building the node plan, stay out
-        times, kernel = [], []
+        times, faults, kernel = [], [], []
         for _ in range(calls):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.process_time()
             call()
             times.append(time.process_time() - t0)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             kernel.append(kernel_s())
         raw, slow = statistics.median(times), slowdown(kernel)
         return {"calls": calls, "cpu_s_median_raw": raw, "slowdown": slow, "beta": beta,
-                "cpu_s_median": raw / slow ** beta}
+                "cpu_s_median": raw / slow ** beta, "minflt_median": statistics.median(faults)}
 
     out = {}
     for case in sorted(HARQ_CASES, key=lambda c: c.n):
@@ -136,6 +143,14 @@ def layers(root: Path) -> dict:
             out[f"sc_decode N={spec.N} B={rows}"] = {
                 "workload": case.name, "k": spec.k,
                 **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
+        if case.mode == "ir":   # every position sent: the check node meets no 0
+            rows = max(LAYER_CALLS)
+            every = llrs[:rows] + sum(
+                transmit_codeword_llrs(x[:rows], rm, TxPlan(L=L, t=case.t, r=r, mode=case.mode),
+                                       chan, rng) for r in range(2, case.t + 1))
+            out[f"sc_decode N={spec.N} B={rows} all {case.t} rounds"] = {
+                "workload": case.name, "k": spec.k, "zero_llrs": int((every == 0).sum()),
+                **timed(lambda: sc_decode(every, spec), LAYER_CALLS[rows], case.beta)}
         b = case.batch
         out[f"encode N={spec.N} B={b}"] = {
             "workload": case.name, "k": spec.k,

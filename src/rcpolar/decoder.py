@@ -24,7 +24,9 @@ HARQ's genie acknowledgement; a CRC-based one would have to revisit this.
 
 Input LLRs are aligned to codeword positions (0-based, punctured = 0); the
 decoder internally applies the same bit-reversal as the encoder so decisions
-come out in natural input order.  An LLR of exactly 0 decides bit 0.
+come out in natural input order.  An LLR of exactly 0 decides bit 0; LLRs
+must be finite.  A check node with an exact-zero input is +0.0 and costs no
+libm work (``check_llr``): punctured and unsent IR positions make it common.
 """
 
 from __future__ import annotations
@@ -40,11 +42,19 @@ __all__ = ["check_llr", "var_llr", "sc_decode", "genie_sc_decode"]
 
 
 def check_llr(a, b) -> np.ndarray:
-    """Check-node LLR combination by the exact tanh rule."""
+    """Check-node LLR combination by the exact tanh rule.  An element with an
+    exact-zero input is +0.0 and costs no libm work; on finite inputs that is
+    the rule's own result, so every element keeps the rule's bits."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     # log((1 + e^{a+b}) / (e^a + e^b)), stable at any magnitude
-    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    if a.all() and b.all():
+        return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    live = (a != 0) & (b != 0)
+    s = np.add(a, b, out=np.zeros(live.shape), where=live)
+    np.logaddexp(0.0, s, out=s, where=live)
+    # out=None: the second call leaves dead elements unset, and they stay unread
+    return np.subtract(s, np.logaddexp(a, b, out=None, where=live), out=s, where=live)
 
 
 def var_llr(a, b, u_hat) -> np.ndarray:
@@ -159,6 +169,10 @@ def _as_batch(llrs, N: int) -> tuple[np.ndarray, tuple[int, ...]]:
     llrs = np.asarray(llrs, dtype=float)
     if llrs.shape[-1] != N:
         raise ValueError(f"LLR length {llrs.shape[-1]} does not match N = {N}")
+    if not np.isfinite(llrs).all():
+        bad = np.argwhere(~np.isfinite(llrs))
+        raise ValueError(f"LLRs must be finite: {len(bad)} non-finite, the first "
+                         f"{llrs[tuple(bad[0])]} at index {tuple(bad[0].tolist())}")
     return llrs.reshape(-1, N), llrs.shape
 
 

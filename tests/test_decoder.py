@@ -33,6 +33,50 @@ def make_spec(n, k, eps=0.3, split=None):
     return PolarCodeSpec(n=n, k=k, info_set=info, split=split or (n, 0))
 
 
+def _exact_check(a, b):
+    """The check node as it was before the zero rule: the exact rule's two
+    ``logaddexp`` calls on every element."""
+    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+
+
+# finite edge values: signed zeros, subnormals, values whose check node
+# rounds to 0, and saturated values past exp's range
+_CHECK_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-12, -1e-12,
+                         300.0, -300.0, 800.0, -800.0])
+
+
+@st.composite
+def _check_inputs(draw):
+    """Finite check-node inputs (a, b): 0-d, 1-d, one side a Python float, or
+    the two column halves of a (B, 2h) array, as the decoders pass them;
+    edge values replace some entries, and the halves may hold zero columns
+    shared by every row."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.5, 3.0, 30.0]))
+    edge = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+
+    def values(shape):
+        v = rng.normal(scale=scale, size=shape)
+        special = rng.random(shape) < edge
+        v[special] = rng.choice(_CHECK_EDGES, size=int(special.sum()))
+        return v
+
+    form = draw(st.sampled_from(["0-d", "1-d", "broadcast", "halves"]))
+    if form == "0-d":
+        return values(()), values(())
+    if form == "1-d":
+        m = draw(st.integers(1, 40))
+        return values(m), values(m)
+    if form == "broadcast":
+        pair = [values(draw(st.sampled_from([(7,), (3, 5)]))), float(values(()))]
+        return tuple(pair[:: draw(st.sampled_from([1, -1]))])
+    h = 1 << draw(st.integers(0, 7))
+    v = values((draw(st.integers(1, 12)), 2 * h))
+    cols = rng.random(2 * h) < draw(st.sampled_from([0.0, 0.25, 0.75]))
+    v[:, cols] = rng.choice([0.0, -0.0], size=int(cols.sum()))
+    return v[:, :h], v[:, h:]
+
+
 class TestNodeFunctions:
     def test_check_example(self):
         assert check_llr(2.0, 2.0) == pytest.approx(1.3249, abs=1e-3)
@@ -50,6 +94,26 @@ class TestNodeFunctions:
         a = np.linspace(-30, 30, 101)
         assert np.allclose(check_llr(a, INF), a, atol=1e-6)
         assert np.allclose(check_llr(a, -INF), -a, atol=1e-6)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -1e-12, 3.0, -800.0,
+                                   np.inf, -np.inf, np.nan])
+    def test_check_zero_input_is_plus_zero(self, x, zero):
+        # with any partner, finite or not, alone or beside live elements
+        for got in (check_llr(x, zero), check_llr(zero, x),
+                    check_llr([x, 1.0], [zero, 2.0])[0], check_llr([2.0, zero], [1.0, x])[1]):
+            assert np.asarray(got).view(np.int64) == 0
+
+    @given(_check_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_check_matches_exact_rule(self, case):
+        a, b = case
+        got = check_llr(a, b)
+        want = _exact_check(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+        zero = (np.asarray(a) == 0) | (np.asarray(b) == 0)
+        assert not np.asarray(got).view(np.int64)[zero].any()
 
     def test_var_example(self):
         assert var_llr(2.0, 2.0, 0) == 4.0
@@ -117,6 +181,20 @@ class TestScDecode:
         spec = make_spec(3, 4)
         with pytest.raises(ValueError):
             sc_decode(np.zeros(7), spec)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_llrs_named(self, bad):
+        # these used to decode without an error: NaN LLRs decided all zeros
+        spec = make_spec(3, 4)
+        with pytest.raises(ValueError, match=rf"LLRs must be finite: 8 non-finite, the first {bad}"):
+            sc_decode(np.full(8, bad), spec)
+        llr = np.ones((2, 8))
+        llr[1, 5] = bad
+        match = rf"LLRs must be finite: 1 non-finite, the first {bad} at index \(1, 5\)"
+        with pytest.raises(ValueError, match=match):
+            sc_decode(llr, spec)
+        with pytest.raises(ValueError, match=match):
+            genie_sc_decode(llr, spec, np.zeros((2, 8), dtype=np.uint8))
 
     def test_single_erasure_vs_ml(self):
         # one erased position: SC lands in the surviving-codeword set; when
@@ -264,6 +342,9 @@ def _code_and_llrs(draw):
     llr += rng.normal(scale=draw(st.sampled_from([0.3, 1.0, 3.0])), size=llr.shape)
     special = rng.random(llr.shape) < draw(st.sampled_from([0.0, 0.05, 0.3, 0.8]))
     llr[special] = rng.choice(_SPECIAL, size=int(special.sum()))
+    # zero columns shared by every row, as punctured and unsent positions
+    cols = rng.random(N) < draw(st.sampled_from([0.0, 0.0, 0.25, 0.6, 1.0]))
+    llr[:, cols] = rng.choice([0.0, -0.0], size=int(cols.sum()))
     return spec, llr
 
 
@@ -336,13 +417,13 @@ def _plan_kinds(node):
 
 
 def _noisy_llrs(spec, rows, seed):
-    """Noisy LLRs of random codewords with ±0.0, ±inf and ±5e-324 mixed in."""
+    """Noisy LLRs of random codewords with ±0.0, ±800 and ±5e-324 mixed in."""
     rng = np.random.default_rng(seed)
     u = np.zeros((rows, spec.N), dtype=np.uint8)
     u[:, spec.info_zero_based] = rng.integers(0, 2, size=(rows, spec.k))
     llr = 2.0 * (1.0 - 2.0 * encode(u, spec)) + rng.normal(scale=1.5, size=u.shape)
     special = rng.random(llr.shape) < rng.choice([0.01, 0.1, 0.5], size=(rows, 1))
-    edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324])
+    edge = np.array([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324])
     llr[special] = rng.choice(edge, size=int(special.sum()))
     return llr
 
@@ -395,8 +476,7 @@ class TestBitReversal:
         llr = _noisy_llrs(spec, 512, seed=4)
         x_true = None
         if with_truth:   # half the rows stop at a wrong bit
-            with np.errstate(invalid="ignore"):
-                x_true = encode(sc_decode(llr, spec), spec)
+            x_true = encode(sc_decode(llr, spec), spec)
             x_true[::2, np.random.default_rng(5).integers(0, spec.N, size=256)] ^= 1
         calls = []
         guard = decoder._hard_decisions_are_sc
@@ -408,19 +488,17 @@ class TestBitReversal:
 
         monkeypatch.setattr(decoder, "_hard_decisions_are_sc", recording)
         perm = bit_reversal_permutation(spec.n)
-        with np.errstate(invalid="ignore"):   # inf - inf in the check node
-            got = sc_decode(llr, spec, x_true=x_true)
-            got_calls, calls[:] = calls[:], []
-            want = polar_transform(decoder._walk(
-                decoder._node_plan(spec.info_set, spec.n), llr[:, perm],
-                None if x_true is None else x_true[:, perm]))
+        got = sc_decode(llr, spec, x_true=x_true)
+        got_calls, calls[:] = calls[:], []
+        want = polar_transform(decoder._walk(
+            decoder._node_plan(spec.info_set, spec.n), llr[:, perm],
+            None if x_true is None else x_true[:, perm]))
         assert np.array_equal(got, want)
         assert len(got_calls) == len(calls) > 0
         for (sums, keep), (want_sums, want_keep) in zip(got_calls, calls):
             assert np.array_equal(keep, want_keep)
             # a reordered sum of n terms moves by at most about n ulp
-            assert np.allclose(sums, want_sums, rtol=spec.N * np.finfo(float).eps, atol=0.0,
-                               equal_nan=True)   # inf - inf makes NaN LLRs
+            assert np.allclose(sums, want_sums, rtol=spec.N * np.finfo(float).eps, atol=0.0)
 
 
 class TestRate0LeftSkip:
@@ -431,8 +509,7 @@ class TestRate0LeftSkip:
         spec = _SKIP_CODES[code]()
         assert decoder.LEFT0 in _plan_kinds(decoder._node_plan(spec.info_set, spec.n))
         llr = _noisy_llrs(spec, 96, seed=spec.N + spec.k)
-        with np.errstate(invalid="ignore"):   # inf - inf in both decoders
-            assert np.array_equal(sc_decode(llr, spec), _reference_sc(llr, spec))
+        assert np.array_equal(sc_decode(llr, spec), _reference_sc(llr, spec))
 
     @pytest.mark.parametrize("code", sorted(_SKIP_CODES))
     def test_unpruned_computes_every_check_node(self, monkeypatch, code):
@@ -472,7 +549,7 @@ def _early_case(draw):
     llr = draw(st.sampled_from([1.0, 2.0, 4.0])) * (1.0 - 2.0 * encode(u, spec))
     llr += rng.normal(scale=draw(st.sampled_from([0.5, 1.0, 2.0])), size=llr.shape)
     # punctured zeros, saturation, and values that fail the rate-1 guard
-    edge = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-12, -1e-12])
+    edge = np.array([0.0, -0.0, 800.0, -800.0, 5e-324, -5e-324, 1e-12, -1e-12])
     special = rng.random(llr.shape) < draw(st.sampled_from([0.0, 0.02, 0.2, 0.6]))
     llr[special] = rng.choice(edge, size=int(special.sum()))
     # checks at every split, or only at the large ones as in production
@@ -486,13 +563,12 @@ class TestEarlyTermination:
     @settings(max_examples=80, deadline=None)
     def test_matches_full_decoding(self, case):
         spec, llr, rng, min_half = case
-        with np.errstate(invalid="ignore"):   # inf - inf in the check node
-            full = sc_decode(llr, spec)
+        full = sc_decode(llr, spec)
         # the decoder's own codeword on the first half, one bit off it on the
         # second: the first half succeeds, the second fails
         x_true = encode(full, spec)
         x_true[np.arange(8, 16), rng.integers(0, spec.N, size=8)] ^= 1
-        with pytest.MonkeyPatch.context() as m, np.errstate(invalid="ignore"):
+        with pytest.MonkeyPatch.context() as m:
             m.setattr(decoder, "EARLY_STOP_MIN_HALF", min_half)
             early = sc_decode(llr, spec, x_true=x_true)
         u_true = encode(x_true, spec)
