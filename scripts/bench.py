@@ -24,6 +24,14 @@ rcbench does not time at a fixed size, on the code of each HARQ workload
 * one HARQ batch: ``run_blocks_batch`` on the workload's batch of fixed-seed
   messages (B=64 for IR, B=256 for CC), every transmission included.
 
+It times two layers of the design workload the same way:
+
+* one sampled-search batch on the workload's ``SEARCH`` constants (base 32,
+  k=16, 3 dB, 65,536 patterns of m=10 positions) at the seed of its first
+  cycle, with the workload's rate sensitivity (beta 0.6);
+* one ``ppa`` run on base 32 at k=11 and 3.5 dB (the workload's ``PPA32``),
+  with its operation sensitivity (beta 1.2).
+
 Each layer records the median process CPU time of a call, raw
 (``cpu_s_median_raw``) and divided as rcbench divides its times
 (``cpu_s_median``): by the host's slowdown, measured with the kernel of
@@ -65,6 +73,8 @@ LAYER_SEED = 1
 LAYER_CALLS = {1: 101, 512: 21}   # timed sc_decode calls per batch size B
 TX_CALLS = 51                      # timed encode and tx-chain calls per workload
 HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
+SEARCH_CALLS = 21                  # timed sampled-search batches
+PPA_CALLS = 51                     # timed base-32 ppa runs
 
 
 def load(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -97,7 +107,8 @@ def untraced(results: list[dict]) -> dict:
 
 def layers(root: Path) -> dict:
     """Calibrated CPU time of ``sc_decode``, ``encode``, the tx chain and one
-    HARQ batch per HARQ workload."""
+    HARQ batch per HARQ workload, and of one search batch and one base-32 PPA
+    run of the design workload."""
     sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
     import numpy as np
     from calibrate import kernel_s, slowdown
@@ -106,9 +117,11 @@ def layers(root: Path) -> dict:
     from rcpolar.decoder import sc_decode
     from rcpolar.harq import run_blocks_batch
     from rcpolar.polar import encode
-    from rcpolar.puncturing import reference_base32_sequence
+    from rcpolar.puncturing import (GaussianDesign, base_code, exhaustive_search, ppa,
+                                    reference_base32_sequence)
     from rcpolar.rate_matching import TxPlan, transmit_codeword_llrs
-    from workloads import HARQ_CASES, harq_messages
+    from workloads import (DESIGN_NAME, HARQ_CASES, PPA32, SEARCH, DesignWorkload,
+                           harq_messages, search_seed)
 
     def timed(call, calls: int, beta: float) -> dict:
         """Median CPU time of ``call``, raw and divided by slowdown ** beta,
@@ -167,6 +180,22 @@ def layers(root: Path) -> dict:
         out[f"harq batch N={spec.N} B={case.batch}"] = {
             "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
             **timed(batch, HARQ_BATCH_CALLS, case.beta)}
+
+    p, k, snr_db, m, b = SEARCH
+    search_design = GaussianDesign.from_snr_db(snr_db)
+    search_spec = base_code(p, k, search_design)
+    seed = search_seed(LAYER_SEED, 0)
+    out[f"search batch N={search_spec.N} B={b}"] = {
+        "workload": DESIGN_NAME, "k": k, "snr_db": snr_db, "m": m,
+        **timed(lambda: exhaustive_search(search_spec, search_design, m, n_samples=b,
+                                          seed=seed, batch=b),
+                SEARCH_CALLS, DesignWorkload.rate_beta)}
+    p, k, snr_db = PPA32
+    ppa_design = GaussianDesign.from_snr_db(snr_db)
+    ppa_spec = base_code(p, k, ppa_design)
+    out[f"ppa N={ppa_spec.N}"] = {
+        "workload": DESIGN_NAME, "k": k, "snr_db": snr_db,
+        **timed(lambda: ppa(ppa_spec, ppa_design), PPA_CALLS, DesignWorkload.op_beta)}
     return out
 
 

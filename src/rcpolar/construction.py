@@ -214,38 +214,55 @@ def ga_leaf_means(channel_means: np.ndarray) -> np.ndarray:
     codeword order, mean 0 where punctured).  Returns means indexed by input
     position (0-based u order).
     """
-    vals, codes = _ga_leaf_codes(*_distinct_values(np.asarray(channel_means, dtype=float)))
+    means = np.asarray(channel_means, dtype=float)
+    vals, codes = _ga_leaf_codes(*_distinct_values(means[..., _bit_reversal_of(means.shape[-1])]))
     return vals[codes]
+
+
+def _bit_reversal_of(N: int) -> np.ndarray:
+    """The bit-reversal permutation of length N, which must be a power of two."""
+    n = N.bit_length() - 1
+    if N != 1 << n:
+        raise ValueError(f"length {N} is not a power of two")
+    return bit_reversal_permutation(n)
 
 
 def _ga_leaf_codes(vals: np.ndarray, codes: np.ndarray,
                    memo: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ga_leaf_means` on codes into a table of distinct values; returns
-    the leaf table and codes.  Each stage runs the check node once per distinct
-    input pair (a batch of patterns holds few distinct means); both node functions
-    are elementwise, so the result is bit-identical to evaluating every element.
+    """:func:`ga_leaf_means` on codes into a table of distinct values, rewritten
+    in place; returns the leaf table and ``codes``, now indexed by u position.
+    ``codes[..., j]`` must code the mean of coded position ``bit_reversal(j)``.
+    Each stage runs the check node once per distinct input pair (a batch of
+    patterns holds few distinct means); both node functions are elementwise,
+    so the result is bit-identical to evaluating every element.  A stage's
+    pair keys ``x*K + y`` are int32 while K² < 2^31; where the dense rule admits
+    them, the codes are rewritten through one (2, K²) lookup table, otherwise
+    through ``np.unique``.  A new table holds at most 2 entries per distinct
+    pair, never more than ``codes.size``, so int32 codes cannot overflow.
 
     ``memo`` maps a check-node input pair, keyed by the two float64 bit
     patterns, to its output mean; the check node runs only on the pairs it
     misses, and their results are stored back.  A caller that evaluates many
     related batches (one PPA run) passes one dict to all of them; without it
     each call starts from an empty dict."""
-    N = codes.shape[-1]
-    n = N.bit_length() - 1
-    if N != 1 << n:
-        raise ValueError(f"length {N} is not a power of two")
     if not np.all(vals >= 0):
         raise ValueError("channel means must be nonnegative")
-    codes = codes[..., bit_reversal_permutation(n)]
     memo = {} if memo is None else memo
 
     def stage(x, y):
         nonlocal vals
         K = len(vals)
-        keys, inv = _distinct(x * K + y, K * K)
+        k = np.multiply(x, K, dtype=np.int32 if K * K < 1 << 31 else np.int64)
+        k += y
+        dense = K * K <= min(_DENSE_CAP, _DENSE_RATIO * k.size)
+        keys, inv = (np.flatnonzero(np.bincount(k.ravel()) > 0), k) if dense else _distinct(k)
         a, b = vals[keys // K], vals[keys % K]
         vals, remap = _distinct_values(np.concatenate([_memo_check_mean(a, b, memo), a + b]))
-        x[...], y[...] = remap[inv], remap[inv + len(keys)]
+        # dense: indexed by the pair key itself; keys that do not occur are never read
+        lut = np.empty((2, K * K if dense else len(keys)), dtype=x.dtype)
+        lut[:, keys if dense else slice(None)] = remap.reshape(2, -1)
+        np.take(lut[0], inv, out=x, mode="wrap")
+        np.take(lut[1], inv, out=y, mode="wrap")
 
     butterfly(codes, stage)
     return vals, codes
@@ -265,20 +282,13 @@ def _memo_check_mean(a: np.ndarray, b: np.ndarray, memo: dict) -> np.ndarray:
     return np.array(out, dtype=float)
 
 
-_DENSE_CAP = 1 << 20   # largest seen-table of _distinct, in entries
-_DENSE_RATIO = 8       # and its largest multiple of the key count
+_DENSE_CAP = 1 << 20   # dense rule: largest lookup table of a GA stage, in pair keys
+_DENSE_RATIO = 8       # and its largest multiple of the stage's pair count
 
 
-def _distinct(keys: np.ndarray, bound: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct entries of an int64 array and each entry's index among them;
-    keys in [0, bound) are ranked by marking them in a table when it is small."""
-    flat = keys.ravel()
-    if bound is not None and bound <= min(_DENSE_CAP, _DENSE_RATIO * len(flat)):
-        seen = np.zeros(bound, dtype=bool)
-        seen[flat] = True
-        rank = np.cumsum(seen, dtype=np.int32) - 1
-        return np.flatnonzero(seen), rank[keys]
-    table, inv = np.unique(flat, return_inverse=True)
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct entries of an integer array and each entry's index among them."""
+    table, inv = np.unique(keys.ravel(), return_inverse=True)
     return table, inv.reshape(keys.shape)   # numpy 1.x returns the inverse flat
 
 
@@ -388,13 +398,10 @@ def bec_leaf_erasures(erasure_probs: np.ndarray) -> np.ndarray:
     ``z_a z_b``; both are exact for erasure channels with unequal inputs.
     """
     z = np.asarray(erasure_probs, dtype=float)
-    N = z.shape[-1]
-    n = N.bit_length() - 1
-    if N != 1 << n:
-        raise ValueError(f"length {N} is not a power of two")
+    rev = _bit_reversal_of(z.shape[-1])
     if not np.all((z >= 0) & (z <= 1)):
         raise ValueError("erasure probabilities must lie in [0, 1]")
-    return butterfly(z[..., bit_reversal_permutation(n)], _bec_stage)
+    return butterfly(z[..., rev], _bec_stage)
 
 
 def _bec_stage(x, y):

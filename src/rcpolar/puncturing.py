@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import ChannelSpec
 from .construction import (  # noqa: F401  (ga_leaf_means: traced by rcbench)
+    _bit_reversal_of,
     _ga_leaf_codes,
     bec_leaf_erasures,
     bhattacharyya_bec,
@@ -87,13 +88,15 @@ def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
                          memo: dict | None = None) -> np.ndarray:
     """Per-input error probabilities for a batch of patterns (B, m) -> (B, N);
     ``memo`` is the GA check-node memo of :func:`ga_leaf_means`.  GA codes index
-    the table [0, mean], and the elementwise error probability runs on the leaf table."""
+    the table [0, mean], built bit-reversed as one int32 (N, B) array that the
+    butterfly rewrites in place; the error probability runs on the leaf table."""
     B = patterns.shape[0]
     if isinstance(design, GaussianDesign):
-        codes = np.ones((B, base_len), dtype=np.int64)
-        if patterns.size:
-            np.put_along_axis(codes, patterns, 0, axis=1)
-        vals, codes = _ga_leaf_codes(np.array([0.0, design.mean_llr]), codes, memo)
+        codes = np.ones((base_len, B), dtype=np.int32)
+        flat = _bit_reversal_of(base_len)[patterns] * B   # each punctured code's flat index
+        flat += np.arange(B)[:, None]
+        codes.reshape(-1)[flat] = 0
+        vals, codes = _ga_leaf_codes(np.array([0.0, design.mean_llr]), codes.T, memo)
         return bit_error_prob(vals)[codes]
     if isinstance(design, ErasureDesign):
         z = np.full((B, base_len), design.epsilon)

@@ -36,7 +36,7 @@ from rcpolar.construction import (
     select_information_set,
 )
 from rcpolar.decoder import _genie_leaf_llrs
-from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation
+from rcpolar.polar import PolarCodeSpec, bit_reversal_permutation, butterfly
 from rcpolar.puncturing import reference_base32_sequence
 from rcpolar.rate_matching import RateMatcher, TxPlan, build_tx_map, de_rate_match
 from test_rate_matching import natural_order_matcher
@@ -330,7 +330,9 @@ class TestButterflyRecursions:
         pool = np.concatenate([10.0 ** rng.uniform(-8.0, 3.0, 5), zeros])
         first, second = (rng.choice(pool, size=(rng.integers(1, 64), 1 << n)) for _ in range(2))
         def leaves(means, memo):
-            vals, codes = _ga_leaf_codes(*_distinct_values(means), memo)
+            # _ga_leaf_codes takes its codes in bit-reversed order
+            vals, codes = _distinct_values(means)
+            vals, codes = _ga_leaf_codes(vals, codes[..., bit_reversal_permutation(n)], memo)
             return vals[codes]
 
         memo = {}
@@ -339,40 +341,77 @@ class TestButterflyRecursions:
 
 
 class TestDenseDistinct:
-    """Distinct pair keys ranked through a dense seen-table equal the argsort
-    path: the same sorted keys and the same inverse, entry for entry."""
+    """A GA stage rewrites its codes through a lookup table indexed by the pair
+    key where the dense rule admits the table, and through ``np.unique``
+    elsewhere; both give the same value table and codes, entry for entry."""
 
     @staticmethod
-    def assert_matches_argsort(keys, bound):
-        want_keys, want_inv = construction._distinct(keys)
-        got_keys, got_inv = construction._distinct(keys, bound)
-        assert np.array_equal(got_keys, want_keys)
-        assert got_inv.shape == keys.shape and np.array_equal(got_inv, want_inv)
+    def stage_paths(vals, codes):
+        """``_ga_leaf_codes`` as configured and with every stage on ``np.unique``;
+        returns both results and the number of stages that took the lookup
+        table (only that path calls ``np.bincount``)."""
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as spy:
+            got = _ga_leaf_codes(vals, codes.copy())
+        with mock.patch.object(construction, "_DENSE_CAP", 0):
+            want = _ga_leaf_codes(vals, codes.copy())
+        return got, want, spy.call_count
 
-    @given(cap=st.integers(1, 4096), edge=st.sampled_from(["at", "above", "below"]),
-           lead=st.lists(st.integers(0, 8), max_size=2), seed=st.integers(0, 2**32 - 1))
+    @staticmethod
+    def assert_same(got, want, dtype):
+        assert same_bits(got[0], want[0])
+        assert got[1].dtype == want[1].dtype == dtype and np.array_equal(got[1], want[1])
+
+    @given(K=st.integers(1, 64), edge=st.sampled_from(["at", "above", "below"]),
+           lead=st.lists(st.integers(1, 4), max_size=2), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.int32, np.int64]))
     @settings(max_examples=60, deadline=None)
-    def test_matches_argsort(self, cap, edge, lead, seed):
+    def test_matches_argsort(self, K, edge, lead, seed, dtype):
+        # one stage (N = 2) over a table of K entries, so K² pair keys
         rng = np.random.default_rng(seed)
-        bound = {"at": cap, "above": cap + 1, "below": int(rng.integers(1, cap + 1))}[edge]
-        # enough keys that the table is within the ratio, so the cap decides
-        width = -(-bound // construction._DENSE_RATIO)
-        keys = rng.integers(0, int(rng.integers(1, bound + 1)), size=tuple(lead) + (width,))
+        table = K * K
+        cap = {"at": table, "above": table - 1,
+               "below": int(rng.integers(table + 1, 2 * table + 2))}[edge]
+        # enough pairs that the ratio admits the table, so the cap decides
+        width = -(-table // construction._DENSE_RATIO)
+        vals = np.where(rng.random(K) < 0.2, 0.0, 10.0 ** rng.uniform(-8.0, 3.0, K))
+        codes = rng.integers(0, K, size=tuple(lead) + (width, 2)).astype(dtype)
         with mock.patch.object(construction, "_DENSE_CAP", cap):
-            self.assert_matches_argsort(keys, bound)
+            got, want, dense_stages = self.stage_paths(vals, codes)
+        assert dense_stages == (edge != "above")
+        self.assert_same(got, want, dtype)
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_at_and_above_the_cap(self, extra):
-        # a table of exactly _DENSE_CAP entries is ranked densely (int32
-        # ranks); one entry more falls back to the argsort.  There are enough
-        # keys that the ratio admits the table either way, so only the cap decides.
-        bound = construction._DENSE_CAP + extra
+        # a stage whose K² pair keys fill exactly _DENSE_CAP entries takes the
+        # lookup table; one entry more takes np.unique.  K² is a square, so one
+        # entry more is the cap lowered by one.  There are enough pairs that the
+        # ratio admits the table either way, so only the cap decides.
+        K = math.isqrt(construction._DENSE_CAP)
+        assert K * K == construction._DENSE_CAP
         rng = np.random.default_rng(extra)
-        keys = rng.integers(0, bound, size=(2, bound // construction._DENSE_RATIO + 1))
-        assert construction._DENSE_RATIO * keys.size >= bound
-        keys[0, 0], keys[1, -1] = 0, bound - 1
-        self.assert_matches_argsort(keys, bound)
-        assert construction._distinct(keys, bound)[1].dtype == (np.int64 if extra else np.int32)
+        vals = 10.0 ** rng.uniform(-8.0, 3.0, K)
+        # int32 codes, as a pattern batch builds them; few distinct pairs,
+        # including the smallest and the largest key
+        codes = rng.integers(0, 3, size=(K * K // construction._DENSE_RATIO, 2)).astype(np.int32)
+        codes[0], codes[-1] = (0, 0), (K - 1, K - 1)
+        with mock.patch.object(construction, "_DENSE_CAP", K * K - extra):
+            got, want, dense_stages = self.stage_paths(vals, codes)
+        assert dense_stages == 1 - extra
+        self.assert_same(got, want, np.int32)
+
+    def test_wide_table_keys_are_int64(self):
+        # one row of 65,536 distinct means: the first stage has K² = 2^32 pair
+        # keys, beyond int32, and must still pair every x with its own y
+        n = 16
+        rng = np.random.default_rng(0)
+        means = 10.0 ** rng.uniform(-8.0, 3.0, 1 << n)
+        assert len(np.unique(means)) == 1 << n
+
+        def float_stage(x, y):
+            x[...], y[...] = ga_check_mean(x, y), x + y
+
+        want = butterfly(means[bit_reversal_permutation(n)], float_stage)
+        assert same_bits(ga_leaf_means(means), want)
 
     @given(n=st.integers(1, 10), batch=st.integers(1, 256), seed=st.integers(0, 2**32 - 1),
            kind=st.sampled_from(["patterns", "table"]), design=st.floats(1e-3, 1e2))

@@ -2,6 +2,7 @@
 
 import itertools
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -198,13 +199,29 @@ class TestPatternErrorProbs:
     def test_bit_identical(self, p, data, snr_db):
         N = 1 << p
         design = GaussianDesign.from_snr_db(snr_db)
-        B = data.draw(st.integers(1, 64))
+        # up to 4,096 patterns, so the stages' lookup table is both admitted and refused
+        B = data.draw(st.integers(1, 4096))
         m = data.draw(st.integers(0, N))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         pats = np.argsort(rng.random((B, N)), axis=1)[:, :m]
         got = puncturing._pattern_error_probs(design, N, pats)
         want = self.elementwise(design, N, pats)
         assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("cap", ["lookup", "unique"])
+    def test_search_batch(self, cap):
+        # the sampled search's shape: 65,536 patterns of 10 positions on base
+        # 32, with the stages' lookup table as configured or never admitted;
+        # the reference runs on float means through the other setting
+        design = GaussianDesign.from_snr_db(3.0)
+        pats = np.argsort(np.random.default_rng(1).random((65_536, 32)), axis=1)[:, :10]
+        caps = {"lookup": construction._DENSE_CAP, "unique": 0}
+        other = {"lookup": "unique", "unique": "lookup"}[cap]
+        with mock.patch.object(construction, "_DENSE_CAP", caps[cap]):
+            got = puncturing._pattern_error_probs(design, 32, pats)
+        with mock.patch.object(construction, "_DENSE_CAP", caps[other]):
+            want = self.elementwise(design, 32, pats)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("shape", [(1, 0), (3, 0)])
