@@ -22,7 +22,11 @@ rcbench does not time at a fixed size, on the code of each HARQ workload
   matching, modulation, channel, demapping and the fold onto N positions) of
   the first transmission, on the workload's batch size of fixed-seed blocks;
 * one HARQ batch: ``run_blocks_batch`` on the workload's batch of fixed-seed
-  messages (B=64 for IR, B=256 for CC), every transmission included.
+  messages (B=64 for IR, B=256 for CC), every transmission included;
+* one HARQ cycle: the rcbench workload's first cycle at ``LAYER_SEED``, a
+  batch at each of its points (their inputs made in the call), as rcbench
+  times it.  Its points differ in SNR or L, so unlike the repeated batch it
+  shows the page faults of calls that change size.
 
 It times two layers of the design workload the same way:
 
@@ -73,6 +77,7 @@ LAYER_SEED = 1
 LAYER_CALLS = {1: 101, 512: 21}   # timed sc_decode calls per batch size B
 TX_CALLS = 51                      # timed encode and tx-chain calls per workload
 HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
+HARQ_CYCLE_CALLS = 21              # timed rcbench cycles per HARQ workload
 SEARCH_CALLS = 21                  # timed sampled-search batches
 PPA_CALLS = 51                     # timed base-32 ppa runs
 
@@ -106,9 +111,9 @@ def untraced(results: list[dict]) -> dict:
 
 
 def layers(root: Path) -> dict:
-    """Calibrated CPU time of ``sc_decode``, ``encode``, the tx chain and one
-    HARQ batch per HARQ workload, and of one search batch and one base-32 PPA
-    run of the design workload."""
+    """Calibrated CPU time of ``sc_decode``, ``encode``, the tx chain, one
+    HARQ batch and one rcbench cycle per HARQ workload, and of one search
+    batch and one base-32 PPA run of the design workload."""
     sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
     import numpy as np
     from calibrate import kernel_s, slowdown
@@ -121,7 +126,7 @@ def layers(root: Path) -> dict:
                                     reference_base32_sequence)
     from rcpolar.rate_matching import TxPlan, transmit_codeword_llrs
     from workloads import (DESIGN_NAME, HARQ_CASES, PPA32, SEARCH, DesignWorkload,
-                           harq_messages, search_seed)
+                           harq_messages, make, search_seed)
 
     def timed(call, calls: int, beta: float) -> dict:
         """Median CPU time of ``call``, raw and divided by slowdown ** beta,
@@ -180,6 +185,17 @@ def layers(root: Path) -> dict:
         out[f"harq batch N={spec.N} B={case.batch}"] = {
             "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
             **timed(batch, HARQ_BATCH_CALLS, case.beta)}
+
+        wl = make(case.name, LAYER_SEED)
+        wl.setup()
+
+        def cycle():   # the same cycle, inputs and channel draws on every call
+            for kind, key in wl.cycle(0):
+                wl.run(kind, key, wl.inputs(kind, key))
+
+        out[f"harq cycle N={spec.N} B={case.batch}"] = {
+            "workload": case.name, "k": spec.k, "points": [list(p) for p in case.points],
+            **timed(cycle, HARQ_CYCLE_CALLS, case.beta)}
 
     p, k, snr_db, m, b = SEARCH
     search_design = GaussianDesign.from_snr_db(snr_db)

@@ -22,6 +22,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from ._workspace import workspace
+
 __all__ = [
     "ModulationSpec",
     "ChannelSpec",
@@ -159,20 +161,36 @@ def transmit(symbols, chan: ChannelSpec, mod: ModulationSpec, rng) -> tuple[np.n
     sigma = math.sqrt(chan.noise_sigma2(mod))
     if mod.order == 2:
         if chan.kind == "fading":
-            g = rng.standard_normal(symbols.shape + (2,))
+            g = _normal_draws(rng, symbols.shape + (2,), "channel fading draws")
             amp = np.sqrt(g[..., 0] ** 2 + g[..., 1] ** 2) / math.sqrt(2.0)
             faded = amp * symbols
         else:   # amplitude 1: 1.0 * x is x, so the multiply is skipped
             amp, faded = np.ones(symbols.shape), symbols
-        return faded + sigma * rng.standard_normal(symbols.shape), amp
+        noise = _normal_draws(rng, symbols.shape, "channel noise draws")
+        noise *= sigma
+        return faded + noise, amp
+    # (g0 + 1j*g1) / sqrt(2) and sigma * (n0 + 1j*n1), each written in place:
+    # the same complex operations on the same operands
     if chan.kind == "fading":
-        g = rng.standard_normal(symbols.shape + (2,))
-        coef = (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+        g = _normal_draws(rng, symbols.shape + (2,), "channel fading draws")
+        coef = np.multiply(g[..., 1], 1j)
+        coef += g[..., 0]
+        coef /= math.sqrt(2.0)
         faded = coef * symbols
     else:
-        coef, faded = np.ones(symbols.shape, dtype=complex), symbols
-    noise = rng.standard_normal(symbols.shape + (2,))
-    return faded + sigma * (noise[..., 0] + 1j * noise[..., 1]), coef
+        coef, faded = np.ones(symbols.shape, dtype=complex), symbols.astype(complex)
+    noise = _normal_draws(rng, symbols.shape + (2,), "channel noise draws")
+    c = np.multiply(noise[..., 1], 1j, out=workspace("channel noise", symbols.shape, complex))
+    c += noise[..., 0]
+    c *= sigma
+    faded += c
+    return faded, coef
+
+
+def _normal_draws(rng, shape: tuple[int, ...], key: str) -> np.ndarray:
+    """``rng.standard_normal(shape)`` drawn into the workspace array ``key``:
+    the same draws, and the stream left in the same state."""
+    return rng.standard_normal(out=workspace(key, shape))
 
 
 @lru_cache(maxsize=None)
@@ -239,9 +257,16 @@ def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int) -> np.n
     Returns (..., m) with bit 0 = MSB of the Gray label.
     """
     lv, members = pam_demap_table(m)
-    # np.square, not **: on a 0-d input ** takes the scalar pow(), whose
-    # last bit can differ from the array square; x / -c is -x / c bit for bit
-    metric = [np.square(z - amp * lv[l]) / (-2.0 * sigma2) for l in range(lv.size)]
+    # square(z - amp * lv) / (-2 sigma^2) per level, in one array each: np.square,
+    # not **, since on a 0-d input ** takes the scalar pow(), whose last bit
+    # can differ from the array square; x / -c is -x / c bit for bit
+    metric = []
+    for level in lv:
+        d = np.multiply(amp, level, out=np.empty(np.shape(z)))
+        np.subtract(z, d, out=d)
+        np.square(d, out=d)
+        d /= -2.0 * sigma2
+        metric.append(d)
     out = np.empty(np.shape(z) + (m,))
     for b, (idx0, idx1) in enumerate(members):
         out[..., b] = _log_sum_exp(metric, idx0) - _log_sum_exp(metric, idx1)

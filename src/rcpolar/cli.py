@@ -52,6 +52,12 @@ BASE_LEN_MAX = 1 << 10      # a PPA step builds about base_len^2 codes
 BATCH_CELLS_MAX = 1 << 25   # batch_size * max(2^n, L): one batch's (B, N) and (B, L) arrays
 MC_LEN_MAX = 1 << 12        # 2^n and select_length under mc: a genie batch has 8,192 rows
 DB_MAX = 300                # |SNR| in dB; 10^(x/10) overflows a float past 3,083 dB
+# bounds on run length, so that a typo cannot start a run of years: each
+# transmission of a block has its own tx map, and each genie trial or sweep
+# block is decoded once per transmission
+T_MAX = 64
+TRIALS_MAX = 10 ** 8
+BLOCKS_MAX = 10 ** 9        # max_blocks and target_block_errors
 
 # Every config field: its type, then, unless any value of the type will do, a
 # condition on the value and the message that names its failure.  JSON and
@@ -61,6 +67,7 @@ _AT_LEAST_1 = (lambda v: v >= 1, "must be >= 1")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
 _DB = (lambda v: abs(v) <= DB_MAX, f"must lie in [-{DB_MAX}, {DB_MAX}] dB")
 _LENGTH = (lambda v: 1 <= v <= L_MAX, f"must be an integer in [1, {L_MAX}]")
+_BLOCKS = (lambda v: 1 <= v <= BLOCKS_MAX, f"must be an integer in [1, {BLOCKS_MAX}]")
 _FIELDS = {
     "out": (str,),
     "seed": (int, lambda v: v >= 0, "must be >= 0"),
@@ -72,21 +79,21 @@ _FIELDS = {
     "design_snr_db": (float, *_DB),
     "snr_db": (float, *_DB),
     "epsilon": (float, *_UNIT),
-    "trials": (int, *_AT_LEAST_1),
+    "trials": (int, lambda v: 1 <= v <= TRIALS_MAX, f"must be an integer in [1, {TRIALS_MAX}]"),
     "channel": (str, lambda v: v in ("awgn", "fading", "bec"), "must be awgn, fading, or bec"),
     "modulation": (int, lambda v: v in (2, 16, 64), "must be 2, 16, or 64"),
     "sequence": (str,),
     "select_length": (int, *_LENGTH),
     "profile": (str,),
     "mode": (str, lambda v: v in ("cc", "ir"), "must be cc or ir"),
-    "t": (int, *_AT_LEAST_1),
+    "t": (int, lambda v: 1 <= v <= T_MAX, f"must be an integer in [1, {T_MAX}]"),
     "L": (int, *_LENGTH),
     "snr_start": (float, *_DB),
     "snr_stop": (float, *_DB),
     "snrs": (float, *_DB),   # each entry of the list
     "snr_step": (float, lambda v: v > 0, "must be > 0"),
-    "max_blocks": (int, *_AT_LEAST_1),
-    "target_block_errors": (int, *_AT_LEAST_1),
+    "max_blocks": (int, *_BLOCKS),
+    "target_block_errors": (int, *_BLOCKS),
     "batch_size": (int, *_AT_LEAST_1),
     "workers": (int, lambda v: 1 <= v <= WORKERS_MAX, f"must lie in [1, {WORKERS_MAX}]"),
     "shift_cc_bicm": (int, lambda v: v in (0, 1), "must be 0 or 1"),

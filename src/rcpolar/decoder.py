@@ -27,6 +27,13 @@ decoder internally applies the same bit-reversal as the encoder so decisions
 come out in natural input order.  An LLR of exactly 0 decides bit 0; LLRs
 must be finite.  A check node with an exact-zero input is +0.0 and costs no
 libm work (``check_llr``): punctured and unsent IR positions make it common.
+
+The large LLR arrays live in a fixed memory that is reused from call to
+call, as in the SC layout of one LLR array per depth (Leroux, Raymond,
+Sarkis & Gross 2013): the bit-reversed input and each right child's LLRs
+are written into one array per node width (``_workspace``).  Check-node
+outputs and partial sums are allocated per call, and the decided blocks that
+``sc_decode`` returns never share memory with the workspace.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._workspace import workspace
 from .polar import PolarCodeSpec, bit_reversal_permutation, polar_transform
 
 __all__ = ["check_llr", "var_llr", "sc_decode", "genie_sc_decode"]
@@ -151,17 +159,34 @@ def _split(node: _Node, v: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     a, b = v[:, :h], v[:, h:]
     tr = None if t is None else t[:, h:]
     if node.kind == LEFT0:
-        xr = _walk(node.right, b + a, tr)
+        xr = _walk(node.right, np.add(b, a, out=_llr_buffer(len(v), h)), tr)
         return np.concatenate([xr, xr], axis=1)
     tl = None if t is None else t[:, :h] ^ tr
     xl = _walk(node.left, check_llr(a, b), tl)
     if t is None or (right := (xl == tl).all(axis=1)).all():
-        xr = _walk(node.right, var_llr(a, b, xl), tr)
+        xr = _walk(node.right, _var_llr_into(a, b, xl), tr)
     else:   # rows that decided the left child wrongly stop, with xr = 0
         xr = np.zeros_like(xl)
         if right.any():
-            xr[right] = _walk(node.right, var_llr(a[right], b[right], xl[right]), tr[right])
+            xr[right] = _walk(node.right, _var_llr_into(a[right], b[right], xl[right]), tr[right])
     return np.concatenate([xl ^ xr, xr], axis=1)
+
+
+def _llr_buffer(rows: int, width: int) -> np.ndarray:
+    """The reused (rows, width) LLR array of one node width.  A node of size
+    2h writes its right child's LLRs into the width-h array, and only nodes
+    of at most h inputs run while the child reads it, so no two live arrays
+    share one; the root's bit-reversed LLRs take the width-N array."""
+    return workspace(("decoder", width), (rows, width))
+
+
+def _var_llr_into(a: np.ndarray, b: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``var_llr(a, b, u)`` for (rows, h) arrays, bit for bit, written into
+    the width-h buffer: the same operations in the same order."""
+    out = np.multiply(u, 2.0, out=_llr_buffer(*a.shape))
+    np.subtract(1.0, out, out=out)
+    out *= a
+    return np.add(b, out, out=out)
 
 
 def _as_batch(llrs, N: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -201,7 +226,8 @@ def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> np.ndarray:
     # last bits, far inside the guard's margin
     if x_true is not None:
         x_true = _truth(x_true, spec.N, batch.shape[0], "x_true").take(perm, axis=1)
-    x = _walk(_node_plan(spec.info_set, spec.n), batch.take(perm, axis=1), x_true)
+    v = batch.take(perm, axis=1, out=_llr_buffer(*batch.shape))
+    x = _walk(_node_plan(spec.info_set, spec.n), v, x_true)
     return polar_transform(x).reshape(shape)
 
 

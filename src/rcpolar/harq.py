@@ -85,7 +85,7 @@ def run_blocks_batch(
     u = np.zeros((B, spec.N), dtype=np.uint8)
     u[:, spec.info_zero_based] = messages
     x = encode(u, spec)
-    acc = np.zeros((B, spec.N))
+    acc = np.zeros((B, spec.N))   # LLR sums of the active rows, in order
     active = np.arange(B)
     success = np.zeros(B, dtype=bool)
     tx_used = np.zeros(B, dtype=np.int64)
@@ -94,9 +94,9 @@ def run_blocks_batch(
         plan = TxPlan(L=L, t=t, r=r, mode=mode)
         rows = slice(None) if active.size == B else active   # a view while every row is live
         xa = x[rows]
-        acc[rows] += transmit_codeword_llrs(xa, rm, plan, chan, rng)
+        acc += transmit_codeword_llrs(xa, rm, plan, chan, rng)
         tx_used[rows] = r
-        dec = sc_decode(acc[rows], spec, x_true=None if r == t else xa)
+        dec = sc_decode(acc, spec, x_true=None if r == t else xa)
         ok = (dec == u[rows]).all(axis=1)
         success[active[ok]] = True
         if r == t:
@@ -104,6 +104,7 @@ def run_blocks_batch(
         active = active[~ok]
         if active.size == 0:
             break
+        acc = acc[~ok]
     return success, tx_used, bit_errs
 
 

@@ -84,12 +84,14 @@ def base_code(p: int, k: int, design) -> PolarCodeSpec:
     return PolarCodeSpec(n=p, k=k, info_set=select_information_set(profile, k), split=(p, 0))
 
 
-def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
+def _pattern_error_probs(design, base_len: int, patterns: np.ndarray, cols,
                          memo: dict | None = None) -> np.ndarray:
-    """Per-input error probabilities for a batch of patterns (B, m) -> (B, N);
-    ``memo`` is the GA check-node memo of :func:`ga_leaf_means`.  GA codes index
-    the table [0, mean], built bit-reversed as one int32 (N, B) array that the
-    butterfly rewrites in place; the error probability runs on the leaf table."""
+    """Error probabilities of the inputs ``cols`` (any index of the N input
+    positions) for a batch of patterns: (B, m) -> (B, len(cols)).  ``memo``
+    is the GA check-node memo of :func:`ga_leaf_means`.  GA codes index the
+    table [0, mean], built bit-reversed as one int32 (N, B) array that the
+    butterfly rewrites in place; the error probability runs on the leaf table,
+    and only the codes of ``cols`` are looked up in it."""
     B = patterns.shape[0]
     if isinstance(design, GaussianDesign):
         codes = np.ones((base_len, B), dtype=np.int32)
@@ -97,12 +99,12 @@ def _pattern_error_probs(design, base_len: int, patterns: np.ndarray,
         flat += np.arange(B)[:, None]
         codes.reshape(-1)[flat] = 0
         vals, codes = _ga_leaf_codes(np.array([0.0, design.mean_llr]), codes.T, memo)
-        return bit_error_prob(vals)[codes]
+        return bit_error_prob(vals)[codes.T[cols]].T   # gathered as contiguous (len(cols), B) rows
     if isinstance(design, ErasureDesign):
         z = np.full((B, base_len), design.epsilon)
         if patterns.size:
             np.put_along_axis(z, patterns, 1.0, axis=1)
-        return bec_leaf_erasures(z)
+        return bec_leaf_erasures(z)[:, cols]
     raise TypeError(f"unsupported design channel {design!r}")
 
 
@@ -126,19 +128,20 @@ def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
     ``patterns`` is one pattern (1-D, possibly empty) or a (B, m) batch of
     distinct positions in [0, N); the result holds one metric per pattern.
     """
-    ep = _pattern_error_probs(design, base_spec.N, _checked_patterns(patterns, base_spec.N))
-    return _union_bound(ep, base_spec.info_zero_based)
+    return _union_bound(_pattern_error_probs(design, base_spec.N,
+                                             _checked_patterns(patterns, base_spec.N),
+                                             base_spec.info_zero_based))
 
 
-def _union_bound(ep: np.ndarray, info) -> np.ndarray:
-    """Sum of the information positions' error probabilities, per row of ep.
+def _union_bound(ep: np.ndarray) -> np.ndarray:
+    """Sum of each row of ep, the information positions' error probabilities.
 
     The columns are added left to right for every batch size: a reduction
-    over ep[:, info] sums pairwise when B = 1 and in sequence when B >= 2, so
-    a metric's last bit would depend on its batch.
+    over ep sums pairwise when B = 1 and in sequence when B >= 2, so a
+    metric's last bit would depend on its batch.
     """
     metric = np.zeros(len(ep))
-    for col in ep[:, info].T:
+    for col in ep.T:
         metric += col
     return metric
 
@@ -228,8 +231,7 @@ def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
             [np.tile(np.array(punct, dtype=np.int64), (len(cands), 1)), cands[:, None]],
             axis=1,
         )
-        ep = _pattern_error_probs(design, N, pats, memo)
-        met = _union_bound(ep, base_spec.info_zero_based)
+        met = _union_bound(_pattern_error_probs(design, N, pats, base_spec.info_zero_based, memo))
         stats.metric_evals += len(cands)
         best_i = int(np.lexsort((cands, met))[0])
         best_met = met[best_i]
@@ -279,7 +281,7 @@ def exhaustive_search(
     best_met, best_pat = np.inf, None
     for pats in stream:
         # the public call's pattern checks are skipped: pats are valid by construction
-        met = _union_bound(_pattern_error_probs(design, N, pats), base_spec.info_zero_based)
+        met = _union_bound(_pattern_error_probs(design, N, pats, base_spec.info_zero_based))
         i = int(np.argmin(met))
         if met[i] < best_met:
             best_met, best_pat = met[i], pats[i]
@@ -313,5 +315,5 @@ def sum_capacity_check(base_len: int, pattern, channel: ChannelSpec) -> tuple[fl
     if channel.kind != "bec":
         raise ValueError("sum-capacity check requires an erasure channel")
     pats = _checked_patterns([pattern], base_len)
-    leaf = _pattern_error_probs(ErasureDesign(channel.epsilon), base_len, pats)[0]
+    leaf = _pattern_error_probs(ErasureDesign(channel.epsilon), base_len, pats, slice(None))[0]
     return float(np.sum(1.0 - leaf)), (base_len - pats.shape[1]) * (1.0 - channel.epsilon)

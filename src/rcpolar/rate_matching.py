@@ -21,10 +21,19 @@ their class assignment.
 position, reliability class and symbol-bit slot of each transmitted bit (BPSK
 is one class, one bit a symbol).  ``de_rate_match`` folds per-bit values onto
 the N codeword positions, for the receiver and the BICM design means alike.
+
+The fold's bins, one (row, position) index per folded value, are cached with
+the tx map, so a HARQ cycle does not rebuild and re-fault them on every call.
+Each map keeps one array, built for the largest batch seen; the bins of its
+first B rows serve a batch of B, so the shrinking retransmission batches
+reuse it.  All cached bins together hold at most ``_BINS_CACHE_BYTES``
+(32 MiB): the least recently used maps' bins go first, and bins larger than
+that are built per call.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -124,9 +133,34 @@ def _fold(values: np.ndarray, idx: np.ndarray, N: int) -> np.ndarray:
     its per-element indexing.
     """
     B = values.shape[0]
-    bins = (np.arange(0, B * N, N)[:, None] + idx).ravel()
-    out = np.bincount(bins, weights=values.ravel(), minlength=B * N)
+    out = np.bincount(_fold_bins(idx, N, B), weights=values.ravel(), minlength=B * N)
     return out.astype(float, copy=False).reshape(B, N)   # an empty count is int
+
+
+# Bins of the folds of read-only maps that own their data, such as the tx
+# maps, keyed by the map's id and N; an entry holds its map, so no other map
+# can take that id while the entry lives.  Writable maps, such as arbitrary
+# test maps, get their bins built per call.  Cached bins are never written.
+_BINS_CACHE_BYTES = 32 << 20
+_bins_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+_bins_lock = threading.Lock()
+
+
+def _fold_bins(idx: np.ndarray, N: int, B: int) -> np.ndarray:
+    """Bin ``r * N + idx[k]`` of each (row r, stream bit k) of a (B, L) fold,
+    flattened in row order."""
+    key = (id(idx), N)
+    with _bins_lock:
+        hit = _bins_cache.pop(key, None)
+        if hit is not None and hit[1].size >= B * idx.size:
+            _bins_cache[key] = hit   # most recently used last
+            return hit[1][: B * idx.size]
+        bins = (np.arange(0, B * N, N)[:, None] + idx).ravel()
+        if idx.base is None and not idx.flags.writeable and bins.nbytes <= _BINS_CACHE_BYTES:
+            _bins_cache[key] = (idx, bins)
+            while sum(b.nbytes for _, b in _bins_cache.values()) > _BINS_CACHE_BYTES:
+                del _bins_cache[next(iter(_bins_cache))]
+        return bins
 
 
 @dataclass(frozen=True)
@@ -194,5 +228,5 @@ def transmit_codeword_llrs(codeword, rm: RateMatcher, plan: TxPlan, chan: Channe
     sym_bits[..., tm.stream_to_symbit] = stream
     syms = modulate(sym_bits, mod)
     y, amp = transmit(syms, chan, mod, rng)
-    llr_stream = demodulate(y, amp, chan, mod)[..., tm.stream_to_symbit]
+    llr_stream = np.take(demodulate(y, amp, chan, mod), tm.stream_to_symbit, axis=-1)
     return de_rate_match(llr_stream, rm, plan)

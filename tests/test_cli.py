@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rcpolar.cli import (BASE_LEN_MAX, BATCH_CELLS_MAX, DB_MAX, L_MAX, MC_LEN_MAX, N_MAX,
-                         SNR_POINTS_MAX, WORKERS_MAX, _COMMANDS, _FIELDS, ConfigError, _get,
-                         _snr_grid, load_config, main)
+from rcpolar.cli import (BASE_LEN_MAX, BATCH_CELLS_MAX, BLOCKS_MAX, DB_MAX, L_MAX, MC_LEN_MAX,
+                         N_MAX, SNR_POINTS_MAX, T_MAX, TRIALS_MAX, WORKERS_MAX, _COMMANDS,
+                         _FIELDS, ConfigError, _get, _snr_grid, load_config, main)
 from rcpolar.construction import ReliabilityProfile
 from rcpolar.puncturing import (
     ErasureDesign,
@@ -105,6 +105,19 @@ class TestConfigHandling:
         with pytest.raises(ConfigError) as err:
             _get({field: past}, field)
         assert err.value.fieldname == field and str(top) in str(err.value)
+
+    @pytest.mark.parametrize("field, top", [
+        ("t", T_MAX), ("trials", TRIALS_MAX), ("max_blocks", BLOCKS_MAX),
+        ("target_block_errors", BLOCKS_MAX),
+    ])
+    def test_run_length_bound_names_field(self, field, top):
+        # the check alone: a run at the bound would take days
+        assert (T_MAX, TRIALS_MAX, BLOCKS_MAX) == (64, 10 ** 8, 10 ** 9)
+        assert _get({field: top}, field) == top
+        for past in (top + 1, 2 ** 70):
+            with pytest.raises(ConfigError) as err:
+                _get({field: past}, field)
+            assert err.value.fieldname == field and str(top) in str(err.value)
 
     @pytest.mark.parametrize("field", ["design_snr_db", "snr_db", "snr_start", "snr_stop",
                                        "snrs"])
@@ -623,11 +636,11 @@ _DB_VALUES = st.floats(-5.0, 10.0)
 # stands for an absent field
 _JUNK = [None, True, False, "x", "", [], {}, 2.5, -1, 0, -0.0, float("nan"), float("inf"),
          float("-inf")]
-# huge values, refused by every field that has a bound; the fields without one
-# would take them and run for hours, so they draw only junk
+# huge values, refused by every size field; the run-length fields' bounds
+# admit some of them, which would run for hours, so those fields draw only junk
 _HUGE = [2 ** 70, 1e308, -1e308, 3090, -3090, 300.5, -300.5, 1 << 21, 1 << 26, [1.0, 3090],
          [-3090.0]]
-_UNBOUNDED = {"trials", "t", "max_blocks", "target_block_errors"}
+_LONG_RUNNING = {"trials", "max_blocks", "target_block_errors"}
 
 
 def _valid_config(draw, command):
@@ -687,7 +700,7 @@ def cli_configs(draw):
     others = sorted(set(_FIELDS) - set(own) - {"out"}) + ["bogus"]
     target = st.one_of(st.sampled_from(own), st.sampled_from(own), st.sampled_from(others))
     for f in draw(st.lists(target, max_size=2)):
-        cfg[f] = draw(st.sampled_from(_JUNK if f in _UNBOUNDED else _JUNK + _HUGE))
+        cfg[f] = draw(st.sampled_from(_JUNK if f in _LONG_RUNNING else _JUNK + _HUGE))
     return command, cfg
 
 

@@ -204,10 +204,14 @@ class TestPatternErrorProbs:
         m = data.draw(st.integers(0, N))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         pats = np.argsort(rng.random((B, N)), axis=1)[:, :m]
-        got = puncturing._pattern_error_probs(design, N, pats)
+        got = puncturing._pattern_error_probs(design, N, pats, slice(None))
         want = self.elementwise(design, N, pats)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # the searches read only the information columns, gathered before the lookup
+        cols = np.flatnonzero(rng.random(N) < 0.5)
+        got = puncturing._pattern_error_probs(design, N, pats, cols)
+        assert np.array_equal(got.view(np.int64), want[:, cols].view(np.int64))
 
     @pytest.mark.parametrize("cap", ["lookup", "unique"])
     def test_search_batch(self, cap):
@@ -219,7 +223,7 @@ class TestPatternErrorProbs:
         caps = {"lookup": construction._DENSE_CAP, "unique": 0}
         other = {"lookup": "unique", "unique": "lookup"}[cap]
         with mock.patch.object(construction, "_DENSE_CAP", caps[cap]):
-            got = puncturing._pattern_error_probs(design, 32, pats)
+            got = puncturing._pattern_error_probs(design, 32, pats, slice(None))
         with mock.patch.object(construction, "_DENSE_CAP", caps[other]):
             want = self.elementwise(design, 32, pats)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -228,7 +232,7 @@ class TestPatternErrorProbs:
     def test_empty_patterns(self, shape):
         design = GaussianDesign.from_snr_db(3.0)
         pats = np.empty(shape, dtype=np.int64)
-        got = puncturing._pattern_error_probs(design, 16, pats)
+        got = puncturing._pattern_error_probs(design, 16, pats, slice(None))
         assert np.array_equal(got.view(np.int64), self.elementwise(design, 16, pats).view(np.int64))
 
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcpolar.channel import BPSK, QAM16, QAM64, ChannelSpec
+from rcpolar import rate_matching
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import PuncturingSequence, expand_regular, reference_base32_sequence
 from rcpolar.rate_matching import (
@@ -293,16 +294,23 @@ class TestDeRateMatch:
     @pytest.mark.parametrize("mode", ["cc", "ir"])
     @pytest.mark.parametrize("shift", [False, True])
     @pytest.mark.parametrize("L", [384, 1024, 1500, 3072])
-    def test_fold_of_tx_maps_equals_add_at(self, B, mode, shift, L):
+    def test_fold_of_tx_maps_equals_add_at(self, B, mode, shift, L, monkeypatch):
+        # each map is folded at B rows, then fewer (a prefix of the cached
+        # bins), then more (the bins are rebuilt for the larger batch)
+        monkeypatch.setattr(rate_matching, "_bins_cache", {})
         rm = big_rm(mod=QAM16, split=(5, 5), shift_cc_bicm=shift)
-        values = signed_zero_values(np.random.default_rng(L + B), (B, L))
+        sizes = (B, B // 2, 2 * B + 1)
+        values = signed_zero_values(np.random.default_rng(L + B), (max(sizes), L))
         for r in (1, 2, 3):
             plan = TxPlan(L=L, t=3, r=r, mode=mode)
-            want = np.zeros((B, rm.spec.N))
-            np.add.at(want, (np.arange(B)[:, None], build_tx_map(rm, plan).emit_idx[None, :]),
-                      values)
-            got = de_rate_match(values, rm, plan)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            idx = build_tx_map(rm, plan).emit_idx
+            for rows in sizes:
+                want = np.zeros((rows, rm.spec.N))
+                np.add.at(want, (np.arange(rows)[:, None], idx[None, :]), values[:rows])
+                got = de_rate_match(values[:rows], rm, plan)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                cached = rate_matching._bins_cache[(id(idx), rm.spec.N)][1]
+                assert cached.size == max(sizes[: sizes.index(rows) + 1]) * L
 
     def test_empty_batch(self):
         rm = simple_rm()

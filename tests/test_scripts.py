@@ -56,9 +56,9 @@ def test_script_runs(script, tmp_path):
 
 
 def test_bench_layers_only():
-    # times this checkout's sc_decode, encode, tx chain, HARQ batch, search
-    # batch and base-32 PPA and prints the entries, with their page faults;
-    # writes nothing
+    # times this checkout's sc_decode, encode, tx chain, HARQ batch, HARQ
+    # cycle, search batch and base-32 PPA and prints the entries, with their
+    # page faults; writes nothing
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--layers-only"],
@@ -66,8 +66,8 @@ def test_bench_layers_only():
     assert proc.returncode == 0, proc.stderr
     entries = json.loads(proc.stdout)
     assert sorted(entries) == sorted(
-        [f"{layer} N=1024 B=64" for layer in ("encode", "harq batch", "tx chain")]
-        + [f"{layer} N=256 B=256" for layer in ("encode", "harq batch", "tx chain")]
+        [f"{layer} N=1024 B=64" for layer in ("encode", "harq batch", "harq cycle", "tx chain")]
+        + [f"{layer} N=256 B=256" for layer in ("encode", "harq batch", "harq cycle", "tx chain")]
         + [f"sc_decode N={N} B={B}" for N in (1024, 256) for B in (1, 512)]
         + ["sc_decode N=1024 B=512 all 4 rounds", "search batch N=32 B=65536", "ppa N=32"])
     for e in entries.values():
