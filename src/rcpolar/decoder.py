@@ -134,42 +134,55 @@ def _walk(node: _Node, v: np.ndarray, t: np.ndarray | None) -> np.ndarray:
     ``t``, a row stops at its first wrong decision; its partial sums then
     differ from ``t`` but are otherwise arbitrary.
     """
+    x = np.empty(v.shape, dtype=np.uint8)
+    _decide(node, v, t, x)
+    return x
+
+
+def _decide(node: _Node, v: np.ndarray, t: np.ndarray | None, x: np.ndarray) -> None:
+    """``_walk`` writing the partial sums into ``x`` (B, size), a view of the
+    root's partial sums: each node fills its own columns, and a split's left
+    half becomes ``xl ^ xr`` in place, so no node allocates its own."""
     if node.kind == RATE0:
-        return np.zeros(v.shape, dtype=np.uint8)
-    if node.kind == REP:
+        x[...] = 0
+    elif node.kind == REP:
         s = v
         while s.shape[1] > 1:
             h = s.shape[1] // 2
             s = s[:, h:] + s[:, :h]
-        return np.repeat((s < 0).astype(np.uint8), node.size, axis=1)
-    if node.kind == RATE1:
-        x = (v < 0).astype(np.uint8)
+        x[...] = s < 0
+    elif node.kind == RATE1:
+        np.less(v, 0, out=x)
         if node.size > 1:
             redo = ~_hard_decisions_are_sc(v)
             if redo.any():
-                x[redo] = _split(node, v[redo], None if t is None else t[redo])
-        return x
-    return _split(node, v, t)
+                sub = np.empty((np.count_nonzero(redo), node.size), dtype=np.uint8)
+                _split(node, v[redo], None if t is None else t[redo], sub)
+                x[redo] = sub
+    else:
+        _split(node, v, t, x)
 
 
-def _split(node: _Node, v: np.ndarray, t: np.ndarray | None) -> np.ndarray:
+def _split(node: _Node, v: np.ndarray, t: np.ndarray | None, x: np.ndarray) -> None:
     h = node.size // 2
     if h < EARLY_STOP_MIN_HALF:
         t = None
     a, b = v[:, :h], v[:, h:]
+    xl, xr = x[:, :h], x[:, h:]
     tr = None if t is None else t[:, h:]
     if node.kind == LEFT0:
-        xr = _walk(node.right, np.add(b, a, out=_llr_buffer(len(v), h)), tr)
-        return np.concatenate([xr, xr], axis=1)
+        _decide(node.right, np.add(b, a, out=_llr_buffer(len(v), h)), tr, xr)
+        xl[...] = xr
+        return
     tl = None if t is None else t[:, :h] ^ tr
-    xl = _walk(node.left, check_llr(a, b), tl)
+    _decide(node.left, check_llr(a, b), tl, xl)
     if t is None or (right := (xl == tl).all(axis=1)).all():
-        xr = _walk(node.right, _var_llr_into(a, b, xl), tr)
+        _decide(node.right, _var_llr_into(a, b, xl), tr, xr)
     else:   # rows that decided the left child wrongly stop, with xr = 0
-        xr = np.zeros_like(xl)
+        xr[...] = 0
         if right.any():
             xr[right] = _walk(node.right, _var_llr_into(a[right], b[right], xl[right]), tr[right])
-    return np.concatenate([xl ^ xr, xr], axis=1)
+    xl ^= xr
 
 
 def _llr_buffer(rows: int, width: int) -> np.ndarray:
@@ -226,7 +239,9 @@ def sc_decode(llrs, spec: PolarCodeSpec, x_true=None) -> np.ndarray:
     # last bits, far inside the guard's margin
     if x_true is not None:
         x_true = _truth(x_true, spec.N, batch.shape[0], "x_true").take(perm, axis=1)
-    v = batch.take(perm, axis=1, out=_llr_buffer(*batch.shape))
+    # mode="wrap" (perm is in range): with the default "raise", take fills
+    # out= through a temporary copy
+    v = batch.take(perm, axis=1, out=_llr_buffer(*batch.shape), mode="wrap")
     x = _walk(_node_plan(spec.info_set, spec.n), v, x_true)
     return polar_transform(x).reshape(shape)
 

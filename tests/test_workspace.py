@@ -7,6 +7,8 @@ draw must leave the random stream where a fresh draw leaves it.
 """
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -117,3 +119,31 @@ def test_workspace_past_its_budget_is_fresh(monkeypatch):
     big = _workspace.workspace("b", (8, 16))            # 1,024 more: not kept
     assert not np.shares_memory(big, _workspace.workspace("b", (8, 16)))
     assert _workspace.workspace("c", (2, 3), complex).dtype == complex
+
+
+def test_threads_keep_their_own_arrays():
+    # more threads than cores, switching often: a workspace or bins cache
+    # shared without care would mix their arrays or fail an eviction
+    rm = harq_code(QAM16)
+    chan = ChannelSpec(kind="fading", snr_db=5.0)
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        x = encode(rng.integers(0, 2, size=(4 + seed, rm.spec.N), dtype=np.uint8), rm.spec)
+        out = []
+        for r in (1, 2, 3):
+            llrs = transmit_codeword_llrs(x, rm, TxPlan(L=176, t=3, r=r, mode="ir"), chan, rng)
+            out += [llrs, sc_decode(llrs, rm.spec)]
+        return out
+
+    want = [work(seed) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as pool:
+            futures = [(seed, pool.submit(work, seed)) for _ in range(3) for seed in range(6)]
+            got = [(seed, f.result(timeout=120)) for seed, f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, arrays in got:
+        assert all(same_bits(a, b) for a, b in zip(arrays, want[seed]))
