@@ -257,16 +257,9 @@ def _pam_bit_llrs(z: np.ndarray, amp: np.ndarray, sigma2: float, m: int) -> np.n
     Returns (..., m) with bit 0 = MSB of the Gray label.
     """
     lv, members = pam_demap_table(m)
-    # square(z - amp * lv) / (-2 sigma^2) per level, in one array each: np.square,
-    # not **, since on a 0-d input ** takes the scalar pow(), whose last bit
-    # can differ from the array square; x / -c is -x / c bit for bit
-    metric = []
-    for level in lv:
-        d = np.multiply(amp, level, out=np.empty(np.shape(z)))
-        np.subtract(z, d, out=d)
-        np.square(d, out=d)
-        d /= -2.0 * sigma2
-        metric.append(d)
+    # np.square, not **: on a 0-d input ** takes the scalar pow(), whose
+    # last bit can differ from the array square; x / -c is -x / c bit for bit
+    metric = [np.square(z - amp * lv[l]) / (-2.0 * sigma2) for l in range(lv.size)]
     out = np.empty(np.shape(z) + (m,))
     for b, (idx0, idx1) in enumerate(members):
         out[..., b] = _log_sum_exp(metric, idx0) - _log_sum_exp(metric, idx1)

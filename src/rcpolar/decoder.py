@@ -31,9 +31,11 @@ libm work (``check_llr``): punctured and unsent IR positions make it common.
 The large LLR arrays live in a fixed memory that is reused from call to
 call, as in the SC layout of one LLR array per depth (Leroux, Raymond,
 Sarkis & Gross 2013): the bit-reversed input and each right child's LLRs
-are written into one array per node width (``_workspace``).  Check-node
-outputs and partial sums are allocated per call, and the decided blocks that
-``sc_decode`` returns never share memory with the workspace.
+are written into one array per node width (``_workspace``).  The partial
+sums of a decode are one array, new in each call, whose columns each node
+fills in place; it becomes the decided blocks that ``sc_decode`` returns,
+so they never share memory with the workspace.  Check-node outputs are
+allocated per call.
 """
 
 from __future__ import annotations

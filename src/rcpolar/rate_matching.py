@@ -228,5 +228,6 @@ def transmit_codeword_llrs(codeword, rm: RateMatcher, plan: TxPlan, chan: Channe
     sym_bits[..., tm.stream_to_symbit] = stream
     syms = modulate(sym_bits, mod)
     y, amp = transmit(syms, chan, mod, rng)
+    # take, not [..., idx]: a C-ordered gather, which the fold ravels without a copy
     llr_stream = np.take(demodulate(y, amp, chan, mod), tm.stream_to_symbit, axis=-1)
     return de_rate_match(llr_stream, rm, plan)
