@@ -22,14 +22,18 @@ _local = threading.local()
 
 def workspace(key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """This thread's uninitialized array under ``key``, of ``shape`` and
-    ``dtype``.  The next request under ``key`` returns the same memory, so
-    the array must not outlive the caller's use of it."""
-    kept = _local.__dict__.setdefault("kept", {})
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    ``dtype``; every request under one key names the same dtype.  The next
+    request under ``key`` returns the same memory, so the array must not
+    outlive the caller's use of it."""
+    try:
+        kept = _local.kept
+    except AttributeError:
+        kept = _local.kept = {}
+    size = math.prod(shape)
     buf = kept.get(key)
-    if buf is None or buf.size < nbytes:
-        held = sum(b.size for b in kept.values()) - (0 if buf is None else buf.size)
-        if held + nbytes > KEEP_BYTES:
+    if buf is None or buf.size < size:
+        held = sum(b.nbytes for b in kept.values()) - (0 if buf is None else buf.nbytes)
+        if held + size * np.dtype(dtype).itemsize > KEEP_BYTES:
             return np.empty(shape, dtype)
-        buf = kept[key] = np.empty(nbytes, dtype=np.uint8)
-    return buf[:nbytes].view(dtype).reshape(shape)
+        buf = kept[key] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
