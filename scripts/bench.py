@@ -11,8 +11,8 @@ The record holds, for every workload in ``BENCHMARK.json``:
 
 It adds the wall time of the tier-1 suite and of its criterion-7 test (one
 pytest run with ``--durations=0``), the commit, nproc, and the Python, numpy
-and scipy versions.  Under ``layers`` it times, in this process, layers that
-rcbench does not time at a fixed size, on the code of each HARQ workload
+and scipy versions.  Under ``layers`` it times layers that rcbench does
+not time at a fixed size, on the code of each HARQ workload
 (N=256 and N=1024) at its first point:
 
 * one ``sc_decode`` call at B=1 and B=512 rows, on fixed-seed LLRs of one
@@ -28,13 +28,18 @@ rcbench does not time at a fixed size, on the code of each HARQ workload
   times it.  Its points differ in SNR or L, so unlike the repeated batch it
   shows the page faults of calls that change size.
 
-It times two layers of the design workload the same way:
+It times three layers of the design workload the same way:
 
 * one sampled-search batch on the workload's ``SEARCH`` constants (base 32,
   k=16, 3 dB, 65,536 patterns of m=10 positions) at the seed of its first
   cycle, with the workload's rate sensitivity (beta 0.6);
-* one ``ppa`` run on base 32 at k=11 and 3.5 dB (the workload's ``PPA32``),
-  with its operation sensitivity (beta 1.2).
+* one ``ppa`` run on base 32 at k=11 and 3.5 dB (the workload's ``PPA32``)
+  and one on base 64 at k=22 and 3.5 dB (its ``PPA64``), with its operation
+  sensitivity (beta 1.2).
+
+The layers of each workload run in a child interpreter of their own
+(``--layer-group <workload>``), so no workload's layers inherit the heap
+that another workload's layers leave behind.
 
 Each layer records the median process CPU time of a call, raw
 (``cpu_s_median_raw``) and divided as rcbench divides its times
@@ -79,7 +84,7 @@ TX_CALLS = 51                      # timed encode and tx-chain calls per workloa
 HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
 HARQ_CYCLE_CALLS = 21              # timed rcbench cycles per HARQ workload
 SEARCH_CALLS = 21                  # timed sampled-search batches
-PPA_CALLS = 51                     # timed base-32 ppa runs
+PPA_CALLS = {32: 51, 64: 21}       # timed ppa runs per base length
 
 
 def load(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -111,9 +116,23 @@ def untraced(results: list[dict]) -> dict:
 
 
 def layers(root: Path) -> dict:
-    """Calibrated CPU time of ``sc_decode``, ``encode``, the tx chain, one
-    HARQ batch and one rcbench cycle per HARQ workload, and of one search
-    batch and one base-32 PPA run of the design workload."""
+    """Every workload's ``layer_group``, each timed in a child interpreter."""
+    out = {}
+    for workload in workload_names(root):
+        proc = subprocess.run([sys.executable, str(Path(__file__).resolve()),
+                               "--layer-group", workload],
+                              cwd=root, capture_output=True, text=True)
+        if proc.returncode:
+            sys.exit(f"layers of {workload} failed:\n{proc.stderr}")
+        out.update(json.loads(proc.stdout))
+    return out
+
+
+def layer_group(root: Path, workload: str) -> dict:
+    """Calibrated CPU time of the layers of one workload: ``sc_decode``,
+    ``encode``, the tx chain, one HARQ batch and one rcbench cycle of a HARQ
+    workload, or one search batch and one base-32 and one base-64 PPA run of
+    the design workload."""
     sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
     import numpy as np
     from calibrate import kernel_s, slowdown
@@ -125,7 +144,7 @@ def layers(root: Path) -> dict:
     from rcpolar.puncturing import (GaussianDesign, base_code, exhaustive_search, ppa,
                                     reference_base32_sequence)
     from rcpolar.rate_matching import TxPlan, transmit_codeword_llrs
-    from workloads import (DESIGN_NAME, HARQ_CASES, PPA32, SEARCH, DesignWorkload,
+    from workloads import (DESIGN_NAME, HARQ_CASES, PPA32, PPA64, SEARCH, DesignWorkload,
                            harq_messages, make, search_seed)
 
     def timed(call, calls: int, beta: float) -> dict:
@@ -145,74 +164,83 @@ def layers(root: Path) -> dict:
                 "cpu_s_median": raw / slow ** beta, "minflt_median": statistics.median(faults)}
 
     out = {}
-    for case in sorted(HARQ_CASES, key=lambda c: c.n):
-        rm = design_code(case.n, case.k, reference_base32_sequence(),
-                         ModulationSpec(case.order), case.select_L, case.select_snr_db)
-        spec = rm.spec
-        snr_db, L = case.points[0]
-        chan = ChannelSpec(kind=case.channel, snr_db=snr_db)
-        rng = np.random.default_rng(LAYER_SEED)
-        u = np.zeros((max(LAYER_CALLS), spec.N), dtype=np.uint8)
-        u[:, spec.info_zero_based] = rng.integers(0, 2, size=(len(u), spec.k))
-        plan = TxPlan(L=L, t=case.t, r=1, mode=case.mode)
-        x = encode(u, spec)
-        llrs = transmit_codeword_llrs(x, rm, plan, chan, rng)
-        for rows, calls in LAYER_CALLS.items():
-            out[f"sc_decode N={spec.N} B={rows}"] = {
-                "workload": case.name, "k": spec.k,
-                **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
-        if case.mode == "ir":   # every position sent: the check node meets no 0
-            rows = max(LAYER_CALLS)
-            every = llrs[:rows] + sum(
-                transmit_codeword_llrs(x[:rows], rm, TxPlan(L=L, t=case.t, r=r, mode=case.mode),
-                                       chan, rng) for r in range(2, case.t + 1))
-            out[f"sc_decode N={spec.N} B={rows} all {case.t} rounds"] = {
-                "workload": case.name, "k": spec.k, "zero_llrs": int((every == 0).sum()),
-                **timed(lambda: sc_decode(every, spec), LAYER_CALLS[rows], case.beta)}
-        b = case.batch
-        out[f"encode N={spec.N} B={b}"] = {
+    if workload == DESIGN_NAME:
+        p, k, snr_db, m, b = SEARCH
+        search_design = GaussianDesign.from_snr_db(snr_db)
+        search_spec = base_code(p, k, search_design)
+        seed = search_seed(LAYER_SEED, 0)
+        out[f"search batch N={search_spec.N} B={b}"] = {
+            "workload": DESIGN_NAME, "k": k, "snr_db": snr_db, "m": m,
+            **timed(lambda: exhaustive_search(search_spec, search_design, m, n_samples=b,
+                                              seed=seed, batch=b),
+                    SEARCH_CALLS, DesignWorkload.rate_beta)}
+        for p, k, snr_db in (PPA32, PPA64):
+            ppa_design = GaussianDesign.from_snr_db(snr_db)
+            ppa_spec = base_code(p, k, ppa_design)
+            out[f"ppa N={ppa_spec.N}"] = {
+                "workload": DESIGN_NAME, "k": k, "snr_db": snr_db,
+                **timed(lambda: ppa(ppa_spec, ppa_design), PPA_CALLS[ppa_spec.N],
+                        DesignWorkload.op_beta)}
+        return out
+    cases = {c.name: c for c in HARQ_CASES}
+    if workload not in cases:
+        sys.exit(f"no layers for workload {workload!r}")
+    case = cases[workload]
+    rm = design_code(case.n, case.k, reference_base32_sequence(),
+                     ModulationSpec(case.order), case.select_L, case.select_snr_db)
+    spec = rm.spec
+    snr_db, L = case.points[0]
+    chan = ChannelSpec(kind=case.channel, snr_db=snr_db)
+    rng = np.random.default_rng(LAYER_SEED)
+    u = np.zeros((max(LAYER_CALLS), spec.N), dtype=np.uint8)
+    u[:, spec.info_zero_based] = rng.integers(0, 2, size=(len(u), spec.k))
+    plan = TxPlan(L=L, t=case.t, r=1, mode=case.mode)
+    x = encode(u, spec)
+    llrs = transmit_codeword_llrs(x, rm, plan, chan, rng)
+    for rows, calls in LAYER_CALLS.items():
+        out[f"sc_decode N={spec.N} B={rows}"] = {
             "workload": case.name, "k": spec.k,
-            **timed(lambda: encode(u[:b], spec), TX_CALLS, case.beta)}
-        out[f"tx chain N={spec.N} B={b}"] = {
-            "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
-            **timed(lambda: transmit_codeword_llrs(x[:b], rm, plan, chan, rng),
-                    TX_CALLS, case.beta)}
+            **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
+    if case.mode == "ir":   # every position sent: the check node meets no 0
+        rows = max(LAYER_CALLS)
+        every = llrs[:rows] + sum(
+            transmit_codeword_llrs(x[:rows], rm, TxPlan(L=L, t=case.t, r=r, mode=case.mode),
+                                   chan, rng) for r in range(2, case.t + 1))
+        out[f"sc_decode N={spec.N} B={rows} all {case.t} rounds"] = {
+            "workload": case.name, "k": spec.k, "zero_llrs": int((every == 0).sum()),
+            **timed(lambda: sc_decode(every, spec), LAYER_CALLS[rows], case.beta)}
+    b = case.batch
+    out[f"encode N={spec.N} B={b}"] = {
+        "workload": case.name, "k": spec.k,
+        **timed(lambda: encode(u[:b], spec), TX_CALLS, case.beta)}
+    out[f"tx chain N={spec.N} B={b}"] = {
+        "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
+        **timed(lambda: transmit_codeword_llrs(x[:b], rm, plan, chan, rng),
+                TX_CALLS, case.beta)}
 
-        def batch():   # the same messages and channel draws on every call
-            messages, rng = harq_messages(case, LAYER_SEED, 0, 0)
-            run_blocks_batch(spec, rm, chan, L, case.t, case.mode, messages, rng)
+    def batch():   # the same messages and channel draws on every call
+        messages, rng = harq_messages(case, LAYER_SEED, 0, 0)
+        run_blocks_batch(spec, rm, chan, L, case.t, case.mode, messages, rng)
 
-        out[f"harq batch N={spec.N} B={case.batch}"] = {
-            "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
-            **timed(batch, HARQ_BATCH_CALLS, case.beta)}
+    out[f"harq batch N={spec.N} B={case.batch}"] = {
+        "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
+        **timed(batch, HARQ_BATCH_CALLS, case.beta)}
 
-        wl = make(case.name, LAYER_SEED)
-        wl.setup()
+    wl = make(case.name, LAYER_SEED)
+    wl.setup()
 
-        def cycle():   # the same cycle, inputs and channel draws on every call
-            for kind, key in wl.cycle(0):
-                wl.run(kind, key, wl.inputs(kind, key))
+    def cycle():   # the same cycle, inputs and channel draws on every call
+        for kind, key in wl.cycle(0):
+            wl.run(kind, key, wl.inputs(kind, key))
 
-        out[f"harq cycle N={spec.N} B={case.batch}"] = {
-            "workload": case.name, "k": spec.k, "points": [list(p) for p in case.points],
-            **timed(cycle, HARQ_CYCLE_CALLS, case.beta)}
-
-    p, k, snr_db, m, b = SEARCH
-    search_design = GaussianDesign.from_snr_db(snr_db)
-    search_spec = base_code(p, k, search_design)
-    seed = search_seed(LAYER_SEED, 0)
-    out[f"search batch N={search_spec.N} B={b}"] = {
-        "workload": DESIGN_NAME, "k": k, "snr_db": snr_db, "m": m,
-        **timed(lambda: exhaustive_search(search_spec, search_design, m, n_samples=b,
-                                          seed=seed, batch=b),
-                SEARCH_CALLS, DesignWorkload.rate_beta)}
-    p, k, snr_db = PPA32
-    ppa_design = GaussianDesign.from_snr_db(snr_db)
-    ppa_spec = base_code(p, k, ppa_design)
-    out[f"ppa N={ppa_spec.N}"] = {
-        "workload": DESIGN_NAME, "k": k, "snr_db": snr_db,
-        **timed(lambda: ppa(ppa_spec, ppa_design), PPA_CALLS, DesignWorkload.op_beta)}
+    out[f"harq cycle N={spec.N} B={case.batch}"] = {
+        "workload": case.name, "k": spec.k, "points": [list(p) for p in case.points],
+        **timed(cycle, HARQ_CYCLE_CALLS, case.beta)}
     return out
+
+
+def workload_names(root: Path) -> list[str]:
+    return [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def tier1(root: Path) -> dict:
@@ -238,18 +266,22 @@ def main(argv=None) -> int:
     mode.add_argument("--pr", type=int, help="number in the output file name")
     mode.add_argument("--layers-only", action="store_true",
                       help="print the layers entry of this checkout and write nothing")
+    mode.add_argument("--layer-group", metavar="WORKLOAD",
+                      help="print the layers of one workload, timed in this process")
     args = ap.parse_args(argv)
     root = Path.cwd()
     if not (root / "BENCHMARK.json").is_file():
         ap.error("run from the root of an rcpolar checkout (BENCHMARK.json not found)")
+    if args.layer_group:
+        print(json.dumps(layer_group(root, args.layer_group)))
+        return 0
     if args.layers_only:
         print(json.dumps(layers(root), indent=1, sort_keys=True))
         return 0
-    workloads = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
 
     record = {"pr": args.pr, "seeds": list(SEEDS), "workloads": {}}
     env = {}
-    for workload in workloads:
+    for workload in workload_names(root):
         results = [load(root, workload, s, 0) for s in SEEDS]
         traced = load(root, workload, 1, 1)
         env = results[0]["env"]

@@ -84,22 +84,49 @@ def base_code(p: int, k: int, design) -> PolarCodeSpec:
     return PolarCodeSpec(n=p, k=k, info_set=select_information_set(profile, k), split=(p, 0))
 
 
+_BLOCK = 8   # coded positions per block of the GA block table
+
+
+def _block_table(design: GaussianDesign, base_len: int,
+                 memo: dict) -> tuple[np.ndarray, np.ndarray]:
+    """GA value table and codes after the first min(3, n) butterfly stages,
+    for every alive mask of one block of L = min(8, N) consecutive coded
+    positions: row M of the (2^L, L) codes is indexed by u position within
+    the block, and bit o of M is set where block position o is not punctured."""
+    L = min(_BLOCK, base_len)
+    alive = (np.arange(1 << L)[:, None] >> _bit_reversal_of(L)) & 1
+    return _ga_leaf_codes(np.array([0.0, design.mean_llr]), alive.astype(np.int32), memo)
+
+
 def _pattern_error_probs(design, base_len: int, patterns: np.ndarray, cols,
-                         memo: dict | None = None) -> np.ndarray:
+                         memo: dict | None = None, table=None) -> np.ndarray:
     """Error probabilities of the inputs ``cols`` (any index of the N input
     positions) for a batch of patterns: (B, m) -> (B, len(cols)).  ``memo``
-    is the GA check-node memo of :func:`ga_leaf_means`.  GA codes index the
-    table [0, mean], built bit-reversed as one int32 (N, B) array that the
-    butterfly rewrites in place; the error probability runs on the leaf table,
-    and only the codes of ``cols`` are looked up in it."""
+    is the GA check-node memo of :func:`ga_leaf_means`; ``table`` is
+    :func:`_block_table` of this design and length, built here when omitted.
+
+    A GA batch holds only the means 0 and the design mean, and the first
+    min(3, n) stages act inside blocks of L = min(8, N) consecutive coded
+    positions, so each block enters at its table row, keyed by its alive
+    mask (``np.packbits``).  The rows are gathered into one C-ordered
+    (N/L, B, L) int32 array ``codes``, blocks in bit-reversed order; the
+    remaining stages run on it in place as a length-N/L butterfly over its
+    first axis (its ``moveaxis`` view needs no copy).  ``codes[c, b, t]``
+    then codes input ``t*N/L + c`` of pattern b; the error probability runs
+    on the leaf table, and only the codes of ``cols`` are looked up in it."""
     B = patterns.shape[0]
     if isinstance(design, GaussianDesign):
-        codes = np.ones((base_len, B), dtype=np.int32)
-        flat = _bit_reversal_of(base_len)[patterns] * B   # each punctured code's flat index
-        flat += np.arange(B)[:, None]
-        codes.reshape(-1)[flat] = 0
-        vals, codes = _ga_leaf_codes(np.array([0.0, design.mean_llr]), codes.T, memo)
-        return bit_error_prob(vals)[codes.T[cols]].T   # gathered as contiguous (len(cols), B) rows
+        memo = {} if memo is None else memo
+        vals, rows = _block_table(design, base_len, memo) if table is None else table
+        blocks = base_len // rows.shape[1]
+        alive = np.ones((B, base_len), dtype=bool)
+        if patterns.size:
+            np.put_along_axis(alive, patterns, False, axis=1)
+        masks = np.packbits(alive, axis=1, bitorder="little")   # (B, N/L)
+        codes = rows[masks[:, _bit_reversal_of(blocks)].T]
+        vals, _ = _ga_leaf_codes(vals, np.moveaxis(codes, 0, -1), memo)
+        u = np.arange(base_len)[cols]
+        return bit_error_prob(vals)[codes[u % blocks, :, u // blocks]].T
     if isinstance(design, ErasureDesign):
         z = np.full((B, base_len), design.epsilon)
         if patterns.size:
@@ -219,10 +246,11 @@ def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
     Evaluates the metric exactly N(N+1)/2 times.  Ties (within ``_TIE_REL``
     relative) resolve to the smallest coded index and are recorded in
     ``stats.ties``.  Successive steps share most check-node input pairs, so
-    one GA memo serves the whole run.
+    one GA memo and one block table serve the whole run.
     """
     N = base_spec.N
     memo: dict = {}
+    table = _block_table(design, N, memo) if isinstance(design, GaussianDesign) else None
     punct: list[int] = []
     stats = PpaStats(metric_evals=0, step_candidates=[], step_metrics=[], ties=[])
     for m in range(N):
@@ -231,7 +259,8 @@ def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
             [np.tile(np.array(punct, dtype=np.int64), (len(cands), 1)), cands[:, None]],
             axis=1,
         )
-        met = _union_bound(_pattern_error_probs(design, N, pats, base_spec.info_zero_based, memo))
+        met = _union_bound(_pattern_error_probs(design, N, pats, base_spec.info_zero_based,
+                                                memo, table))
         stats.metric_evals += len(cands)
         best_i = int(np.lexsort((cands, met))[0])
         best_met = met[best_i]

@@ -116,19 +116,25 @@ class TestPpaMemo:
 
     def test_check_node_calls(self, monkeypatch):
         # without the memo, base-32 PPA evaluates the check node once per
-        # stage per step: 5 * 32 = 160 calls; a second run starts empty
+        # stage per step: 5 * 32 = 160 calls; a second run starts empty and
+        # builds its own block table
         design = GaussianDesign.from_snr_db(3.5)
         spec = base_code(5, 11, design)
-        calls = []
+        calls, builds = [], []
         check = construction.ga_check_mean
         monkeypatch.setattr(construction, "ga_check_mean",
                             lambda a, b: calls.append(len(a)) or check(a, b))
+        build = puncturing._block_table
+        monkeypatch.setattr(puncturing, "_block_table",
+                            lambda *args: builds.append(args[1]) or build(*args))
         ppa(spec, design)
         first = len(calls)
-        assert first <= 60
+        assert first <= 45
+        assert builds == [32]
         calls.clear()
         ppa(spec, design)
         assert len(calls) == first
+        assert builds == [32, 32]
 
 
 class TestEvaluatePatterns:
@@ -212,6 +218,20 @@ class TestPatternErrorProbs:
         cols = np.flatnonzero(rng.random(N) < 0.5)
         got = puncturing._pattern_error_probs(design, N, pats, cols)
         assert np.array_equal(got.view(np.int64), want[:, cols].view(np.int64))
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 10])
+    @pytest.mark.parametrize("B", [1, 3, 257])
+    def test_bit_identical_past_drawn_lengths(self, p, B):
+        # p = 7 and 10 run 4 and 7 stages after the block table; at p = 1
+        # and 2 one block, shorter than 8, covers the whole code
+        N = 1 << p
+        design = GaussianDesign.from_snr_db(3.0)
+        rng = np.random.default_rng(1000 * p + B)
+        for m in sorted({0, 1, N // 2, N}):
+            pats = np.argsort(rng.random((B, N)), axis=1)[:, :m]
+            got = puncturing._pattern_error_probs(design, N, pats, slice(None))
+            want = self.elementwise(design, N, pats)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"m = {m}"
 
     @pytest.mark.parametrize("cap", ["lookup", "unique"])
     def test_search_batch(self, cap):
