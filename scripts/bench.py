@@ -13,20 +13,23 @@ It adds the wall time of the tier-1 suite and of its criterion-7 test (one
 pytest run with ``--durations=0``), the commit, nproc, and the Python, numpy
 and scipy versions.  Under ``layers`` it times layers that rcbench does
 not time at a fixed size, on the code of each HARQ workload
-(N=256 and N=1024) at its first point:
+(N=256 and N=1024) at its first point, in this order:
 
-* one ``sc_decode`` call at B=1 and B=512 rows, on fixed-seed LLRs of one
-  transmission, and for incremental redundancy also at B=512 on the sum of
-  all t transmissions, where every position is sent and no LLR is 0;
 * one ``encode`` call and one tx chain (``transmit_codeword_llrs``: rate
   matching, modulation, channel, demapping and the fold onto N positions) of
   the first transmission, on the workload's batch size of fixed-seed blocks;
+* one ``sc_decode`` call at B=1 and B=512 rows, on fixed-seed LLRs of one
+  transmission, and for incremental redundancy also at B=512 on the sum of
+  all t transmissions, where every position is sent and no LLR is 0;
 * one HARQ batch: ``run_blocks_batch`` on the workload's batch of fixed-seed
   messages (B=64 for IR, B=256 for CC), every transmission included;
 * one HARQ cycle: the rcbench workload's first cycle at ``LAYER_SEED``, a
   batch at each of its points (their inputs made in the call), as rcbench
   times it.  Its points differ in SNR or L, so unlike the repeated batch it
   shows the page faults of calls that change size.
+
+The tx chain runs before the decodes: timed after the B=512 decodes, its
+figure moved 1.6-2x with the heap they left behind.
 
 It times three layers of the design workload the same way:
 
@@ -197,18 +200,11 @@ def layer_group(root: Path, workload: str) -> dict:
     plan = TxPlan(L=L, t=case.t, r=1, mode=case.mode)
     x = encode(u, spec)
     llrs = transmit_codeword_llrs(x, rm, plan, chan, rng)
-    for rows, calls in LAYER_CALLS.items():
-        out[f"sc_decode N={spec.N} B={rows}"] = {
-            "workload": case.name, "k": spec.k,
-            **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
+    full = max(LAYER_CALLS)
     if case.mode == "ir":   # every position sent: the check node meets no 0
-        rows = max(LAYER_CALLS)
-        every = llrs[:rows] + sum(
-            transmit_codeword_llrs(x[:rows], rm, TxPlan(L=L, t=case.t, r=r, mode=case.mode),
+        every = llrs[:full] + sum(
+            transmit_codeword_llrs(x[:full], rm, TxPlan(L=L, t=case.t, r=r, mode=case.mode),
                                    chan, rng) for r in range(2, case.t + 1))
-        out[f"sc_decode N={spec.N} B={rows} all {case.t} rounds"] = {
-            "workload": case.name, "k": spec.k, "zero_llrs": int((every == 0).sum()),
-            **timed(lambda: sc_decode(every, spec), LAYER_CALLS[rows], case.beta)}
     b = case.batch
     out[f"encode N={spec.N} B={b}"] = {
         "workload": case.name, "k": spec.k,
@@ -217,6 +213,14 @@ def layer_group(root: Path, workload: str) -> dict:
         "workload": case.name, "k": spec.k, "snr_db": snr_db, "L": L,
         **timed(lambda: transmit_codeword_llrs(x[:b], rm, plan, chan, rng),
                 TX_CALLS, case.beta)}
+    for rows, calls in LAYER_CALLS.items():
+        out[f"sc_decode N={spec.N} B={rows}"] = {
+            "workload": case.name, "k": spec.k,
+            **timed(lambda: sc_decode(llrs[:rows], spec), calls, case.beta)}
+    if case.mode == "ir":
+        out[f"sc_decode N={spec.N} B={full} all {case.t} rounds"] = {
+            "workload": case.name, "k": spec.k, "zero_llrs": int((every == 0).sum()),
+            **timed(lambda: sc_decode(every, spec), LAYER_CALLS[full], case.beta)}
 
     def batch():   # the same messages and channel draws on every call
         messages, rng = harq_messages(case, LAYER_SEED, 0, 0)

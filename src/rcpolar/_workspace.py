@@ -1,12 +1,12 @@
 """Reused arrays for hot-path temporaries that never leave the call.
 
 A HARQ cycle allocates the same large temporaries again and again: the
-channel's normal draws and the decoder's LLRs of every node width.  Freed,
-their pages go back to the system and the next call faults them in again.
-``workspace`` hands out one kept array per key instead, so a cycle touches
-the same pages every time.  Arrays are kept per thread, and all of one
-thread's arrays together hold at most ``KEEP_BYTES``; a request past that
-gets a fresh array.
+channel's normal draws, the fold's bins and the decoder's LLRs of every node
+width.  Freed, their pages go back to the system and the next call faults
+them in again.  ``workspace`` hands out one kept array per key instead, so
+a cycle touches the same pages every time.  Arrays are kept per thread, and
+all of one thread's arrays together hold at most ``KEEP_BYTES``; a request
+past that gets a fresh array.
 """
 
 from __future__ import annotations

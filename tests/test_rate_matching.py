@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcpolar.channel import BPSK, QAM16, QAM64, ChannelSpec
-from rcpolar import rate_matching
+from rcpolar import _workspace
 from rcpolar.polar import PolarCodeSpec
 from rcpolar.puncturing import PuncturingSequence, expand_regular, reference_base32_sequence
 from rcpolar.rate_matching import (
@@ -294,10 +294,9 @@ class TestDeRateMatch:
     @pytest.mark.parametrize("mode", ["cc", "ir"])
     @pytest.mark.parametrize("shift", [False, True])
     @pytest.mark.parametrize("L", [384, 1024, 1500, 3072])
-    def test_fold_of_tx_maps_equals_add_at(self, B, mode, shift, L, monkeypatch):
-        # each map is folded at B rows, then fewer (a prefix of the cached
-        # bins), then more (the bins are rebuilt for the larger batch)
-        monkeypatch.setattr(rate_matching, "_bins_cache", {})
+    def test_fold_of_tx_maps_equals_add_at(self, B, mode, shift, L):
+        # each map is folded at B rows, then fewer (a prefix of the kept bins
+        # array), then more (the array is replaced by a larger one)
         rm = big_rm(mod=QAM16, split=(5, 5), shift_cc_bicm=shift)
         sizes = (B, B // 2, 2 * B + 1)
         values = signed_zero_values(np.random.default_rng(L + B), (max(sizes), L))
@@ -309,8 +308,38 @@ class TestDeRateMatch:
                 np.add.at(want, (np.arange(rows)[:, None], idx[None, :]), values[:rows])
                 got = de_rate_match(values[:rows], rm, plan)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
-                cached = rate_matching._bins_cache[(id(idx), rm.spec.N)][1]
-                assert cached.size == max(sizes[: sizes.index(rows) + 1]) * L
+
+    @pytest.mark.parametrize("L", [300, 1500])
+    def test_fold_of_two_maps_at_one_size_equals_add_at(self, L, monkeypatch):
+        # from an empty workspace, the second map's bins overwrite the first's
+        # in the same kept array
+        monkeypatch.setattr(_workspace, "_local", type(_workspace._local)())
+        rm = big_rm(mod=QAM16, split=(5, 5))
+        values = signed_zero_values(np.random.default_rng(L), (5, L))
+        plans = [TxPlan(L=L, t=3, r=r, mode="ir") for r in (1, 2, 1)]
+        maps = [build_tx_map(rm, plan).emit_idx for plan in plans]
+        assert not np.array_equal(maps[0], maps[1])
+        for plan, idx in zip(plans, maps):
+            want = np.zeros((5, rm.spec.N))
+            np.add.at(want, (np.arange(5)[:, None], idx[None, :]), values)
+            got = de_rate_match(values, rm, plan)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_fold_past_the_workspace_budget_equals_add_at(self, monkeypatch):
+        # bins of 3 x 300 fit in 8 KiB and are kept; bins of 9 x 300 do not,
+        # so they are built in a fresh array on every call
+        monkeypatch.setattr(_workspace, "KEEP_BYTES", 8 << 10)
+        monkeypatch.setattr(_workspace, "_local", type(_workspace._local)())
+        rm = big_rm(mod=QAM16, split=(5, 5))
+        plan = TxPlan(L=300, t=1, r=1, mode="cc")
+        idx = build_tx_map(rm, plan).emit_idx
+        values = signed_zero_values(np.random.default_rng(9), (9, 300))
+        for rows in (3, 9, 9, 3):
+            want = np.zeros((rows, rm.spec.N))
+            np.add.at(want, (np.arange(rows)[:, None], idx[None, :]), values[:rows])
+            got = de_rate_match(values[:rows], rm, plan)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert _workspace._local.kept["fold bins"].size == 3 * 300
 
     def test_empty_batch(self):
         rm = simple_rm()

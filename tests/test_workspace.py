@@ -122,8 +122,8 @@ def test_workspace_past_its_budget_is_fresh(monkeypatch):
 
 
 def test_threads_keep_their_own_arrays():
-    # more threads than cores, switching often: a workspace or bins cache
-    # shared without care would mix their arrays or fail an eviction
+    # more threads than cores, switching often: a workspace shared without
+    # care would mix their draws, fold bins or decoder LLRs
     rm = harq_code(QAM16)
     chan = ChannelSpec(kind="fading", snr_db=5.0)
 
