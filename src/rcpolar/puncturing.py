@@ -98,55 +98,60 @@ def _block_table(design: GaussianDesign, base_len: int,
     return _ga_leaf_codes(np.array([0.0, design.mean_llr]), alive.astype(np.int32), memo)
 
 
-def _pattern_error_probs(design, base_len: int, patterns: np.ndarray, cols,
+def _pattern_error_probs(design, base_len: int, alive: np.ndarray, cols,
                          memo: dict | None = None, table=None) -> np.ndarray:
     """Error probabilities of the inputs ``cols`` (any index of the N input
-    positions) for a batch of patterns: (B, m) -> (B, len(cols)).  ``memo``
-    is the GA check-node memo of :func:`ga_leaf_means`; ``table`` is
-    :func:`_block_table` of this design and length, built here when omitted.
-
-    A GA batch holds only the means 0 and the design mean, and the first
-    min(3, n) stages act inside blocks of L = min(8, N) consecutive coded
-    positions, so each block enters at its table row, keyed by its alive
-    mask (``np.packbits``).  The rows are gathered into one C-ordered
-    (N/L, B, L) int32 array ``codes``, blocks in bit-reversed order; the
-    remaining stages run on it in place as a length-N/L butterfly over its
-    first axis (its ``moveaxis`` view needs no copy).  ``codes[c, b, t]``
-    then codes input ``t*N/L + c`` of pattern b; the error probability runs
-    on the leaf table, and only the codes of ``cols`` are looked up in it."""
-    B = patterns.shape[0]
+    positions) for (B, N) bool alive masks, False where punctured: (B, N) ->
+    (B, len(cols)).  ``memo`` is the GA check-node memo of :func:`ga_leaf_means`;
+    ``table`` is :func:`_block_table` of this design and length, built here
+    when omitted.  A GA batch enters the first min(3, n) stages at the table
+    rows of its mask bytes (``np.packbits``), one per block of L = min(8, N)
+    positions, taken whole through an int64 view into one C-ordered
+    (N/L, B, L) int32 array ``codes``, blocks bit-reversed; the other stages
+    run on it in place, and ``codes[c, b, t]`` then codes input ``t*N/L + c``."""
     if isinstance(design, GaussianDesign):
         memo = {} if memo is None else memo
         vals, rows = _block_table(design, base_len, memo) if table is None else table
         blocks = base_len // rows.shape[1]
-        alive = np.ones((B, base_len), dtype=bool)
-        if patterns.size:
-            np.put_along_axis(alive, patterns, False, axis=1)
         masks = np.packbits(alive, axis=1, bitorder="little")   # (B, N/L)
-        codes = rows[masks[:, _bit_reversal_of(blocks)].T]
+        codes = rows.view(np.int64).take(masks[:, _bit_reversal_of(blocks)].T, 0).view(np.int32)
         vals, _ = _ga_leaf_codes(vals, np.moveaxis(codes, 0, -1), memo)
-        u = np.arange(base_len)[cols]
-        return bit_error_prob(vals)[codes[u % blocks, :, u // blocks]].T
+        ep, u = bit_error_prob(vals), np.arange(base_len)[cols]
+        taken = [ep.take(codes[c % blocks, :, c // blocks]) for c in u]
+        return np.array(taken).reshape(len(u), len(alive)).T   # cols may be empty
     if isinstance(design, ErasureDesign):
-        z = np.full((B, base_len), design.epsilon)
-        if patterns.size:
-            np.put_along_axis(z, patterns, 1.0, axis=1)
+        z = np.where(alive, design.epsilon, 1.0)
         return bec_leaf_erasures(z)[:, cols]
     raise TypeError(f"unsupported design channel {design!r}")
 
 
-def _checked_patterns(patterns, N: int) -> np.ndarray:
-    """One pattern (1-D, possibly empty) or a (B, m) batch as a (B, m) int64
-    batch; every row must hold distinct integer positions in [0, N)."""
+def _alive_masks(patterns: np.ndarray, N: int) -> np.ndarray:
+    """A (B, m) batch of patterns as (B, N) bool alive masks, False where punctured."""
+    alive = np.ones((len(patterns), N), dtype=bool)
+    alive[np.arange(len(patterns))[:, None], patterns] = False
+    return alive
+
+
+def _drawn_alive(r: np.ndarray, m: int) -> np.ndarray:
+    """Alive masks of ``np.argsort(r, axis=1)[:, :m]`` by a sort and a threshold;
+    a row whose m-th and (m+1)-th smallest draws tie takes its argsort prefix."""
+    s = np.sort(r, axis=1)
+    alive = r > (s[:, m - 1:m] if m else -np.inf)
+    tie = np.flatnonzero(s[:, m] == s[:, m - 1]) if 0 < m < r.shape[1] else []
+    alive[tie] = _alive_masks(np.argsort(r[tie], axis=1)[:, :m], r.shape[1])
+    return alive
+
+
+def _checked_alive(patterns, N: int) -> np.ndarray:
+    """Alive masks of one pattern (1-D) or a (B, m) batch of distinct positions in [0, N)."""
     patterns = np.atleast_2d(np.asarray(patterns))
     if patterns.ndim != 2:
         raise ValueError(f"patterns must be 1-D or (B, m), got shape {patterns.shape}")
-    s = np.sort(patterns, axis=1)
-    if patterns.size and (patterns.dtype.kind not in "iuf" or np.any(s != np.floor(s))
-                          or s[:, 0].min() < 0 or s[:, -1].max() >= N
-                          or np.any(s[:, 1:] == s[:, :-1])):
-        raise ValueError(f"patterns must hold distinct integer positions in [0, {N})")
-    return patterns.astype(np.int64, copy=False)
+    if patterns.dtype.kind in "iuf" and np.isin(patterns, np.arange(N)).all():
+        alive = _alive_masks(patterns.astype(np.int64), N)
+        if np.all(alive.sum(axis=1) == N - patterns.shape[1]):   # no position repeats
+            return alive
+    raise ValueError(f"patterns must hold distinct integer positions in [0, {N})")
 
 
 def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
@@ -155,18 +160,14 @@ def evaluate_patterns(base_spec: PolarCodeSpec, design, patterns) -> np.ndarray:
     ``patterns`` is one pattern (1-D, possibly empty) or a (B, m) batch of
     distinct positions in [0, N); the result holds one metric per pattern.
     """
-    return _union_bound(_pattern_error_probs(design, base_spec.N,
-                                             _checked_patterns(patterns, base_spec.N),
-                                             base_spec.info_zero_based))
+    alive = _checked_alive(patterns, base_spec.N)
+    return _union_bound(_pattern_error_probs(design, base_spec.N, alive, base_spec.info_zero_based))
 
 
 def _union_bound(ep: np.ndarray) -> np.ndarray:
-    """Sum of each row of ep, the information positions' error probabilities.
-
-    The columns are added left to right for every batch size: a reduction
-    over ep sums pairwise when B = 1 and in sequence when B >= 2, so a
-    metric's last bit would depend on its batch.
-    """
+    """Row sums of ep, columns added left to right for every batch size: a
+    reduction over ep sums pairwise when B = 1 and in sequence when B >= 2,
+    so a metric's last bit would depend on its batch."""
     metric = np.zeros(len(ep))
     for col in ep.T:
         metric += col
@@ -251,15 +252,13 @@ def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
     N = base_spec.N
     memo: dict = {}
     table = _block_table(design, N, memo) if isinstance(design, GaussianDesign) else None
+    alive = np.ones(N, dtype=bool)
     punct: list[int] = []
     stats = PpaStats(metric_evals=0, step_candidates=[], step_metrics=[], ties=[])
     for m in range(N):
-        cands = np.array([c for c in range(N) if c not in punct], dtype=np.int64)
-        pats = np.concatenate(
-            [np.tile(np.array(punct, dtype=np.int64), (len(cands), 1)), cands[:, None]],
-            axis=1,
-        )
-        met = _union_bound(_pattern_error_probs(design, N, pats, base_spec.info_zero_based,
+        cands = np.flatnonzero(alive)
+        masks = alive & (cands[:, None] != np.arange(N))   # one more position each
+        met = _union_bound(_pattern_error_probs(design, N, masks, base_spec.info_zero_based,
                                                 memo, table))
         stats.metric_evals += len(cands)
         best_i = int(np.lexsort((cands, met))[0])
@@ -269,6 +268,7 @@ def ppa(base_spec: PolarCodeSpec, design) -> PuncturingSequence:
             stats.ties.append((m, tuple(int(c) for c in tied)))
         stats.step_candidates.append(cands)
         stats.step_metrics.append(met)
+        alive[cands[best_i]] = False
         punct.append(int(cands[best_i]))
     return PuncturingSequence(base_len=N, order=tuple(punct), stats=stats)
 
@@ -284,9 +284,9 @@ def exhaustive_search(
 ) -> tuple[int, ...]:
     """Pattern of size m minimizing the union bound.
 
-    Enumerates all patterns when their count fits the ``budget``; otherwise a
-    uniformly sampled search of ``n_samples`` patterns must be requested
-    explicitly, and the best sampled pattern is returned.
+    Enumerates all patterns when their count fits the ``budget``; otherwise
+    returns the best of ``n_samples`` sampled patterns (requested explicitly),
+    each the positions of the m smallest of N uniform draws, ties included.
     """
     N = base_spec.N
     if not 0 <= m <= N:
@@ -298,23 +298,23 @@ def exhaustive_search(
     total = comb(N, m)
     if total <= budget:
         it = combinations(range(N), m)
-        stream = (np.array(c, dtype=np.int64) for c in iter(lambda: list(islice(it, batch)), []))
+        stream = (_alive_masks(np.array(c, dtype=np.int64), N)
+                  for c in iter(lambda: list(islice(it, batch)), []))
     elif n_samples is None:
         raise EnumerationBudgetError(
             f"C({N},{m}) = {total} patterns exceed the enumeration budget "
             f"{budget}; pass n_samples to run a sampled search")
     else:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), N, m)))
-        stream = (np.argsort(rng.random((min(batch, n_samples - s), N)), axis=1)[:, :m]
+        stream = (_drawn_alive(rng.random((min(batch, n_samples - s), N)), m)
                   for s in range(0, n_samples, batch))
-    best_met, best_pat = np.inf, None
-    for pats in stream:
-        # the public call's pattern checks are skipped: pats are valid by construction
-        met = _union_bound(_pattern_error_probs(design, N, pats, base_spec.info_zero_based))
+    best_met, best_alive = np.inf, None
+    for alive in stream:
+        met = _union_bound(_pattern_error_probs(design, N, alive, base_spec.info_zero_based))
         i = int(np.argmin(met))
         if met[i] < best_met:
-            best_met, best_pat = met[i], pats[i]
-    return tuple(int(c) for c in np.sort(best_pat))
+            best_met, best_alive = met[i], alive[i]
+    return tuple(int(c) for c in np.flatnonzero(~best_alive))
 
 
 def expand_regular(seq: PuncturingSequence, spec: PolarCodeSpec, m: int) -> tuple[int, ...]:
@@ -343,6 +343,6 @@ def sum_capacity_check(base_len: int, pattern, channel: ChannelSpec) -> tuple[fl
     """
     if channel.kind != "bec":
         raise ValueError("sum-capacity check requires an erasure channel")
-    pats = _checked_patterns([pattern], base_len)
-    leaf = _pattern_error_probs(ErasureDesign(channel.epsilon), base_len, pats, slice(None))[0]
-    return float(np.sum(1.0 - leaf)), (base_len - pats.shape[1]) * (1.0 - channel.epsilon)
+    alive = _checked_alive([pattern], base_len)
+    leaf = _pattern_error_probs(ErasureDesign(channel.epsilon), base_len, alive, slice(None))[0]
+    return float(np.sum(1.0 - leaf)), int(alive.sum()) * (1.0 - channel.epsilon)

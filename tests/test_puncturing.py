@@ -190,15 +190,26 @@ class TestEvaluatePatterns:
         assert exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=64) == want
 
 
+def alive_of(pats, N):
+    """Alive masks of a (B, m) pattern batch, built apart from the library's helper."""
+    alive = np.ones((len(pats), N), dtype=bool)
+    if pats.size:
+        np.put_along_axis(alive, pats, False, axis=1)
+    return alive
+
+
+def drawn_patterns(r, m):
+    """The sampled search's patterns as it drew them before alive masks:
+    the positions of each row's m smallest draws, by ``np.argsort``."""
+    return np.argsort(r, axis=1)[:, :m]
+
+
 class TestPatternErrorProbs:
     """GA error probabilities over the value table equal the elementwise ones."""
 
     @staticmethod
-    def elementwise(design, N, patterns):
-        means = np.full((len(patterns), N), design.mean_llr)
-        if patterns.size:
-            np.put_along_axis(means, patterns, 0.0, axis=1)
-        return bit_error_prob(ga_leaf_means(means))
+    def elementwise(design, alive):
+        return bit_error_prob(ga_leaf_means(np.where(alive, design.mean_llr, 0.0)))
 
     @given(st.integers(1, 6), st.data(), st.floats(-5.0, 12.0))
     @settings(max_examples=40, deadline=None)
@@ -209,14 +220,14 @@ class TestPatternErrorProbs:
         B = data.draw(st.integers(1, 4096))
         m = data.draw(st.integers(0, N))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        pats = np.argsort(rng.random((B, N)), axis=1)[:, :m]
-        got = puncturing._pattern_error_probs(design, N, pats, slice(None))
-        want = self.elementwise(design, N, pats)
+        alive = alive_of(drawn_patterns(rng.random((B, N)), m), N)
+        got = puncturing._pattern_error_probs(design, N, alive, slice(None))
+        want = self.elementwise(design, alive)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # the searches read only the information columns, gathered before the lookup
+        # the searches read only the information columns, each taken as one row
         cols = np.flatnonzero(rng.random(N) < 0.5)
-        got = puncturing._pattern_error_probs(design, N, pats, cols)
+        got = puncturing._pattern_error_probs(design, N, alive, cols)
         assert np.array_equal(got.view(np.int64), want[:, cols].view(np.int64))
 
     @pytest.mark.parametrize("p", [1, 2, 7, 10])
@@ -228,10 +239,26 @@ class TestPatternErrorProbs:
         design = GaussianDesign.from_snr_db(3.0)
         rng = np.random.default_rng(1000 * p + B)
         for m in sorted({0, 1, N // 2, N}):
-            pats = np.argsort(rng.random((B, N)), axis=1)[:, :m]
-            got = puncturing._pattern_error_probs(design, N, pats, slice(None))
-            want = self.elementwise(design, N, pats)
+            alive = alive_of(drawn_patterns(rng.random((B, N)), m), N)
+            got = puncturing._pattern_error_probs(design, N, alive, slice(None))
+            want = self.elementwise(design, alive)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"m = {m}"
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (5, 0), (5, 7), (6, 40)])
+    def test_ppa_step_batch(self, p, m):
+        # PPA's shape: every row punctures one prefix plus one candidate of
+        # its own, and the memo and block table are shared between calls
+        N = 1 << p
+        design = GaussianDesign.from_snr_db(2.5)
+        prefix = np.random.default_rng(p).permutation(N)[:m]
+        cands = np.setdiff1d(np.arange(N), prefix)
+        alive = alive_of(np.column_stack([np.tile(prefix, (len(cands), 1)), cands]), N)
+        memo: dict = {}
+        table = puncturing._block_table(design, N, memo)
+        want = self.elementwise(design, alive)
+        for _ in range(2):
+            got = puncturing._pattern_error_probs(design, N, alive, slice(None), memo, table)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("cap", ["lookup", "unique"])
     def test_search_batch(self, cap):
@@ -239,21 +266,74 @@ class TestPatternErrorProbs:
         # 32, with the stages' lookup table as configured or never admitted;
         # the reference runs on float means through the other setting
         design = GaussianDesign.from_snr_db(3.0)
-        pats = np.argsort(np.random.default_rng(1).random((65_536, 32)), axis=1)[:, :10]
+        alive = puncturing._drawn_alive(np.random.default_rng(1).random((65_536, 32)), 10)
         caps = {"lookup": construction._DENSE_CAP, "unique": 0}
         other = {"lookup": "unique", "unique": "lookup"}[cap]
         with mock.patch.object(construction, "_DENSE_CAP", caps[cap]):
-            got = puncturing._pattern_error_probs(design, 32, pats, slice(None))
+            got = puncturing._pattern_error_probs(design, 32, alive, slice(None))
         with mock.patch.object(construction, "_DENSE_CAP", caps[other]):
-            want = self.elementwise(design, 32, pats)
+            want = self.elementwise(design, alive)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("shape", [(1, 0), (3, 0)])
     def test_empty_patterns(self, shape):
         design = GaussianDesign.from_snr_db(3.0)
-        pats = np.empty(shape, dtype=np.int64)
-        got = puncturing._pattern_error_probs(design, 16, pats, slice(None))
-        assert np.array_equal(got.view(np.int64), self.elementwise(design, 16, pats).view(np.int64))
+        alive = alive_of(np.empty(shape, dtype=np.int64), 16)
+        got = puncturing._pattern_error_probs(design, 16, alive, slice(None))
+        assert np.array_equal(got.view(np.int64), self.elementwise(design, alive).view(np.int64))
+
+
+class TestDrawnAlive:
+    """The sampled search's sort-threshold masks puncture the argsort prefixes."""
+
+    @given(st.integers(1, 64), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_argsort_prefix(self, N, data):
+        m = data.draw(st.one_of(st.just(0), st.just(N), st.integers(0, N)))
+        B = data.draw(st.integers(1, 40))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # a coarse grid ties draws anywhere in a row; planted ties sit at the
+        # threshold (the m-th and (m+1)-th smallest) and below it
+        grid = data.draw(st.sampled_from([None, 2, 3, 5, 1 << 20]))
+        r = rng.random((B, N)) if grid is None else rng.integers(0, grid, (B, N)) / grid
+        order = np.argsort(r, axis=1)
+        rows = np.arange(B)
+        if 0 < m < N:
+            at = rows[rng.random(B) < 0.5]
+            r[at, order[at, m]] = r[at, order[at, m - 1]]
+        if m >= 2:
+            below = rows[rng.random(B) < 0.5]
+            j = rng.integers(1, m, len(below))
+            r[below, order[below, j - 1]] = r[below, order[below, j]]
+        got = puncturing._drawn_alive(r, m)
+        assert np.array_equal(got, alive_of(drawn_patterns(r, m), N))
+
+    @pytest.mark.parametrize("N,m", [(2, 1), (32, 10), (64, 63)])
+    def test_threshold_tie_splits_as_argsort(self, N, m):
+        # every row's m-th and (m+1)-th smallest draws are equal, so a plain
+        # threshold would puncture m + 1 positions
+        r = np.random.default_rng(N + m).random((50, N))
+        order = np.argsort(r, axis=1)
+        rows = np.arange(50)
+        r[rows, order[:, m]] = r[rows, order[:, m - 1]]
+        got = puncturing._drawn_alive(r, m)
+        assert np.all(got.sum(axis=1) == N - m)
+        assert np.array_equal(got, alive_of(drawn_patterns(r, m), N))
+
+
+def reference_sampled_search(spec, design, m, n_samples, seed, batch):
+    """The sampled search as it ran on argsort patterns: draw each batch,
+    score it with the public call and keep the first best pattern."""
+    N = spec.N
+    rng = np.random.default_rng(np.random.SeedSequence((seed, N, m)))
+    best_met, best_pat = np.inf, None
+    for s in range(0, n_samples, batch):
+        pats = drawn_patterns(rng.random((min(batch, n_samples - s), N)), m)
+        met = evaluate_patterns(spec, design, pats)
+        i = int(np.argmin(met))
+        if met[i] < best_met:
+            best_met, best_pat = met[i], pats[i]
+    return tuple(int(c) for c in np.sort(best_pat))
 
 
 class TestExhaustive:
@@ -302,6 +382,18 @@ class TestExhaustive:
         sampled = {exhaustive_search(spec, design, 3, budget=0, n_samples=300, batch=b)
                    for b in (1, 64, 300, 1000)}
         assert len(sampled) == 1
+
+    @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
+                                        ErasureDesign(epsilon=0.4)], ids=["ga", "bec"])
+    @pytest.mark.parametrize("p,k,m", [(4, 8, 5), (5, 16, 10), (5, 11, 1), (6, 22, 40)])
+    @pytest.mark.parametrize("n_samples,batch", [(300, 64), (1000, 1000), (2049, 512)])
+    def test_sampled_search_equals_argsort_stream(self, design, p, k, m, n_samples, batch):
+        spec = base_code(p, k, design)
+        for seed in (0, 1, 7):
+            want = reference_sampled_search(spec, design, m, n_samples, seed, batch)
+            got = exhaustive_search(spec, design, m, budget=0, n_samples=n_samples,
+                                    seed=seed, batch=batch)
+            assert got == want, f"seed {seed}"
 
     def test_sampled_search_deterministic(self):
         design = GaussianDesign.from_snr_db(3.0)
