@@ -42,7 +42,11 @@ It times three layers of the design workload the same way:
 
 The layers of each workload run in a child interpreter of their own
 (``--layer-group <workload>``), so no workload's layers inherit the heap
-that another workload's layers leave behind.
+that another workload's layers leave behind.  One more layer,
+``import rcpolar``, is the CPU time of a fresh ``python -c "import rcpolar"``
+on the checkout's ``src/``, read from ``RUSAGE_CHILDREN``, over
+``IMPORT_RUNS`` runs; it is divided by the slowdown as rcbench divides
+set-up time (beta 1), and its page faults are the child's.
 
 Each layer records the median process CPU time of a call, raw
 (``cpu_s_median_raw``) and divided as rcbench divides its times
@@ -88,6 +92,7 @@ HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
 HARQ_CYCLE_CALLS = 21              # timed rcbench cycles per HARQ workload
 SEARCH_CALLS = 21                  # timed sampled-search batches
 PPA_CALLS = {32: 51, 64: 21}       # timed ppa runs per base length
+IMPORT_RUNS = 7                    # fresh interpreters timed for ``import rcpolar``
 
 
 def load(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -128,7 +133,27 @@ def layers(root: Path) -> dict:
         if proc.returncode:
             sys.exit(f"layers of {workload} failed:\n{proc.stderr}")
         out.update(json.loads(proc.stdout))
+    out["import rcpolar"] = import_layer(root)
     return out
+
+
+def import_layer(root: Path) -> dict:
+    """Median CPU time and minor page faults of ``import rcpolar`` in a fresh
+    interpreter, raw and divided by the slowdown (beta 1)."""
+    sys.path.insert(0, str(root / "rcbench"))
+    from calibrate import kernel_s, slowdown
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    times, faults, kernel = [], [], []
+    for _ in range(IMPORT_RUNS):
+        r0 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        subprocess.run([sys.executable, "-c", "import rcpolar"], cwd=root, env=env, check=True)
+        r1 = resource.getrusage(resource.RUSAGE_CHILDREN)
+        times.append(r1.ru_utime + r1.ru_stime - r0.ru_utime - r0.ru_stime)
+        faults.append(r1.ru_minflt - r0.ru_minflt)
+        kernel.append(kernel_s())
+    raw, slow = statistics.median(times), slowdown(kernel)
+    return {"runs": IMPORT_RUNS, "cpu_s_median_raw": raw, "slowdown": slow, "beta": 1.0,
+            "cpu_s_median": raw / slow, "minflt_median": statistics.median(faults)}
 
 
 def layer_group(root: Path, workload: str) -> dict:

@@ -13,10 +13,14 @@ that is identically zero) and the BEC recursion with erasure probability 1.
 The check-node function ``phi`` is tabulated as log phi on a dense log-spaced
 grid of 8,192 knots and interpolated monotonically; its inverse is solved
 against that same interpolant, so the pair is self-consistent to far better
-than 1e-9.  Outside the grid a matched series (small x) and a matched
-exponential tail (large x) extend both directions monotonically.  The knots
-ship as package data (``data/log_phi_knots.txt``, one ``repr`` a line), so a
-process reads them in milliseconds; they were computed once by composite
+than 1e-9.  The interpolant is PCHIP (Fritsch & Carlson 1980), ported to
+numpy from scipy's ``PchipInterpolator`` and ``PPoly``: slopes, end points,
+coefficients and the power-form evaluation run in scipy's operation order, so
+every coefficient and value carries scipy's bits without importing
+``scipy.interpolate``.  Outside the grid a matched series (small x) and a
+matched exponential tail (large x) extend both directions monotonically.  The
+knots ship as package data (``data/log_phi_knots.txt``, one ``repr`` a line),
+so a process reads them in milliseconds; they were computed once by composite
 Gauss-Legendre quadrature, and ``tests/test_construction.py`` holds that
 quadrature, recomputes every knot and compares the bits.
 """
@@ -30,7 +34,6 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator, PPoly
 from scipy.special import erfc
 
 from .channel import _pam_bit_llrs, pam_demap_table
@@ -77,6 +80,44 @@ def _log_phi_tail(x) -> np.ndarray:
     return 0.5 * np.log(np.pi / x) - x / 4.0 + np.log1p(-10.0 / (7.0 * x))
 
 
+def _pchip(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """PCHIP interpolant through (x, y), x strictly increasing: its inner knots
+    and one row [c0, c1, c2, c3, x_k] per interval, from scipy's
+    ``PchipInterpolator`` slopes and end points and ``CubicHermiteSpline``
+    coefficients, in its order."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    # interior slopes: the weighted harmonic mean of the two secants, or 0
+    # where they differ in sign or either is 0
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    d = np.zeros_like(y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    # one-sided three-point end slopes, kept shape-preserving
+    for k, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]), (-1, h[-1], h[-2], m[-1], m[-2])):
+        e = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(e) != np.sign(m0):
+            e = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(e) > 3.0 * abs(m0):
+            e = 3.0 * m0
+        d[k] = e
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return x[1:-1].copy(), np.stack([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1], x[:-1]], axis=-1)
+
+
+def _cubic(table: tuple[np.ndarray, np.ndarray], z: np.ndarray) -> np.ndarray:
+    """The piecewise cubic ``table`` (inner knots, rows (K-1, 5) or (K-1, n, 5))
+    at 1-D z inside the knots: (len(z),) or (n, len(z)).  ``searchsorted`` over
+    the inner knots is scipy's interval rule x_k <= z < x_k+1, with the last
+    knot in the last interval; the sum runs in ``PPoly``'s power-form order."""
+    knots, rows = table
+    c0, c1, c2, c3, xk = rows.take(knots.searchsorted(z, "right"), 0).T
+    s = z - xk
+    s2 = s * s
+    return ((c3 + c2 * s) + c1 * s2) + c0 * (s2 * s)
+
+
 @lru_cache(maxsize=None)
 def _phi_table() -> SimpleNamespace:
     """Interpolation table for log phi and its inverse, built from the shipped
@@ -86,18 +127,17 @@ def _phi_table() -> SimpleNamespace:
     if len(ls) != _GRID_KNOTS:
         raise RuntimeError("bundled phi knots asset is corrupt")
     log_x = np.log(_knot_x())
-    fwd = PchipInterpolator(log_x, ls, extrapolate=False)
-    # log phi and its derivative as the two columns of one piecewise
-    # polynomial, so a Newton step makes one interval search: the
-    # derivative's coefficients under a zero leading row evaluate in the
-    # same power-form order as fwd.derivative(), bit for bit
-    d = fwd.derivative().c
-    c = np.stack([fwd.c, np.vstack([np.zeros_like(d[:1]), d])], axis=-1)
+    knots, fwd = _pchip(log_x, ls)
+    # log phi and its slope as the two columns of one table, so a Newton step
+    # makes one interval search; the slope's coefficients are scipy's
+    # ``PPoly.derivative`` under a zero leading term
+    slope = np.hstack([np.zeros_like(fwd[:, :1]), fwd[:, :3] * [3.0, 2.0, 1.0], fwd[:, 4:]])
+    inv_knots, inv = _pchip(ls[::-1], log_x[::-1])
     return SimpleNamespace(
-        log_x=log_x, log_phi_knots=ls, fwd=fwd,
-        fwd_and_d=PPoly(c, fwd.x, extrapolate=False),
+        log_x=log_x, log_phi_knots=ls,
+        fwd=(knots, fwd), fwd_and_d=(knots, np.stack([fwd, slope], axis=1)),
         # seed table for the inverse: log phi is strictly decreasing
-        inv=PchipInterpolator(ls[::-1], log_x[::-1], extrapolate=False),
+        inv=(inv_knots, inv),
         l_hi=float(ls[0]),    # log phi(1e-6), close to 0
         l_lo=float(ls[-1]))   # log phi(200)
 
@@ -106,7 +146,7 @@ def log_phi(x) -> np.ndarray:
     """Elementwise log of phi; phi(0) = 1, strictly decreasing in x."""
     t = _phi_table()
     x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):
+    if not (x >= 0).all():
         raise ValueError("phi is defined for x >= 0 only")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
@@ -119,7 +159,7 @@ def log_phi(x) -> np.ndarray:
         xs = x[small]
         out[small] = np.log1p(-0.5 * xs * (1.0 - 0.5 * xs))
     if mid.any():
-        out[mid] = t.fwd(np.log(x[mid]))
+        out[mid] = _cubic(t.fwd, np.log(x[mid]))
     if big.any():
         out[big] = t.l_lo + _log_phi_tail(x[big]) - _log_phi_tail(_GRID_HI)
     return float(out[0]) if scalar else out
@@ -156,9 +196,9 @@ def _phi_inverse_log(ly) -> np.ndarray:
         # steps leave a residual below 1e-13 anywhere on the table.  Clipping
         # by minimum/maximum gives np.clip's bits without its dispatch cost.
         z_lo, z_hi = t.log_x[0], t.log_x[-1]
-        z = np.minimum(np.maximum(t.inv(target), z_lo), z_hi)
+        z = np.minimum(np.maximum(_cubic(t.inv, target), z_lo), z_hi)
         for _ in range(4):
-            f, df = t.fwd_and_d(z).T
+            f, df = _cubic(t.fwd_and_d, z)
             z = np.minimum(np.maximum(z - (f - target) / df, z_lo), z_hi)
         out[mid] = np.exp(z)
     return out
@@ -245,7 +285,7 @@ def _ga_leaf_codes(vals: np.ndarray, codes: np.ndarray,
     misses, and their results are stored back.  A caller that evaluates many
     related batches (one PPA run) passes one dict to all of them; without it
     each call starts from an empty dict."""
-    if not np.all(vals >= 0):
+    if not (vals >= 0).all():
         raise ValueError("channel means must be nonnegative")
     memo = {} if memo is None else memo
 
@@ -261,8 +301,8 @@ def _ga_leaf_codes(vals: np.ndarray, codes: np.ndarray,
         # dense: indexed by the pair key itself; keys that do not occur are never read
         lut = np.empty((2, K * K if dense else len(keys)), dtype=x.dtype)
         lut[:, keys if dense else slice(None)] = remap.reshape(2, -1)
-        np.take(lut[0], inv, out=x, mode="wrap")
-        np.take(lut[1], inv, out=y, mode="wrap")
+        lut[0].take(inv, out=x, mode="wrap")
+        lut[1].take(inv, out=y, mode="wrap")
 
     butterfly(codes, stage)
     return vals, codes
@@ -303,7 +343,7 @@ def _distinct_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def bit_error_prob(mean_llr) -> np.ndarray:
     """Q(sqrt(mean/2)): decision error probability of a consistent-Gaussian LLR."""
     m = np.asarray(mean_llr, dtype=float)
-    if not np.all(m >= 0):
+    if not (m >= 0).all():
         raise ValueError("mean LLR must be nonnegative")
     return 0.5 * erfc(np.sqrt(m / 2.0) / np.sqrt(2.0))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 
 import numpy as np
@@ -117,8 +117,10 @@ def _pattern_error_probs(design, base_len: int, alive: np.ndarray, cols,
         codes = rows.view(np.int64).take(masks[:, _bit_reversal_of(blocks)].T, 0).view(np.int32)
         vals, _ = _ga_leaf_codes(vals, np.moveaxis(codes, 0, -1), memo)
         ep, u = bit_error_prob(vals), np.arange(base_len)[cols]
-        taken = [ep.take(codes[c % blocks, :, c // blocks]) for c in u]
-        return np.array(taken).reshape(len(u), len(alive)).T   # cols may be empty
+        out = np.empty((len(u), len(alive)))   # cols may be empty
+        for row, c in zip(out, u):
+            ep.take(codes[c % blocks, :, c // blocks], out=row, mode="wrap")
+        return out.T
     if isinstance(design, ErasureDesign):
         z = np.where(alive, design.epsilon, 1.0)
         return bec_leaf_erasures(z)[:, cols]
@@ -298,7 +300,8 @@ def exhaustive_search(
     total = comb(N, m)
     if total <= budget:
         it = combinations(range(N), m)
-        stream = (_alive_masks(np.array(c, dtype=np.int64), N)
+        stream = (_alive_masks(np.fromiter(chain.from_iterable(c), np.int64, len(c) * m)
+                               .reshape(len(c), m), N)
                   for c in iter(lambda: list(islice(it, batch)), []))
     elif n_samples is None:
         raise EnumerationBudgetError(

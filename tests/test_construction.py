@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,11 +13,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
+import rcpolar
 from rcpolar import construction
 from rcpolar.channel import ChannelSpec, ModulationSpec, _pam_bit_llrs, pam_demap_table
 from rcpolar.construction import (
     ReliabilityProfile,
+    _cubic,
     _distinct_values,
     _ga_leaf_codes,
     _knot_x,
@@ -164,20 +169,69 @@ class TestPhi:
         assert same_bits(fresh.log_x, ref.log_x)
         assert same_bits(fresh.log_phi_knots, ref.log_phi_knots)
         for name in ("fwd", "fwd_and_d", "inv"):
-            assert same_bits(getattr(fresh, name).x, getattr(ref, name).x)
-            assert same_bits(getattr(fresh, name).c, getattr(ref, name).c)
+            for got, want in zip(getattr(fresh, name), getattr(ref, name)):
+                assert same_bits(got, want)
 
     def test_fused_interpolant_matches_fwd_and_derivative(self):
         # Newton reads log phi and its slope from the two columns of one
-        # piecewise polynomial; each column is bit-identical to the separate
-        # interpolant at every knot, every knot midpoint and random points
+        # table; the first is the fwd table's value and the second scipy's
+        # derivative, bit for bit, at every knot, every knot midpoint and
+        # random points
         t = _phi_table()
-        x = t.fwd.x
+        x = t.log_x
         z = np.concatenate([x, 0.5 * (x[1:] + x[:-1]),
                             np.random.default_rng(0).uniform(x[0], x[-1], 100_000)])
-        both = t.fwd_and_d(z)
-        assert same_bits(both[:, 0], t.fwd(z))
-        assert same_bits(both[:, 1], t.fwd.derivative()(z))
+        f, df = _cubic(t.fwd_and_d, z)
+        assert same_bits(f, _cubic(t.fwd, z))
+        assert same_bits(df, PchipInterpolator(x, t.log_phi_knots).derivative()(z))
+
+    @pytest.mark.parametrize("name", ["fwd", "derivative", "inv"])
+    def test_interpolants_match_scipy_bit_for_bit(self, name):
+        # the numpy PCHIP port against scipy.interpolate, which the library
+        # does not import: every coefficient, then the values at 10^6
+        # uniform points, every knot, every knot midpoint and both ends
+        t = _phi_table()
+        ls, lx = t.log_phi_knots, t.log_x
+        fwd = PchipInterpolator(lx, ls, extrapolate=False)
+        ref, x, table, column = {
+            "fwd": (fwd, lx, t.fwd, None),
+            "derivative": (fwd.derivative(), lx, t.fwd_and_d, 1),
+            "inv": (PchipInterpolator(ls[::-1], lx[::-1], extrapolate=False), ls[::-1],
+                    t.inv, None),
+        }[name]
+        knots, rows = table
+        if column is not None:
+            rows = rows[:, column]
+        c = rows[:, 4 - len(ref.c):4].T
+        assert same_bits(np.ascontiguousarray(c), ref.c)
+        assert same_bits(rows[:, 4], ref.x[:-1]) and same_bits(knots, ref.x[1:-1])
+        z = np.concatenate([np.random.default_rng(7).uniform(x[0], x[-1], 1_000_000),
+                            x, 0.5 * (x[1:] + x[:-1]), [x[0], x[-1]]])
+        got = _cubic(table, z)
+        assert same_bits(got if column is None else got[column], ref(z))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pchip_port_matches_scipy_on_rough_data(self, seed):
+        # data with repeated values and sign changes reach every slope branch:
+        # flat interior slopes and both end-point corrections
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.uniform(0.1, 2.0, 40))
+        y = rng.integers(-3, 4, 40).astype(float) * rng.choice([1.0, 0.37], 40)
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        knots, rows = construction._pchip(x, y)
+        assert same_bits(np.ascontiguousarray(rows[:, :4].T), ref.c)
+        z = np.concatenate([x, rng.uniform(x[0], x[-1], 10_000)])
+        assert same_bits(_cubic((knots, rows), z), ref(z))
+
+    def test_import_leaves_scipy_interpolate_unloaded(self):
+        # the phi table is built without scipy.interpolate, whose import
+        # cost more than the rest of the package's
+        src = str(Path(rcpolar.__file__).resolve().parents[1])
+        code = "import sys, rcpolar; print('scipy.interpolate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     @given(st.floats(min_value=1e-5, max_value=150.0))
     @settings(max_examples=60, deadline=None)

@@ -395,6 +395,25 @@ class TestExhaustive:
                                     seed=seed, batch=batch)
             assert got == want, f"seed {seed}"
 
+    @pytest.mark.parametrize("design", [GaussianDesign.from_snr_db(3.0),
+                                        ErasureDesign(epsilon=0.4)], ids=["ga", "bec"])
+    @pytest.mark.parametrize("p,k", [(1, 1), (3, 4), (5, 16)])
+    def test_enumerated_search_equals_itertools(self, design, p, k):
+        # every m-subset from itertools, scored in one batch of the public
+        # call; the first smallest metric wins, whatever batches the search
+        # cuts its stream into (m = 0 and m = N give one pattern each)
+        spec = base_code(p, k, design)
+        N = spec.N
+        for m in sorted({0, 1, 2 % N, N - 1, N}):
+            pats = list(itertools.combinations(range(N), m))
+            met = evaluate_patterns(spec, design,
+                                    np.array(pats, dtype=np.int64).reshape(len(pats), m))
+            want = pats[int(np.argmin(met))]
+            for batch in (len(pats), 5, 1):
+                got = exhaustive_search(spec, design, m, batch=batch)
+                assert got == want, (m, batch)
+                assert evaluate_patterns(spec, design, got)[0] == met.min()
+
     def test_sampled_search_deterministic(self):
         design = GaussianDesign.from_snr_db(3.0)
         spec = base_code(5, 16, design)
