@@ -31,14 +31,18 @@ not time at a fixed size, on the code of each HARQ workload
 The tx chain runs before the decodes: timed after the B=512 decodes, its
 figure moved 1.6-2x with the heap they left behind.
 
-It times three layers of the design workload the same way:
+It times five layers of the design workload the same way:
 
 * one sampled-search batch on the workload's ``SEARCH`` constants (base 32,
   k=16, 3 dB, 65,536 patterns of m=10 positions) at the seed of its first
   cycle, with the workload's rate sensitivity (beta 0.6);
 * one ``ppa`` run on base 32 at k=11 and 3.5 dB (the workload's ``PPA32``)
   and one on base 64 at k=22 and 3.5 dB (its ``PPA64``), with its operation
-  sensitivity (beta 1.2).
+  sensitivity (beta 1.2);
+* one ``bit_error_prob`` call on n=48 and on n=1,832 means, the sizes of a
+  base-32 PPA step's leaf table and of a search batch's, evenly spaced over
+  the distinct GA leaf means of 65,536 fixed-seed ``SEARCH`` patterns, with
+  the operation sensitivity.
 
 The layers of each workload run in a child interpreter of their own
 (``--layer-group <workload>``), so no workload's layers inherit the heap
@@ -92,6 +96,7 @@ HARQ_BATCH_CALLS = 21              # timed run_blocks_batch calls per workload
 HARQ_CYCLE_CALLS = 21              # timed rcbench cycles per HARQ workload
 SEARCH_CALLS = 21                  # timed sampled-search batches
 PPA_CALLS = {32: 51, 64: 21}       # timed ppa runs per base length
+ERROR_PROB_CALLS = {48: 201, 1832: 51}   # timed bit_error_prob calls per table size
 IMPORT_RUNS = 7                    # fresh interpreters timed for ``import rcpolar``
 
 
@@ -159,13 +164,13 @@ def import_layer(root: Path) -> dict:
 def layer_group(root: Path, workload: str) -> dict:
     """Calibrated CPU time of the layers of one workload: ``sc_decode``,
     ``encode``, the tx chain, one HARQ batch and one rcbench cycle of a HARQ
-    workload, or one search batch and one base-32 and one base-64 PPA run of
-    the design workload."""
+    workload, or one search batch, one base-32 and one base-64 PPA run and
+    ``bit_error_prob`` on two table sizes of the design workload."""
     sys.path[:0] = [str(root / "src"), str(root / "rcbench")]
     import numpy as np
     from calibrate import kernel_s, slowdown
     from rcpolar.channel import ChannelSpec, ModulationSpec
-    from rcpolar.construction import design_code
+    from rcpolar.construction import bit_error_prob, design_code, ga_leaf_means
     from rcpolar.decoder import sc_decode
     from rcpolar.harq import run_blocks_batch
     from rcpolar.polar import encode
@@ -209,6 +214,14 @@ def layer_group(root: Path, workload: str) -> dict:
                 "workload": DESIGN_NAME, "k": k, "snr_db": snr_db,
                 **timed(lambda: ppa(ppa_spec, ppa_design), PPA_CALLS[ppa_spec.N],
                         DesignWorkload.op_beta)}
+        r = np.random.default_rng(LAYER_SEED).random((b, search_spec.N))
+        alive = r > np.sort(r, axis=1)[:, m - 1:m]
+        leaf = np.unique(ga_leaf_means(np.where(alive, search_design.mean_llr, 0.0)))
+        for n, calls in ERROR_PROB_CALLS.items():
+            means = leaf[np.linspace(0, len(leaf) - 1, n).round().astype(int)]
+            out[f"bit_error_prob n={n}"] = {
+                "workload": DESIGN_NAME, "snr_db": SEARCH[2], "distinct_means": len(leaf),
+                **timed(lambda: bit_error_prob(means), calls, DesignWorkload.op_beta)}
         return out
     cases = {c.name: c for c in HARQ_CASES}
     if workload not in cases:

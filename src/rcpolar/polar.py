@@ -122,7 +122,7 @@ def butterfly(a: np.ndarray, stage) -> np.ndarray:
     with the transform axis moved first, so each call runs over contiguous
     runs of h x batch entries.  Returns ``a``.
     """
-    y = np.moveaxis(a, -1, 0)
+    y = a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
     work = np.ascontiguousarray(y)   # no copy for a (B, N) array in Fortran order
     N, rest = work.shape[0], work.shape[1:]
     h = N // 2

@@ -115,7 +115,7 @@ def _pattern_error_probs(design, base_len: int, alive: np.ndarray, cols,
         blocks = base_len // rows.shape[1]
         masks = np.packbits(alive, axis=1, bitorder="little")   # (B, N/L)
         codes = rows.view(np.int64).take(masks[:, _bit_reversal_of(blocks)].T, 0).view(np.int32)
-        vals, _ = _ga_leaf_codes(vals, np.moveaxis(codes, 0, -1), memo)
+        vals, _ = _ga_leaf_codes(vals, codes.transpose(1, 2, 0), memo)
         ep, u = bit_error_prob(vals), np.arange(base_len)[cols]
         out = np.empty((len(u), len(alive)))   # cols may be empty
         for row, c in zip(out, u):

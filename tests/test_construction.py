@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
+from scipy.special import erfc
 
 import rcpolar
 from rcpolar import construction
@@ -223,16 +225,6 @@ class TestPhi:
         z = np.concatenate([x, rng.uniform(x[0], x[-1], 10_000)])
         assert same_bits(_cubic((knots, rows), z), ref(z))
 
-    def test_import_leaves_scipy_interpolate_unloaded(self):
-        # the phi table is built without scipy.interpolate, whose import
-        # cost more than the rest of the package's
-        src = str(Path(rcpolar.__file__).resolve().parents[1])
-        code = "import sys, rcpolar; print('scipy.interpolate' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
-
     @given(st.floats(min_value=1e-5, max_value=150.0))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, x):
@@ -265,6 +257,42 @@ class TestBitErrorProb:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bit_error_prob(-1.0)
+
+    def test_infinite_mean_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bit_error_prob(np.inf) == 0.0
+
+    def test_erfc_port_matches_scipy_bit_for_bit(self):
+        # the Cephes port against scipy.special.erfc, which the library does
+        # not import: uniform and log-uniform points, a few ulps on both sides
+        # of the branch edges 1 and 8 and of the underflow cut-off
+        # sqrt(MAXLOG) = 26.64..., the band past it where exp(-x^2) P/Q would
+        # still be subnormal, and the ends
+        rng = np.random.default_rng(3)
+        near = []
+        for edge in (1.0, 8.0, math.sqrt(construction._MAXLOG)):
+            lo = hi = edge
+            for _ in range(8):
+                near += [lo, hi]
+                lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)
+        x = np.concatenate([rng.uniform(0.0, 30.0, 1_000_000),
+                            np.exp(rng.uniform(math.log(1e-13), math.log(30.0), 200_000)),
+                            np.linspace(26.64, 26.7, 10_001), near,
+                            [0.0, 5e-324, 1e-300, 1e300, np.inf]])
+        assert same_bits(construction._erfc(x), erfc(x))
+        assert same_bits(bit_error_prob(x), 0.5 * erfc(np.sqrt(x / 2.0) / np.sqrt(2.0)))
+
+    def test_import_leaves_scipy_unloaded(self):
+        # neither the package nor its CLI imports scipy, whose import cost
+        # more than the rest of the package's; the tests use it as a reference
+        src = str(Path(rcpolar.__file__).resolve().parents[1])
+        code = ("import sys, rcpolar, rcpolar.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestGaEvolve:

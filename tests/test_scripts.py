@@ -57,9 +57,10 @@ def test_script_runs(script, tmp_path):
 
 def test_bench_layers_only():
     # times this checkout's sc_decode, encode, tx chain, HARQ batch, HARQ
-    # cycle, search batch and base-32 and base-64 PPA, each workload's layers
-    # in a child interpreter, and `import rcpolar` in fresh ones, and prints
-    # the entries, with their page faults; writes nothing
+    # cycle, search batch, base-32 and base-64 PPA and bit_error_prob on two
+    # table sizes, each workload's layers in a child interpreter, and
+    # `import rcpolar` in fresh ones, and prints the entries, with their page
+    # faults; writes nothing
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "bench.py"), "--layers-only"],
@@ -71,7 +72,7 @@ def test_bench_layers_only():
         + [f"{layer} N=256 B=256" for layer in ("encode", "harq batch", "harq cycle", "tx chain")]
         + [f"sc_decode N={N} B={B}" for N in (1024, 256) for B in (1, 512)]
         + ["sc_decode N=1024 B=512 all 4 rounds", "search batch N=32 B=65536", "ppa N=32",
-           "ppa N=64", "import rcpolar"])
+           "ppa N=64", "bit_error_prob n=48", "bit_error_prob n=1832", "import rcpolar"])
     for e in entries.values():
         assert e["cpu_s_median_raw"] > 0 and e["slowdown"] > 0
         assert e["cpu_s_median"] == e["cpu_s_median_raw"] / e["slowdown"] ** e["beta"]
